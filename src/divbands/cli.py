@@ -7,7 +7,7 @@ Emission is deterministic: floats are rendered with repr (shortest
 round-trip form), JSON keys are sorted, newlines are always "\\n", and
 the solvers themselves are fixed-order numpy code, so re-running a
 command reproduces its files byte for byte.  ``--threads`` is accepted
-on every subcommand and never changes results.
+on every subcommand but reserved: it has no effect today.
 
 Exit codes: 0 on success, 2 for rejected inputs (bad config, bad flag
 values, unknown subcommand), 3 when a certified invariant fails.
@@ -205,7 +205,7 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
         "s_star": sched.s_star,
-        "required_cap": int(math.ceil(sched.s_star - 1e-12)),
+        "required_cap": sched.cap,
         "max_depth0_width": float(np.max(table.widths(0))),
         "values": values,
     })
@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="YAML run configuration")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results never depend on it")
+                       help="reserved; accepted but has no effect")
         if name == "solve-log":
             p.add_argument("--y0", type=float, default=1.0,
                            help="initial wealth entering the logarithm")

@@ -41,6 +41,10 @@ class CapTooSmall(ValidationError):
     """The surplus cap x_max lies below the certified barrier bound."""
 
 
+class ValueUnderflow(ValidationError):
+    """The value bracket at the surplus cap would underflow double precision."""
+
+
 class DepthTooSmall(ValidationError):
     """The requested horizon leaves the value bracket wider than asked."""
 

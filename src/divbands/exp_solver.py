@@ -16,7 +16,8 @@ by the rigorous envelope
 Both envelope constants are themselves computed as two-sided brackets, so
 every table entry is a certified enclosure of the true value.  The optimal
 expected utility is (1/gamma) * J(x, gamma), and the depth-n decision rule
-is the largest minimiser of the lo-evaluation.
+is the largest minimiser of the lo-evaluation within relative TIE_RTOL =
+1e-12, found for a whole depth by one prefix-minimum scan (``exp_backup``).
 
 A state above the surplus cap is priced by paying the overflow at once:
 J(x', theta) = e^{theta (x' - x_max)} J(x_max, theta).  This is exact, not
@@ -32,14 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapTooSmall, DepthTooSmall, NotABand, ValidationError
 from .model import IncomeDistribution, ProblemConfig, Utility
 
-TIE_TOL = 1e-12  # absolute tie tolerance for the largest minimiser
+TIE_RTOL = 1e-12  # relative tie tolerance for the largest minimiser
 
 __all__ = [
     "Interval",
@@ -54,6 +55,8 @@ __all__ = [
     "s_bound",
     "required_cap",
     "suggest_depth",
+    "exp_backup",
+    "neutral_backup",
     "bellman_backup_exp",
     "solve_exp",
     "extract_bands",
@@ -206,6 +209,11 @@ class ThetaSchedule:
             s_tilde=tuple(s_tilde), s_tilde_star=max(s_tilde),
         )
 
+    @property
+    def cap(self) -> int:
+        """Smallest admissible x_max: ceil of the s* over-estimate."""
+        return math.ceil(self.s_star - 1e-12)
+
     @classmethod
     def from_config(cls, config: ProblemConfig) -> "ThetaSchedule":
         return cls.build(config.dist, config.beta, config.gamma,
@@ -231,34 +239,18 @@ def h_lower(schedule: ThetaSchedule, theta: float) -> Interval:
 
 
 def h_upper(schedule: ThetaSchedule, theta: float) -> Interval:
-    """Bracket of the upper envelope constant at theta (schedule points)."""
-    try:
-        return schedule.h_up[schedule.index_of(theta)]
-    except ValidationError:
-        # descend a fresh orbit from theta until the Jensen closure is tight
-        sub = ThetaSchedule.build(schedule.dist, schedule.beta, theta, 1,
-                                  schedule.tail_eps)
-        return sub.h_up[0]
+    """Bracket of the upper envelope constant at a schedule point."""
+    return schedule.h_up[schedule.index_of(theta)]
 
 
 def s_bound(schedule: ThetaSchedule, theta: float) -> float:
-    """Conservative upper bracket of the barrier bound s(theta) >= xi(theta)."""
-    try:
-        return schedule.s_hi[schedule.index_of(theta)]
-    except ValidationError:
-        s_cap = schedule.beta * schedule.dist.mean_positive / (1.0 - schedule.beta) ** 2
-        hl = h_lower(schedule, theta)
-        hu = h_upper(schedule, theta)
-        num = math.log(hu.hi) - math.log(hl.lo)
-        if abs(theta) < 1e-8 and num < 16.0 * math.ulp(1.0):
-            return s_cap
-        return max(0.0, min(num / (theta * (schedule.beta - 1.0)), s_cap))
+    """Upper bracket of the barrier bound s(theta) >= xi(theta) at a schedule point."""
+    return schedule.s_hi[schedule.index_of(theta)]
 
 
 def required_cap(config: ProblemConfig) -> int:
     """Smallest admissible x_max: ceil of the s* over-estimate."""
-    schedule = ThetaSchedule.from_config(config)
-    return math.ceil(schedule.s_star - 1e-12)
+    return ThetaSchedule.from_config(config).cap
 
 
 def suggest_depth(config_like, x_max: int | None = None) -> int:
@@ -317,16 +309,35 @@ def _g_rows(dist: IncomeDistribution, theta_next: float,
     return g_lo, g_hi
 
 
-def _minimise(x: int, theta: float, g_lo: np.ndarray, g_hi: np.ndarray
-              ) -> tuple[float, float, int]:
-    """Min over a in {0..x} of e^{theta a} G(x-a); largest lo-minimiser."""
-    pays = np.exp(theta * np.arange(x + 1))
-    vals_lo = pays * g_lo[x::-1]
-    vals_hi = pays * g_hi[x::-1]
-    lo = float(vals_lo.min())
-    hi = float(vals_hi.min())
-    ties = np.nonzero(vals_lo <= lo + TIE_TOL)[0]
-    return lo, hi, int(ties[-1])
+def exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min over a in {0..x} of e^{theta a} G(x-a) for every x, both channels.
+
+    With v = x - a the value is e^{theta x} PM(x), PM the prefix minimum of
+    H(v) = e^{-theta v} G(v).  The action is the largest lo-minimiser x - v*,
+    v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL); PM does not
+    increase, so one searchsorted finds every v*.
+    """
+    v = np.arange(g_lo.size)
+    weight = np.exp(-theta * v)
+    pm_lo = np.minimum.accumulate(weight * g_lo)
+    pm_hi = np.minimum.accumulate(weight * g_hi)
+    v_star = np.searchsorted(-pm_lo, -pm_lo * (1.0 + TIE_RTOL))
+    decay = np.exp(theta * v)
+    return decay * pm_lo, decay * pm_hi, v - v_star
+
+
+def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over a in {0..x} of a + bg(x-a) for every x (bg = beta * G).
+
+    The value is x + PM(x), PM the prefix maximum of bg(v) - v; the action
+    is the largest maximiser x - v*, v* the smallest v whose PM(v) lies
+    within relative TIE_RTOL of the value.
+    """
+    v = np.arange(bg.size)
+    pm = np.maximum.accumulate(bg - v)
+    values = v + pm
+    return values, v - np.searchsorted(pm, pm - TIE_RTOL * np.abs(values))
 
 
 def bellman_backup_exp(config: ProblemConfig, theta_n: float, x: int,
@@ -336,13 +347,14 @@ def bellman_backup_exp(config: ProblemConfig, theta_n: float, x: int,
 
     ``next_lo``/``next_hi`` are depth-(n+1) table rows of length
     x_max + 2 (leading ruined entry).  Returns the bracketed minimum and
-    the largest action attaining the lo-minimum within TIE_TOL.
+    the largest action attaining the lo-minimum within relative TIE_RTOL.
     """
     if x < 0 or x > config.x_max:
         raise ValidationError(f"x={x} outside [0, {config.x_max}]")
     g_lo, g_hi = _g_rows(config.dist, theta_n * config.beta, next_lo, next_hi,
                          config.x_max)
-    return _minimise(x, theta_n, g_lo, g_hi)
+    lo, hi, action = exp_backup(theta_n, g_lo, g_hi)
+    return float(lo[x]), float(hi[x]), int(action[x])
 
 
 @dataclass(frozen=True)
@@ -423,10 +435,9 @@ def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
     if terminal not in ("tail", "unit"):
         raise ValidationError(f"unknown terminal mode {terminal!r}")
     schedule = ThetaSchedule.from_config(config)
-    cap_need = math.ceil(schedule.s_star - 1e-12)
-    if config.x_max < cap_need:
+    if config.x_max < schedule.cap:
         raise CapTooSmall(
-            f"x_max={config.x_max} below barrier bound {cap_need}")
+            f"x_max={config.x_max} below barrier bound {schedule.cap}")
 
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
@@ -437,10 +448,8 @@ def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
         lo[n_depth, 1:] = decay * schedule.h_lo[n_depth].lo
         hi[n_depth, 1:] = np.minimum(1.0, decay * schedule.h_up[n_depth].hi)
     action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
-    xi = np.zeros(n_depth, dtype=np.int64)
 
     for n in range(n_depth - 1, -1, -1):
-        theta = schedule.thetas[n]
         # the pay-down extension prices states above the cap, except that
         # the unit terminal row is 1 everywhere, so it extends flat
         theta_next = schedule.thetas[n + 1]
@@ -448,13 +457,9 @@ def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
             theta_next = 0.0
         g_lo, g_hi = _g_rows(config.dist, theta_next,
                              lo[n + 1], hi[n + 1], x_max)
-        for x in range(x_max + 1):
-            v_lo, v_hi, a_star = _minimise(x, theta, g_lo, g_hi)
-            lo[n, x + 1] = v_lo
-            hi[n, x + 1] = v_hi
-            action[n, x] = a_star
-        zero_at = np.nonzero(action[n] == 0)[0]
-        xi[n] = int(zero_at[-1])
+        lo[n, 1:], hi[n, 1:], action[n] = exp_backup(schedule.thetas[n],
+                                                     g_lo, g_hi)
+    xi = x_max - np.argmax(action[:, ::-1] == 0, axis=1)  # last hold state
 
     table = ExpValueTable(config=config, schedule=schedule, lo=lo, hi=hi)
     policy = ExpPolicy(config=config, schedule=schedule, action=action, xi=xi)
@@ -609,21 +614,12 @@ def solve_neutral(config: ProblemConfig, *, max_iterations: int = 1_000_000
     stop = config.tail_eps * (1.0 - beta) / beta
     iterations = 0
     while iterations < max_iterations:
-        g = _neutral_g(dist, values, x_max)
-        new = np.empty_like(values)
-        for x in range(x_max + 1):
-            new[x] = (np.arange(x + 1) + beta * g[x::-1]).max()
+        new, _ = neutral_backup(beta * _neutral_g(dist, values, x_max))
         iterations += 1
         diff = float(np.max(np.abs(new - values)))
         values = new
         if diff <= stop:
             break
-    g = _neutral_g(dist, values, x_max)
-    action = np.zeros(x_max + 1, dtype=np.int64)
-    for x in range(x_max + 1):
-        vals = np.arange(x + 1) + beta * g[x::-1]
-        best = float(vals.max())
-        ties = np.nonzero(vals >= best - TIE_TOL)[0]
-        action[x] = int(ties[-1])
+    _, action = neutral_backup(beta * _neutral_g(dist, values, x_max))
     return NeutralSolution(config=config, values=values, action=action,
                            iterations=iterations)

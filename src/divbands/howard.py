@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllegalAction, InadmissiblePolicy, MaxIterations, ValidationError
-from .exp_solver import (ExpPolicy, ExpValueTable, ThetaSchedule, TIE_TOL,
-                         _g_rows)
+from .exp_solver import (ExpPolicy, ExpValueTable, ThetaSchedule, _g_rows,
+                         exp_backup)
 from .model import ProblemConfig, Utility
 
 __all__ = [
@@ -109,31 +109,25 @@ def improve(config: ProblemConfig, j_f: ExpValueTable) -> np.ndarray:
     """Largest minimiser against an evaluated rule's table.
 
     For each depth n and surplus x, minimizes a -> e^{theta_n a} G_f(x-a)
-    on the lo channel with ties broken toward the larger payout.  The
-    returned rule pays down to zero pressure (improving twice from the
-    post-payout surplus changes nothing) and respects the payout-pressure
-    bound; both are rechecked here because they certify the iteration's
-    ruin argument.
+    on the lo channel with ties (values within relative TIE_RTOL = 1e-12
+    of the minimum) broken toward the larger payout.  The returned rule
+    pays down to zero pressure (improving twice from the post-payout
+    surplus changes nothing) and respects the payout-pressure bound; both
+    are rechecked here because they certify the iteration's ruin argument.
     """
     schedule = j_f.schedule
     n_depth, x_max = config.depth, config.x_max
     rule = np.zeros((n_depth, x_max + 1), dtype=np.int64)
     for n in range(n_depth - 1, -1, -1):
-        g_lo, _ = _g_rows(config.dist, schedule.thetas[n + 1],
-                          j_f.lo[n + 1], j_f.hi[n + 1], x_max)
-        theta = schedule.thetas[n]
-        for x in range(x_max + 1):
-            vals = np.exp(theta * np.arange(x + 1)) * g_lo[x::-1]
-            best = float(vals.min())
-            ties = np.nonzero(vals <= best + TIE_TOL)[0]
-            rule[n, x] = int(ties[-1])
-    for n in range(n_depth):
-        for x in range(x_max + 1):
-            a = int(rule[n, x])
-            if rule[n, x - a] != 0:
-                raise InadmissiblePolicy(
-                    f"improved rule pays again after paying: depth {n}, x={x}, "
-                    f"a={a}, follow-up {rule[n, x - a]}")
+        g_lo, g_hi = _g_rows(config.dist, schedule.thetas[n + 1],
+                             j_f.lo[n + 1], j_f.hi[n + 1], x_max)
+        rule[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)[2]
+    follow = np.take_along_axis(rule, np.arange(x_max + 1) - rule, axis=1)
+    if np.any(follow != 0):
+        n, x = np.argwhere(follow != 0)[0]
+        raise InadmissiblePolicy(
+            f"improved rule pays again after paying: depth {n}, x={x}, "
+            f"a={rule[n, x]}, follow-up {follow[n, x]}")
     _check_admissible(schedule, rule)
     return rule
 
@@ -181,8 +175,7 @@ def howard_solve(config: ProblemConfig, f0=None, *,
         prev_hi = table.hi[:, 1:].copy()
         improved = improve(config, table)
         if np.array_equal(improved, rule):
-            xi = np.array([int(np.nonzero(rule[n] == 0)[0][-1])
-                           for n in range(config.depth)], dtype=np.int64)
+            xi = config.x_max - np.argmax(rule[:, ::-1] == 0, axis=1)
             policy = ExpPolicy(config=config, schedule=table.schedule,
                                action=rule, xi=xi)
             return HowardResult(table=table, policy=policy, iterations=it,

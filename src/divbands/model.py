@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,9 +32,11 @@ from .errors import (
     NoRuinRisk,
     NotNormalized,
     ValidationError,
+    ValueUnderflow,
 )
 
 NORMALIZATION_TOL = 1e-12
+LOG_DBL_MIN = math.log(sys.float_info.min)  # about -708.4
 
 
 class Utility(enum.Enum):
@@ -124,20 +127,6 @@ def validate_distribution(raw: Mapping[int, float]) -> IncomeDistribution:
     return IncomeDistribution(support=support, probs=probs)
 
 
-@dataclass(frozen=True)
-class SurplusState:
-    """Surplus level with the derived ruin flag."""
-
-    x: int
-
-    @property
-    def ruined(self) -> bool:
-        return self.x < 0
-
-    def action_set(self) -> range:
-        return action_set(self.x)
-
-
 def action_set(x: int) -> range:
     """Admissible dividends: {0,...,x} while solvent, {0} after ruin."""
     return range(0, x + 1) if x >= 0 else range(0, 1)
@@ -161,7 +150,8 @@ class ProblemConfig:
     bracket is attached; ``s_grid_points`` sizes the accumulated-dividend
     grid of the power/log solver.  Construction checks that the surplus
     cap ``x_max`` clears the certified barrier bound of the chosen
-    utility, so trajectories pushed back under the cap lose nothing.
+    utility, so trajectories pushed back under the cap lose nothing, and
+    (exponential utility) that the value at the cap is a normal double.
     """
 
     beta: float
@@ -194,9 +184,10 @@ class ProblemConfig:
     def _check_cap(self):
         # imported lazily: the solvers import this module at load time
         if self.utility is Utility.EXPONENTIAL:
-            from .exp_solver import required_cap
+            from .exp_solver import ThetaSchedule
 
-            need = required_cap(self)
+            schedule = ThetaSchedule.from_config(self)  # reused below
+            need = schedule.cap
         else:
             from .power_solver import xi_star_bound
 
@@ -206,6 +197,15 @@ class ProblemConfig:
                 f"x_max={self.x_max} is below the certified barrier bound {need} "
                 f"for {self.utility.value} utility"
             )
+        if self.utility is Utility.EXPONENTIAL:
+            # the lower bracket e^{gamma x_max} h_lower(gamma) of J(x_max) must
+            # be a normal double; this also keeps e^{-theta v} <= 1/DBL_MIN
+            floor = self.gamma * self.x_max + math.log(schedule.h_lo[0].lo)
+            if floor < LOG_DBL_MIN:
+                raise ValueUnderflow(
+                    f"gamma*x_max + ln h_lower(gamma) = {floor:.1f} is below "
+                    f"ln(DBL_MIN) = {LOG_DBL_MIN:.1f}: values at x_max={self.x_max} "
+                    f"would underflow double precision")
 
 
 def utility(u: Utility, gamma: float, w: float) -> float:

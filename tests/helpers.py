@@ -1,6 +1,10 @@
 """Shared instance builders for the test suite."""
 
-from divbands.exp_solver import required_cap, suggest_depth
+from types import SimpleNamespace
+
+import numpy as np
+
+from divbands.exp_solver import TIE_RTOL, required_cap, suggest_depth
 from divbands.model import ProblemConfig, Utility, validate_distribution
 
 # certain unit loss every period: ruin next step, every closed form is exact
@@ -25,16 +29,17 @@ def sized_exp_config(mapping: dict[int, float], beta: float, gamma: float,
 
     The cap bound depends (weakly) on the depth through the parameter
     schedule, so the probe runs twice: once to size the depth, once to
-    size the cap at that depth.
+    size the cap at that depth.  The probe is a plain namespace, since a
+    config with a guessed cap could fail validation.
     """
     dist = validate_distribution(mapping)
-    probe = ProblemConfig(beta=beta, gamma=gamma, utility=Utility.EXPONENTIAL,
-                          dist=dist, x_max=10_000, depth=16, **kw)
-    d = depth if depth is not None else suggest_depth(probe, x_max=required_cap(probe))
-    probe = ProblemConfig(beta=beta, gamma=gamma, utility=Utility.EXPONENTIAL,
-                          dist=dist, x_max=10_000, depth=d, **kw)
+    probe = SimpleNamespace(dist=dist, beta=beta, gamma=gamma, depth=16,
+                            tail_eps=kw.get("tail_eps", ProblemConfig.tail_eps))
+    if depth is None:
+        depth = suggest_depth(probe, x_max=required_cap(probe))
+    probe.depth = depth
     return ProblemConfig(beta=beta, gamma=gamma, utility=Utility.EXPONENTIAL,
-                         dist=dist, x_max=required_cap(probe), depth=d, **kw)
+                         dist=dist, x_max=required_cap(probe), depth=depth, **kw)
 
 
 def claim_family_configs(depth: int | None = None) -> list[ProblemConfig]:
@@ -46,3 +51,40 @@ def claim_family_configs(depth: int | None = None) -> list[ProblemConfig]:
                 out.append(sized_exp_config(two_point(p, n), 0.9, gamma,
                                             depth=depth))
     return out
+
+
+def reference_exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray):
+    """Per-x search the exp backup kernel replaced (relative tie rule)."""
+    size = g_lo.size
+    lo, hi = np.empty(size), np.empty(size)
+    action = np.empty(size, dtype=np.int64)
+    for x in range(size):
+        pays = np.exp(theta * np.arange(x + 1))
+        vals_lo = pays * g_lo[x::-1]
+        lo[x] = vals_lo.min()
+        hi[x] = (pays * g_hi[x::-1]).min()
+        ties = np.nonzero(vals_lo <= lo[x] * (1.0 + TIE_RTOL))[0]
+        action[x] = ties[-1]
+    return lo, hi, action
+
+
+def reference_neutral_backup(bg: np.ndarray):
+    """Per-x search the neutral backup kernel replaced (relative tie rule)."""
+    size = bg.size
+    values = np.empty(size)
+    action = np.empty(size, dtype=np.int64)
+    for x in range(size):
+        vals = np.arange(x + 1) + bg[x::-1]
+        values[x] = vals.max()
+        ties = np.nonzero(vals >= values[x] - TIE_RTOL * abs(values[x]))[0]
+        action[x] = ties[-1]
+    return values, action
+
+
+def assert_band_laws(policy) -> None:
+    """Pay-down lands on a hold state, and pay regions step by one."""
+    acts = policy.action
+    xs = np.arange(acts.shape[1])
+    assert np.all(np.take_along_axis(acts, xs - acts, axis=1) == 0)
+    nxt, cur = acts[:, 1:], acts[:, :-1]
+    assert np.all((nxt == 0) | (nxt == cur + 1) | (cur == 0))

@@ -149,6 +149,16 @@ def test_exit_two_on_rejected_input(tmp_path):
     assert cli.main(["solve-exp", str(write_config(tmp_path, bad, "bad.yaml"))]) == 2
 
 
+def test_exit_two_when_values_would_underflow(tmp_path, capsys):
+    body = exp_body(tmp_path, beta=0.9, gamma=-3.0,
+                    distribution={1: 0.6, -1: 0.4}, x_max=300, depth=60)
+    path = write_config(tmp_path, body)
+    assert cli.main(["solve-exp", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ln(DBL_MIN) = -708.4" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_three_on_invariant_violation(tmp_path, monkeypatch):
     def boom(config, outdir, args):
         raise InvariantViolation("forced for the exit-code test")

@@ -1,11 +1,12 @@
 """Exponential-utility solver: envelopes, brackets, bands, neutral limit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from divbands.errors import DepthTooSmall, NotABand, ValidationError
+from divbands.errors import DepthTooSmall, NotABand, ValidationError, ValueUnderflow
 from divbands.exp_solver import (
     BandFunction,
     ThetaSchedule,
@@ -21,7 +22,8 @@ from divbands.exp_solver import (
 )
 from divbands.model import validate_distribution
 from divbands.oracle import exact_optimal
-from helpers import DOWN_ONE, make_config, sized_exp_config, two_point
+from helpers import (DOWN_ONE, assert_band_laws, make_config, sized_exp_config,
+                     two_point)
 
 TINY = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
 
@@ -189,14 +191,39 @@ def test_bandy_instance_has_positive_barrier():
     assert len(bands) == BANDY.depth
     assert policy.xi[0] == 3
     assert bands[0].evaluate(BANDY.x_max) == BANDY.x_max - 3
-    # structural laws at every entry of every depth
-    for n in range(BANDY.depth):
-        acts = policy.action[n]
-        for x in range(BANDY.x_max + 1):
-            a = int(acts[x])
-            assert acts[x - a] == 0  # pay-down lands on a hold state
-            if x < BANDY.x_max and acts[x + 1] > 0:
-                assert acts[x + 1] == a + 1 or a == 0
+    assert_band_laws(policy)  # at every entry of every depth
+
+
+def test_wide_cap_ties_are_relative():
+    # x_max far above the barrier: J falls below 1e-12 at the top, where
+    # an absolute tie tolerance made every action tie and broke the bands
+    probe = make_config("exponential", {-1: 0.3, 1: 0.7}, 0.95, -0.05, 700, 1)
+    cfg = dataclasses.replace(probe, depth=suggest_depth(probe))
+    assert cfg.depth == 429
+    _, policy = solve_exp(cfg)
+    bands = extract_bands(policy)
+    assert bands[0].cut_string() == "3"
+    assert_band_laws(policy)
+
+
+def test_largest_gamma_below_underflow_gate_solves():
+    def accepted(gamma):
+        try:
+            return make_config("exponential", {1: 0.6, -1: 0.4}, 0.9, gamma, 300, 60)
+        except ValueUnderflow:
+            return None
+
+    ok, bad = -0.1, -3.0
+    for _ in range(40):
+        mid = 0.5 * (ok + bad)
+        if accepted(mid):
+            ok = mid
+        else:
+            bad = mid
+    table, _ = solve_exp(accepted(ok))
+    assert np.all(np.isfinite(table.lo)) and np.all(np.isfinite(table.hi))
+    assert np.all(table.lo > 0)
+    assert np.all(table.lo <= table.hi) and np.all(table.hi <= 1.0)
 
 
 def test_neutral_frozen_reference():
