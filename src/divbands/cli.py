@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,7 +27,8 @@ import yaml
 from .errors import ConfigParse, InvariantViolation, UnknownSubcommand, ValidationError
 from .exp_solver import extract_bands, solve_exp, solve_neutral
 from .howard import howard_solve
-from .model import ProblemConfig, Utility, validate_distribution
+from .model import (ProblemConfig, Utility, certainty_equivalent,
+                    validate_distribution)
 from .oracle import exact_optimal
 from .power_solver import barrier_diagnostics, solve_log, solve_power
 from .simulate import simulate_paths
@@ -200,7 +200,8 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
             "j_hi": hi,
             "expected_utility_lo": hi / gamma,
             "expected_utility_hi": lo / gamma,
-            "certainty_equivalent": math.log(hi) / gamma,
+            "certainty_equivalent": certainty_equivalent(config.utility, gamma,
+                                                         hi / gamma),
         })
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
@@ -268,12 +269,9 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
     values = []
     for x in range(config.x_max + 1):
         lo, hi = table.headline(x, s0)
-        if config.utility is Utility.POWER:
-            ce = lo ** (1.0 / gamma)
-        else:
-            ce = math.exp(lo)
         values.append({"x": x, "j_hat_lo": lo, "j_hat_hi": hi,
-                       "certainty_equivalent": ce})
+                       "certainty_equivalent": certainty_equivalent(
+                           config.utility, gamma, lo)})
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
         "barrier_bound": report.bound,
@@ -308,7 +306,8 @@ def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
         "iterations": sol.iterations,
         "band_cuts": band.cut_string(),
         "values": [{"x": x, "value": float(sol.values[x]),
-                    "certainty_equivalent": float(sol.values[x])}
+                    "certainty_equivalent": certainty_equivalent(
+                        config.utility, config.gamma, float(sol.values[x]))}
                    for x in range(config.x_max + 1)],
     })
     return 0

@@ -37,8 +37,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapTooSmall, DepthTooSmall, NotABand, ValidationError
-from .model import IncomeDistribution, ProblemConfig, Utility
+from .errors import DepthTooSmall, NotABand, ValidationError, ValueUnderflow
+from .model import (LOG_DBL_MIN, IncomeDistribution, ProblemConfig, Utility,
+                    policy_lookup)
 
 TIE_RTOL = 1e-12  # relative tie tolerance for the largest minimiser
 
@@ -51,8 +52,6 @@ __all__ = [
     "NeutralSolution",
     "mgf_plus",
     "h_lower",
-    "h_upper",
-    "s_bound",
     "required_cap",
     "suggest_depth",
     "exp_backup",
@@ -184,6 +183,11 @@ class ThetaSchedule:
             m = mgf_plus(dist, t_next)
             prev_lo = h_lo[0]
             h_lo.insert(0, Interval(m * prev_lo.lo, m * prev_lo.hi))
+        if not min(h.lo for h in h_lo) > 0.0:
+            raise ValueUnderflow(
+                f"h_lower(gamma) underflows to 0 for gamma={gamma}, beta={beta}: "
+                f"its logarithm is below ln(DBL_MIN) = {LOG_DBL_MIN:.1f}, so "
+                f"values would underflow double precision")
 
         # h_up <= 1 and the Jensen floor h_lower(theta) >= e^{theta beta scale}
         # give s(theta) <= beta EZ+/(1-beta)^2 for every theta < 0; deep in
@@ -236,16 +240,6 @@ def h_lower(schedule: ThetaSchedule, theta: float) -> Interval:
         return schedule.h_lo[schedule.index_of(theta)]
     except ValidationError:
         return _h_lower_at(schedule.dist, schedule.beta, schedule.tail_eps, theta)
-
-
-def h_upper(schedule: ThetaSchedule, theta: float) -> Interval:
-    """Bracket of the upper envelope constant at a schedule point."""
-    return schedule.h_up[schedule.index_of(theta)]
-
-
-def s_bound(schedule: ThetaSchedule, theta: float) -> float:
-    """Upper bracket of the barrier bound s(theta) >= xi(theta) at a schedule point."""
-    return schedule.s_hi[schedule.index_of(theta)]
 
 
 def required_cap(config: ProblemConfig) -> int:
@@ -394,7 +388,8 @@ class ExpPolicy:
     """Largest-minimiser decision rules per depth, with barriers.
 
     ``action[n, x]`` is the dividend at surplus x and depth n < N;
-    ``xi[n]`` is the largest surplus with action 0 (the barrier).
+    ``xi[n]`` is the largest surplus with action 0 (the barrier).  Called
+    as policy(t, x, s), it is the rule of the policy protocol.
     """
 
     config: ProblemConfig
@@ -406,15 +401,10 @@ class ExpPolicy:
     def depth(self) -> int:
         return int(self.action.shape[0])
 
-    def action_at(self, n: int, x: int) -> int:
-        """Total lookup: clamps depth, pays overflow above the cap."""
-        if x < 0:
-            return 0
-        n = min(n, self.depth - 1)
-        cap = self.config.x_max
-        if x <= cap:
-            return int(self.action[n, x])
-        return x - cap + int(self.action[n, cap])
+    def __call__(self, t: int, x, s):
+        """Actions at step t for surplus x >= 0 (int or array); s is unused."""
+        row, extra, kept = policy_lookup(self.action, t, x, self.config.x_max)
+        return extra + row[kept]
 
 
 def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
@@ -434,11 +424,7 @@ def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
         raise ValidationError("solve_exp requires the exponential utility")
     if terminal not in ("tail", "unit"):
         raise ValidationError(f"unknown terminal mode {terminal!r}")
-    schedule = ThetaSchedule.from_config(config)
-    if config.x_max < schedule.cap:
-        raise CapTooSmall(
-            f"x_max={config.x_max} below barrier bound {schedule.cap}")
-
+    schedule = config.schedule  # validated at construction: x_max >= its cap
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
     lo = np.ones((n_depth + 1, x_max + 2))
@@ -562,7 +548,10 @@ def extract_bands(policy: ExpPolicy) -> list[BandFunction]:
 
 @dataclass(frozen=True)
 class NeutralSolution:
-    """Stationary solution of the risk-neutral problem on [0, x_max]."""
+    """Stationary solution of the risk-neutral problem on [0, x_max].
+
+    Called as policy(t, x, s), it is the rule of the policy protocol.
+    """
 
     config: ProblemConfig
     values: np.ndarray
@@ -572,13 +561,10 @@ class NeutralSolution:
     def band(self) -> BandFunction:
         return band_from_actions(self.action)
 
-    def action_at(self, x: int) -> int:
-        if x < 0:
-            return 0
-        cap = self.config.x_max
-        if x <= cap:
-            return int(self.action[x])
-        return x - cap + int(self.action[cap])
+    def __call__(self, t: int, x, s):
+        """Actions for surplus x >= 0 (int or array); stationary, s is unused."""
+        row, extra, kept = policy_lookup(self.action[None], t, x, self.config.x_max)
+        return extra + row[kept]
 
 
 def _neutral_g(dist: IncomeDistribution, values: np.ndarray, x_max: int) -> np.ndarray:

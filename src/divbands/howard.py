@@ -45,19 +45,21 @@ def pay_all_rule(config: ProblemConfig) -> np.ndarray:
 
 
 def _as_rule(config: ProblemConfig, f) -> np.ndarray:
-    """Normalize a rule to an (N, x_max+1) int array and vet its actions."""
+    """Normalize a rule to an (N, x_max+1) int array and vet its actions.
+
+    A callable is a policy, called once per depth on every surplus (s = 0,
+    which exponential rules ignore).
+    """
     n_depth, x_max = config.depth, config.x_max
-    if isinstance(f, ExpPolicy):
-        rule = np.array(f.action, dtype=np.int64)
-    elif callable(f):
-        rule = np.array([[f(n, x) for x in range(x_max + 1)]
+    xs = np.arange(x_max + 1)
+    if callable(f):
+        rule = np.array([np.broadcast_to(f(n, xs, 0.0), xs.shape)
                          for n in range(n_depth)], dtype=np.int64)
     else:
         rule = np.asarray(f, dtype=np.int64)
     if rule.shape != (n_depth, x_max + 1):
         raise ValidationError(
             f"rule shape {rule.shape} != {(n_depth, x_max + 1)}")
-    xs = np.arange(x_max + 1)
     if np.any(rule < 0) or np.any(rule > xs):
         n, x = np.argwhere((rule < 0) | (rule > xs))[0]
         raise IllegalAction(f"rule pays {rule[n, x]} at depth {n}, x={x}")
@@ -79,14 +81,14 @@ def _check_admissible(schedule: ThetaSchedule, rule: np.ndarray) -> None:
 def policy_value_exp(config: ProblemConfig, f) -> ExpValueTable:
     """Bracketed value of a fixed rule by backward induction.
 
-    ``f`` may be an (N, x_max+1) array, an ExpPolicy, or a callable
-    (depth, x) -> action.  Above the cap the rule is extended by paying
-    the overflow, which makes the table's extension identity exact for
-    any rule, not only the optimal one.
+    ``f`` may be an (N, x_max+1) array or a policy (depth, x, s) ->
+    actions such as an ExpPolicy.  Above the cap the rule is extended by
+    paying the overflow, which makes the table's extension identity exact
+    for any rule, not only the optimal one.
     """
     if config.utility is not Utility.EXPONENTIAL:
         raise ValidationError("policy_value_exp requires the exponential utility")
-    schedule = ThetaSchedule.from_config(config)
+    schedule = config.schedule
     rule = _as_rule(config, f)
     _check_admissible(schedule, rule)
 

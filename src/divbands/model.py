@@ -19,10 +19,13 @@ solver modules.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     CapTooSmall,
@@ -92,12 +95,6 @@ class IncomeDistribution:
 
     def items(self):
         return zip(self.support, self.probs)
-
-    def prob(self, k: int) -> float:
-        try:
-            return self.probs[self.support.index(k)]
-        except ValueError:
-            return 0.0
 
 
 def validate_distribution(raw: Mapping[int, float]) -> IncomeDistribution:
@@ -181,13 +178,21 @@ class ProblemConfig:
             raise ValidationError(f"s_grid_points must be at least 2, got {self.s_grid_points}")
         self._check_cap()
 
-    def _check_cap(self):
-        # imported lazily: the solvers import this module at load time
-        if self.utility is Utility.EXPONENTIAL:
-            from .exp_solver import ThetaSchedule
+    @functools.cached_property
+    def schedule(self):
+        """The theta-schedule of an exponential config, built once.
 
-            schedule = ThetaSchedule.from_config(self)  # reused below
-            need = schedule.cap
+        Validation builds it; ``solve_exp`` and every ``policy_value_exp``
+        call reuse it.
+        """
+        # imported lazily: the solvers import this module at load time
+        from .exp_solver import ThetaSchedule
+
+        return ThetaSchedule.from_config(self)
+
+    def _check_cap(self):
+        if self.utility is Utility.EXPONENTIAL:
+            need = self.schedule.cap
         else:
             from .power_solver import xi_star_bound
 
@@ -200,12 +205,25 @@ class ProblemConfig:
         if self.utility is Utility.EXPONENTIAL:
             # the lower bracket e^{gamma x_max} h_lower(gamma) of J(x_max) must
             # be a normal double; this also keeps e^{-theta v} <= 1/DBL_MIN
-            floor = self.gamma * self.x_max + math.log(schedule.h_lo[0].lo)
+            floor = self.gamma * self.x_max + math.log(self.schedule.h_lo[0].lo)
             if floor < LOG_DBL_MIN:
                 raise ValueUnderflow(
                     f"gamma*x_max + ln h_lower(gamma) = {floor:.1f} is below "
                     f"ln(DBL_MIN) = {LOG_DBL_MIN:.1f}: values at x_max={self.x_max} "
                     f"would underflow double precision")
+
+
+def policy_lookup(action: np.ndarray, t: int, x, cap: int):
+    """The depth clamp and overflow split every solver policy shares.
+
+    ``action`` is indexed by depth first; from its last depth on, the last
+    rule is reused.  Surplus above the cap pays the overflow at once and
+    then follows the cap's rule.  Returns the depth-t rule, the overflow
+    max(x - cap, 0) and the surplus min(x, cap) left standing.
+    """
+    x = np.asarray(x)
+    extra = np.maximum(x - cap, 0)
+    return action[min(t, len(action) - 1)], extra, x - extra
 
 
 def utility(u: Utility, gamma: float, w: float) -> float:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -91,12 +90,15 @@ class OracleTree:
 
     def action(self, depth: int, x: int, s: Fraction,
                history: tuple[int, ...] = ()) -> int:
+        """The recorded decision; ``history`` matters only with by_history."""
         key = (depth, x, s, history) if self.by_history else (depth, x, s)
         try:
             return self.decisions[key]
         except KeyError:
             raise UndefinedAction(f"no decision recorded at depth={depth}, "
                                   f"x={x}, s={s}") from None
+
+    __call__ = action  # the policy protocol, one state at a time
 
     def dump(self, max_depth: int | None = None) -> dict:
         """JSON-ready nested view of the decision tree, depth-limited."""
@@ -184,10 +186,12 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
                        node_guard: int = NODE_GUARD) -> float:
     """Exact expectation of the objective under a fixed policy.
 
-    ``policy`` may be an OracleTree, a callable (depth, x, s: Fraction)
-    -> action, or any object with an ``action_at`` method (depth, x[, s])
-    such as the solver policies.  Raises UndefinedAction when a reachable
-    state has no action or the action leaves {0..x}.
+    ``policy`` is called as policy(depth, x, s) with scalar surplus
+    x >= 0 and the exact accumulated payout s as a Fraction: a solver
+    policy, an OracleTree (a tree recorded with ``memoize=False`` is also
+    passed the income history) or any callable returning an integer.
+    Raises UndefinedAction when a reachable state has no action or the
+    action leaves {0..x}.
     """
     utility, gamma = config.utility, config.gamma
     if utility is Utility.LOGARITHMIC and y0 <= 0:
@@ -196,10 +200,11 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
     beta = Fraction(config.beta)
     y0_frac = Fraction(y0)
     bpow = [beta ** k for k in range(horizon + 1)]
-    lookup = _action_lookup(policy)
+    if not callable(policy):
+        raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")
+    by_history = getattr(policy, "by_history", False)
     memo: dict = {}
     visits = 0
-    share_states = not (isinstance(policy, OracleTree) and policy.by_history)
 
     def value(depth: int, x: int, s: Fraction, history: tuple[int, ...]
               ) -> np.longdouble:
@@ -210,9 +215,9 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
         if x < 0 or depth == horizon:
             return _leaf(utility, gamma, y0_frac + s)
         key = (depth, x, s)
-        if share_states and key in memo:
+        if not by_history and key in memo:
             return memo[key]
-        a = lookup(depth, x, s, history)
+        a = policy(depth, x, s, history) if by_history else policy(depth, x, s)
         if not isinstance(a, (int, np.integer)) or a < 0 or a > x:
             raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
                                   f"is outside {{0..{x}}}")
@@ -221,26 +226,11 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
         for z, q in sorted(probs.items()):
             acc += _ld(q) * value(depth + 1, x - int(a) + z, s_next,
                                   history + (z,))
-        if share_states:
+        if not by_history:
             memo[key] = acc
         return acc
 
     return float(value(0, x0, Fraction(0), ()))
-
-
-def _action_lookup(policy) -> Callable:
-    if isinstance(policy, OracleTree):
-        return lambda k, x, s, h: policy.action(k, x, s, h)
-    if hasattr(policy, "action_at"):
-        def from_table(k, x, s, h):
-            try:
-                return policy.action_at(k, x, float(s))
-            except TypeError:
-                return policy.action_at(k, x)
-        return from_table
-    if callable(policy):
-        return lambda k, x, s, h: policy(k, x, s)
-    raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")
 
 
 def markov_optimum(config: ProblemConfig, x0: int, horizon: int, *,

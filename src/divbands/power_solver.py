@@ -32,15 +32,13 @@ from a solved policy and fails loudly if that bound ever breaks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import (BarrierViolation, CapTooSmall, DepthTooSmall,
-                     DomainError, ValidationError)
-from .model import IncomeDistribution, ProblemConfig, Utility
+from .errors import BarrierViolation, DepthTooSmall, DomainError, ValidationError
+from .model import IncomeDistribution, ProblemConfig, Utility, policy_lookup
 
 TIE_TOL = 1e-12  # absolute tie tolerance for the largest maximiser
 
@@ -52,7 +50,6 @@ __all__ = [
     "PowerPolicy",
     "BarrierReport",
     "xi_star_bound",
-    "t_backup",
     "solve_power",
     "solve_log",
     "barrier_diagnostics",
@@ -107,10 +104,9 @@ class SGrid:
         points = np.unique(np.concatenate([uniform, lattice]))
         return cls(points=points, s_max=s_max, has_lattice=True)
 
-    def floor_index(self, s: float) -> int:
-        """Index of the closest gridpoint at or below s."""
-        i = int(np.searchsorted(self.points, s, side="right")) - 1
-        return max(i, 0)
+    def floor_index(self, s):
+        """Index of the closest gridpoint at or below s (scalar or array)."""
+        return np.maximum(np.searchsorted(self.points, s, side="right") - 1, 0)
 
 
 def _payout_lattice(beta: float, depth: int, pay_max: int) -> np.ndarray | None:
@@ -226,7 +222,10 @@ class PowerValueTable:
 
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Largest-maximiser actions over (depth, surplus, gridpoint)."""
+    """Largest-maximiser actions over (depth, surplus, gridpoint).
+
+    Called as policy(t, x, s), it is the rule of the policy protocol.
+    """
 
     config: ProblemConfig
     grid: SGrid
@@ -237,71 +236,33 @@ class PowerPolicy:
     def depth(self) -> int:
         return int(self.action.shape[0])
 
-    def action_at(self, d: int, x: int, s: float) -> int:
-        """Total lookup: clamps depth, pays overflow, floors s to the grid."""
-        if x < 0:
-            return 0
-        d = min(d, self.depth - 1)
-        cap = self.config.x_max
-        if x > cap:
-            extra = x - cap
-            return extra + self.action_at(d, cap, s + self.config.beta ** d * extra)
-        return int(self.action[d, x, self.grid.floor_index(s)])
+    def __call__(self, t: int, x, s):
+        """Actions at step t for surplus x >= 0 and payout level s.
 
-
-def _check_cap(config: ProblemConfig) -> None:
-    need = math.ceil(xi_star_bound(config) - 1e-9)
-    if config.x_max < need:
-        raise CapTooSmall(f"x_max={config.x_max} below barrier bound {need}")
-
-
-def t_backup(config: ProblemConfig, grid: SGrid, next_lo: np.ndarray,
-             next_hi: np.ndarray, d: int, x: int, s: float,
-             utility: Utility | None = None) -> tuple[float, float, int]:
-    """One backup at (d, x, s) from depth-(d+1) rows of shape (x_max+2, M).
-
-    Evaluates every payout a: income branches that ruin contribute
-    cash(s + beta^d a) exactly, surviving branches query the next-depth
-    bracket (off-grid queries bracketed, overflow above the cap paid
-    immediately at next-step discount).  Returns the bracketed maximum and
-    the largest action whose lo-evaluation ties the best within TIE_TOL.
-    """
-    _check_cap(config)
-    if x < 0 or x > config.x_max:
-        raise ValidationError(f"x={x} outside [0, {config.x_max}]")
-    utility = config.utility if utility is None else utility
-    cash = _cash(utility, config.gamma)
-    cont = _continuations(config.dist, config.beta, config.x_max,
-                          _tail_scale(config.dist, config.beta), grid.points,
-                          cash, next_lo, next_hi, d,
-                          np.array([float(s)]))
-    best_lo, best_hi, best_a = -np.inf, -np.inf, 0
-    for a in range(x + 1):
-        f_lo, f_hi = cont(a)
-        v_lo, v_hi = float(f_lo[x - a][0]), float(f_hi[x - a][0])
-        best_hi = max(best_hi, v_hi)
-        if v_lo >= best_lo - TIE_TOL:
-            best_a = a
-        best_lo = max(best_lo, v_lo)
-    return best_lo, best_hi, best_a
+        x and s are ints, floats or arrays that broadcast together.  The
+        overflow above the cap raises s by beta^t per unit paid, and s is
+        floored to the grid.
+        """
+        row, extra, kept = policy_lookup(self.action, t, x, self.config.x_max)
+        q = np.asarray(s, dtype=float) + self.config.beta ** t * extra
+        return extra + row[kept, self.grid.floor_index(q)]
 
 
 def _continuations(dist, beta, x_max, c_tail, pts, cash,
-                   next_lo, next_hi, d, base_q=None):
+                   next_lo, next_hi, d):
     """Continuation values F_a(u) = E W_{d+1}(u + Z, . ) after paying a.
 
     Returns a closure: cont(a) -> (F_lo, F_hi), each indexed by the
-    post-payout surplus u = 0..x_max, arrays over the query points
-    (the grid shifted by beta^d a, or ``base_q`` shifted likewise).
-    Income terms accumulate in ascending k for bit-stable results.
+    post-payout surplus u = 0..x_max - a, arrays over the query points
+    (the grid shifted by beta^d a).  Income terms accumulate in ascending
+    k for bit-stable results.
     """
     bd = beta ** d
     bnext = beta ** (d + 1)
     smax = max(dist.support_max, 0)
-    q0 = pts if base_q is None else base_q
 
     def cont(a: int):
-        q = q0 + bd * a
+        q = pts + bd * a
         ruin_lo = cash(q)
         rows_lo = {}
         rows_hi = {}
@@ -314,7 +275,7 @@ def _continuations(dist, beta, x_max, c_tail, pts, cash,
                 x_max, bnext, c_tail, cash)
         f_lo = {}
         f_hi = {}
-        for u in range(x_max + 1 - a if base_q is None else x_max + 1):
+        for u in range(x_max + 1 - a):
             acc_lo = np.zeros_like(q)
             acc_hi = np.zeros_like(q)
             for k, qk in dist.items():
@@ -334,7 +295,6 @@ def _continuations(dist, beta, x_max, c_tail, pts, cash,
 
 def _solve(config: ProblemConfig, utility: Utility,
            max_width: float | None) -> tuple[PowerValueTable, PowerPolicy]:
-    _check_cap(config)
     cash = _cash(utility, config.gamma)
     grid = SGrid.build(config)
     pts = grid.points

@@ -8,13 +8,15 @@ threads.  One uniform is drawn per path per step, ruined paths included
 (their draws are burned), keeping the stream layout independent of the
 ruin pattern; a batch stops early once every path in it is ruined.
 
-Policies are looked up vectorized per step.  Beyond the solved horizon
-the last depth's rule is reused (the surplus process does not care, and
-the pay-down property that makes ruin certain is preserved); above the
-surplus cap the overflow is paid out on top of the cap rule.  Discounted
-payouts accumulate at the true beta^t scale throughout; after max_steps
-a surviving path is truncated and flagged, its unpaid tail bounded by
-beta^max_steps x_max/(1-beta).
+A policy is any callable policy(t, x, s) -> actions, vectorized over
+the surplus x and the discounted payout s of the live paths; it is
+called once per step, and a scalar result applies to every path.  The
+solver policies reuse their last depth's rule beyond the solved horizon
+(the surplus process does not care, and the pay-down property that makes
+ruin certain is preserved) and pay the overflow above the surplus cap on
+top of the cap rule.  Discounted payouts accumulate at the true beta^t
+scale throughout; after max_steps a surviving path is truncated and
+flagged, its unpaid tail bounded by beta^max_steps x_max/(1-beta).
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolicyUndefined, InvariantViolation, ValidationError
-from .exp_solver import ExpPolicy, NeutralSolution
 from .model import ProblemConfig, Utility
-from .power_solver import PowerPolicy
 
 BATCH = 1 << 14  # paths per Philox substream
 
@@ -83,40 +83,16 @@ class SimulationResult:
 
 def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray,
                   alive: np.ndarray) -> np.ndarray:
-    """Vectorized policy lookup for one step; 0 on ruined paths."""
+    """One vectorized policy call on the live paths; 0 on ruined paths."""
     a = np.zeros_like(x)
     idx = np.nonzero(alive)[0]
     if idx.size == 0:
         return a
     xa = x[idx]
-    if isinstance(policy, ExpPolicy):
-        row = policy.action[min(t, policy.depth - 1)]
-        cap = policy.config.x_max
-        clipped = np.minimum(xa, cap)
-        base = row[clipped]
-        a[idx] = np.where(xa > cap, xa - cap + row[cap], base)
-    elif isinstance(policy, NeutralSolution):
-        cap = policy.config.x_max
-        clipped = np.minimum(xa, cap)
-        base = policy.action[clipped]
-        a[idx] = np.where(xa > cap, xa - cap + policy.action[cap], base)
-    elif isinstance(policy, PowerPolicy):
-        d = min(t, policy.depth - 1)
-        row = policy.action[d]
-        cap = policy.config.x_max
-        extra = np.maximum(xa - cap, 0)
-        sq = s[idx] + extra * policy.config.beta ** t
-        cols = np.searchsorted(policy.grid.points, sq, side="right") - 1
-        cols = np.maximum(cols, 0)
-        a[idx] = extra + row[np.minimum(xa, cap), cols]
-    elif callable(policy):
-        vals = [policy(t, int(xv), float(sv)) for xv, sv in zip(xa, s[idx])]
-        arr = np.asarray(vals)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
-        a[idx] = arr
-    else:
-        raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
+    acts = np.asarray(policy(t, xa, s[idx]))
+    if not np.issubdtype(acts.dtype, np.integer):
+        raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
+    a[idx] = acts
     bad = (a[idx] < 0) | (a[idx] > xa)
     if np.any(bad):
         j = idx[np.nonzero(bad)[0][0]]
@@ -134,6 +110,8 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     max_steps, with surviving paths flagged truncated) and utilities of
     y0 plus the payout sum.  The seed defaults to the config's.
     """
+    if not callable(policy):
+        raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be positive, got {n_paths}")
     if max_steps < 1:
@@ -193,18 +171,19 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
 
 
 def _max_retained(policy) -> int:
-    """Largest post-payout surplus the rule can leave standing."""
-    if isinstance(policy, ExpPolicy):
-        xs = np.arange(policy.action.shape[1])
-        return int((xs - policy.action).max())
-    if isinstance(policy, NeutralSolution):
-        xs = np.arange(policy.action.shape[0])
-        return int((xs - policy.action).max())
-    if isinstance(policy, PowerPolicy):
-        xs = np.arange(policy.action.shape[1])[:, None]
-        return int((xs - policy.action).max())
-    raise PolicyUndefined(
-        f"ruin bound needs a solver policy, got {type(policy).__name__}")
+    """Largest post-payout surplus the rule's action table can leave standing.
+
+    Solver tables hold surplus on axis 1 after ``np.atleast_3d``: (x,) for
+    the stationary neutral rule, (depth, x) for the exponential one and
+    (depth, x, s) for power and log.
+    """
+    table = getattr(policy, "action", None)
+    if not isinstance(table, np.ndarray):
+        raise PolicyUndefined(
+            f"ruin bound needs a solver policy, got {type(policy).__name__}")
+    acts = np.atleast_3d(table)
+    xs = np.arange(acts.shape[1])[:, None]
+    return int((xs - acts).max())
 
 
 def ruin_certainty_check(config: ProblemConfig, policy, x0: int,

@@ -195,7 +195,7 @@ def test_a03_certain_loss_closed_forms():
         want = math.sqrt(x)
         assert lo - 1e-12 <= want <= hi + 1e-12
         assert hi - lo <= pcfg.tail_eps
-        assert ppolicy.action_at(0, x, 0.0) == x
+        assert ppolicy(0, x, 0.0) == x
     assert int(barrier_diagnostics(ppolicy).xi.max()) == 0
     print("A03 PASS certain-loss closed forms exact for both solvers")
 

@@ -150,13 +150,17 @@ def test_exit_two_on_rejected_input(tmp_path):
 
 
 def test_exit_two_when_values_would_underflow(tmp_path, capsys):
-    body = exp_body(tmp_path, beta=0.9, gamma=-3.0,
-                    distribution={1: 0.6, -1: 0.4}, x_max=300, depth=60)
-    path = write_config(tmp_path, body)
-    assert cli.main(["solve-exp", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "ln(DBL_MIN) = -708.4" in err
-    assert not (tmp_path / "out").exists()
+    # e^{gamma x_max} h_lower underflows at the cap; then h_lower itself
+    # underflows to 0 while the schedule is built (beta near 1, extreme gamma)
+    for over in (dict(beta=0.9, gamma=-3.0, x_max=300, depth=60),
+                 dict(beta=0.999, gamma=-1000.0, x_max=10, depth=5)):
+        body = exp_body(tmp_path, distribution={1: 0.6, -1: 0.4}, **over)
+        path = write_config(tmp_path, body)
+        assert cli.main(["solve-exp", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ln(DBL_MIN) = -708.4" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_exit_three_on_invariant_violation(tmp_path, monkeypatch):

@@ -134,7 +134,7 @@ def test_cap_extension_is_exact():
     ext = table.value_bracket(0, TINY.x_max + 3)
     assert ext.lo == pytest.approx(math.exp(3 * theta0) * base.lo, rel=1e-14)
     assert ext.hi == pytest.approx(math.exp(3 * theta0) * base.hi, rel=1e-14)
-    over = policy.action_at(0, TINY.x_max + 5)
+    over = policy(0, TINY.x_max + 5, 0.0)
     assert over == 5 + policy.action[0, TINY.x_max]
 
 
@@ -239,7 +239,7 @@ def test_neutral_certain_loss_identity():
     cfg = make_config("risk_neutral", DOWN_ONE, 0.9, 0.0, 6, 5)
     sol = solve_neutral(cfg)
     assert np.allclose(sol.values, np.arange(7), atol=1e-12)
-    assert sol.action_at(10) == 10  # overflow pays everything too
+    assert sol(0, 10, 0.0) == 10  # overflow pays everything too
 
 
 def test_suggest_depth_reaches_width_target():

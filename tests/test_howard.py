@@ -92,7 +92,7 @@ def test_requires_exponential_utility():
 def test_callable_rule_equals_array_rule():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
     by_array = policy_value_exp(cfg, pay_all_rule(cfg))
-    by_call = policy_value_exp(cfg, lambda n, x: x)
+    by_call = policy_value_exp(cfg, lambda n, x, s: x)
     assert np.array_equal(by_array.lo, by_call.lo)
     assert np.array_equal(by_array.hi, by_call.hi)
 

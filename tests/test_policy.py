@@ -1,0 +1,100 @@
+"""The policy protocol every solver shares: policy(t, x, s) -> actions."""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from divbands.exp_solver import solve_exp, solve_neutral
+from divbands.howard import policy_value_exp
+from divbands.oracle import exact_policy_value
+from divbands.power_solver import solve_power
+from divbands.simulate import simulate_paths
+from helpers import make_config
+
+SOLVED = {
+    "exp": lambda: solve_exp(make_config(
+        "exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4))[1],
+    "neutral": lambda: solve_neutral(make_config(
+        "risk_neutral", {1: 0.6, -1: 0.4}, 0.5, 0.0, 2, 3)),
+    "power": lambda: solve_power(make_config(
+        "power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3, s_grid_points=64))[1],
+}
+
+
+def scrambled(policy):
+    """The same policy with random actions in {0..x} in its table.
+
+    Solved rules on desk-size instances barely vary with depth or s, so
+    random tables make every index of the lookup matter.
+    """
+    acts = policy.action
+    high = np.arange(policy.config.x_max + 1) + 1
+    high = high.reshape((-1,) + (1,) * max(acts.ndim - 2, 0))
+    rng = np.random.default_rng(7)
+    return dataclasses.replace(policy, action=rng.integers(0, high, size=acts.shape))
+
+
+@pytest.fixture(scope="module",
+                params=[(k, m) for k in sorted(SOLVED) for m in ("solved", "scrambled")],
+                ids="-".join)
+def policy(request):
+    kind, mode = request.param
+    solved = SOLVED[kind]()
+    return solved if mode == "solved" else scrambled(solved)
+
+
+def test_vectorised_call_equals_scalar_calls(policy):
+    cfg = policy.config
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, cfg.x_max + 6, size=40)
+    # exact payout levels as the oracle passes them, some above the s-grid
+    s_exact = [Fraction(int(k), 7) for k in rng.integers(0, 100, size=40)]
+    s = np.array([float(v) for v in s_exact])
+    for t in (0, 1, cfg.depth - 1, cfg.depth, cfg.depth + 5):
+        acts = policy(t, x, s)
+        assert acts.shape == x.shape and np.issubdtype(acts.dtype, np.integer)
+        scalar = [policy(t, int(xv), float(sv)) for xv, sv in zip(x, s)]
+        exact = [policy(t, int(xv), sv) for xv, sv in zip(x, s_exact)]
+        assert scalar == exact == acts.tolist()
+
+
+def test_overflow_pays_down_to_the_cap(policy):
+    cfg = policy.config
+    cap = cfg.x_max
+    for t in (0, cfg.depth - 1, cfg.depth + 2):
+        for x in range(cap + 1, cap + 6):
+            for s in (0.0, 2.75, Fraction(5, 3)):
+                shifted = s + cfg.beta ** t * (x - cap)
+                assert policy(t, x, s) == (x - cap) + policy(t, cap, shifted)
+
+
+def test_in_cap_lookup_reads_the_table(policy):
+    cfg = policy.config
+    x = np.arange(cfg.x_max + 1)
+    rules = policy.action if policy.action.ndim > 1 else policy.action[None]
+    for t in (0, 1, cfg.depth - 1, cfg.depth, cfg.depth + 7):
+        row = rules[min(t, len(rules) - 1)]  # past the horizon: the last rule
+        for s in (0.0, 0.5, 7.25):
+            want = row if row.ndim == 1 else row[:, policy.grid.floor_index(s)]
+            assert np.array_equal(policy(t, x, s), want)
+
+
+def test_every_consumer_takes_the_solver_policy(policy):
+    cfg = policy.config
+    result = simulate_paths(cfg, policy, cfg.x_max, 64, max_steps=50, seed=1)
+    assert result.n_paths == 64
+    value = exact_policy_value(cfg, policy, cfg.x_max, 3)
+    assert np.isfinite(value)
+
+
+def test_exp_policy_is_priced_alike_by_oracle_and_howard():
+    cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
+    _, policy = solve_exp(cfg)
+    table = policy_value_exp(cfg, policy)
+    assert table.schedule is cfg.schedule  # built once, at validation
+    for x0 in range(cfg.x_max + 1):
+        # the hi channel closes the tail with 1: the truncated expectation
+        val = exact_policy_value(cfg, policy, x0, cfg.depth)
+        assert abs(val - table.hi[0, x0 + 1]) <= 1e-12
