@@ -3,11 +3,15 @@
 Every subcommand reads one YAML config and writes fixed-name files under
 the config's ``output_dir``: values.csv, policy.csv, bands.csv and
 summary.json (each command writes the subset that makes sense for it).
-Emission is deterministic: floats are rendered with repr (shortest
-round-trip form), JSON keys are sorted, newlines are always "\\n", and
-the solvers themselves are fixed-order numpy code, so re-running a
-command reproduces its files byte for byte.  ``--threads`` is accepted
-on every subcommand but reserved: it has no effect today.
+Emission is deterministic.  CSVs are formatted a column at a time and
+streamed one block of rows at a time (a depth, or one (d, x) row over
+the s-grid): array columns go through ``tolist()`` with repr for floats
+(shortest round-trip form) and str for integers, while labels and
+per-block constants are formatted once; the bytes equal a per-cell
+rendering.  JSON keys are sorted, newlines are always "\\n", and the
+solvers are fixed-order numpy code, so re-running a command reproduces
+its files byte for byte.  ``--threads`` is accepted on every subcommand
+but reserved: it has no effect today.
 
 Exit codes: 0 on success, 2 for rejected inputs (bad config, bad flag
 values, unknown subcommand), 3 when a certified invariant fails.
@@ -19,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -133,17 +138,37 @@ def load_config(path: str | Path) -> tuple[ProblemConfig, Path]:
 
 # -- deterministic emission -------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))  # strips numpy scalar wrappers
-    return str(v)
+def _cells(column):
+    """Cells of an array, or of a list of strings; a scalar gives one string."""
+    if isinstance(column, np.ndarray) and column.ndim:
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    if isinstance(column, list):
+        return column
+    return repr(float(column)) if isinstance(column, float) else str(column)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write the header, then each block of rows as soon as it is formatted.
+
+    A block has one entry per column (see ``_cells``); a scalar repeats
+    down the block, so a block of scalars only is one row.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            cols = [_cells(v) for v in block]
+            sizes = {len(c) for c in cols if not isinstance(c, str)} or {1}
+            if len(sizes) > 1:
+                raise ValueError(f"ragged block in {path.name}: column sizes {sorted(sizes)}")
+            rows = sizes.pop()
+            if rows:
+                cols = [repeat(c, rows) if isinstance(c, str) else c for c in cols]
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def _write_bands(outdir: Path, xi: np.ndarray, cuts: list[str]) -> None:
+    _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
+               [(np.arange(len(cuts)), xi, cuts)])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -174,21 +199,15 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     cuts = [b.cut_string() for b in bands]
     sched = table.schedule
 
-    def value_rows():
-        for n in range(config.depth):
-            theta = sched.thetas[n]
-            for x in range(config.x_max + 1):
-                yield (n, theta, x, table.lo[n, x + 1], table.hi[n, x + 1],
-                       int(policy.action[n, x]), int(policy.xi[n]), cuts[n])
-
+    xs = _cells(np.arange(config.x_max + 1))
     _write_csv(outdir / "values.csv",
                ["n", "theta", "x", "j_lo", "j_hi", "action", "xi", "band_cuts"],
-               value_rows())
+               ((n, sched.thetas[n], xs, table.lo[n, 1:], table.hi[n, 1:],
+                 policy.action[n], policy.xi[n], cuts[n])
+                for n in range(config.depth)))
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, x, int(policy.action[n, x]))
-                for n in range(config.depth) for x in range(config.x_max + 1)))
-    _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
-               ((n, int(policy.xi[n]), cuts[n]) for n in range(config.depth)))
+               ((n, xs, policy.action[n]) for n in range(config.depth)))
+    _write_bands(outdir, policy.xi, cuts)
 
     gamma = config.gamma
     values = []
@@ -216,20 +235,14 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
 def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
     result = howard_solve(config)
 
-    def iter_rows():
-        for i, it in enumerate(result.history):
-            for n in range(config.depth):
-                for x in range(config.x_max + 1):
-                    yield (i, n, x, int(it.rule[n, x]), it.j_hi[n, x])
-
-    _write_csv(outdir / "values.csv",
-               ["iteration", "n", "x", "action", "j_hi"], iter_rows())
+    xs = _cells(np.arange(config.x_max + 1))
+    _write_csv(outdir / "values.csv", ["iteration", "n", "x", "action", "j_hi"],
+               ((i, n, xs, it.rule[n], it.j_hi[n])
+                for i, it in enumerate(result.history) for n in range(config.depth)))
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, x, int(result.policy.action[n, x]))
-                for n in range(config.depth) for x in range(config.x_max + 1)))
-    cuts = [b.cut_string() for b in extract_bands(result.policy)]
-    _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
-               ((n, int(result.policy.xi[n]), cuts[n]) for n in range(config.depth)))
+               ((n, xs, result.policy.action[n]) for n in range(config.depth)))
+    _write_bands(outdir, result.policy.xi,
+                 [b.cut_string() for b in extract_bands(result.policy)])
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
         "iterations": result.iterations,
@@ -241,29 +254,17 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
 def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
                    s0: float) -> None:
     report = barrier_diagnostics(policy)
-    pts = table.grid.points
-
-    def value_rows():
-        for d in range(config.depth):
-            for x in range(config.x_max + 1):
-                lo_row = table.lo[d, x + 1]
-                hi_row = table.hi[d, x + 1]
-                act_row = policy.action[d, x]
-                for i, s in enumerate(pts):
-                    yield (d, x, float(s), lo_row[i], hi_row[i],
-                           int(act_row[i]), int(report.xi[d, i]))
-
+    ss = _cells(table.grid.points)
+    xi = [_cells(row) for row in report.xi]
+    dxs = [(d, x) for d in range(config.depth) for x in range(config.x_max + 1)]
     _write_csv(outdir / "values.csv",
                ["d", "x", "s", "w_lo", "w_hi", "action", "xi_of_s"],
-               value_rows())
+               ((d, x, ss, table.lo[d, x + 1], table.hi[d, x + 1],
+                 policy.action[d, x], xi[d]) for d, x in dxs))
     _write_csv(outdir / "policy.csv", ["d", "x", "s", "action"],
-               ((d, x, float(pts[i]), int(policy.action[d, x, i]))
-                for d in range(config.depth)
-                for x in range(config.x_max + 1)
-                for i in range(pts.size)))
+               ((d, x, ss, policy.action[d, x]) for d, x in dxs))
     _write_csv(outdir / "bands.csv", ["d", "s", "xi_of_s"],
-               ((d, float(pts[i]), int(report.xi[d, i]))
-                for d in range(config.depth) for i in range(pts.size)))
+               ((d, ss, xi[d]) for d in range(config.depth)))
 
     gamma = config.gamma
     values = []
@@ -294,10 +295,9 @@ def _cmd_solve_log(config: ProblemConfig, outdir: Path, args) -> int:
 
 def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
     sol = solve_neutral(config)
-    _write_csv(outdir / "values.csv", ["x", "value"],
-               ((x, float(sol.values[x])) for x in range(config.x_max + 1)))
-    _write_csv(outdir / "policy.csv", ["x", "action"],
-               ((x, int(sol.action[x])) for x in range(config.x_max + 1)))
+    xs = _cells(np.arange(config.x_max + 1))
+    _write_csv(outdir / "values.csv", ["x", "value"], [(xs, sol.values)])
+    _write_csv(outdir / "policy.csv", ["x", "action"], [(xs, sol.action)])
     band = sol.band()
     _write_csv(outdir / "bands.csv", ["xi", "band_cuts"],
                [(band.c[0], band.cut_string())])
@@ -317,8 +317,7 @@ def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
     if config.utility is Utility.EXPONENTIAL:
         _, policy = solve_exp(config)
         cuts = [b.cut_string() for b in extract_bands(policy)]
-        _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
-                   ((n, int(policy.xi[n]), cuts[n]) for n in range(config.depth)))
+        _write_bands(outdir, policy.xi, cuts)
         _write_json(outdir / "summary.json", {
             "config": _config_echo(config),
             "bands": [{"n": n, "xi": int(policy.xi[n]), "band_cuts": cuts[n]}

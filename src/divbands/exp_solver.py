@@ -506,6 +506,30 @@ class BandFunction:
         return ";".join(parts)
 
 
+def _band_rows(actions) -> list[BandFunction]:
+    """Band form of every row of a 2-D action table, checked in one pass.
+
+    A row is a band exactly when a(x) = x - max{y <= x : a(y) = 0}; its
+    cuts c_k end and d_k start the runs of zeros.  NotABand names the
+    first offending x of the first offending row.
+    """
+    acts = np.asarray(actions, dtype=np.int64)
+    xs = np.arange(acts.shape[1])
+    zero = acts == 0
+    bad = acts != xs - np.maximum.accumulate(np.where(zero, xs, 0), axis=1)
+    if bad.any() or not acts.shape[1]:
+        n, x = divmod(int(np.argmax(bad)), acts.shape[1]) if bad.size else (0, 0)
+        if x == 0:
+            raise NotABand("action at x=0 must be 0")
+        raise NotABand(f"action {acts[n, x]} at x={x} breaks the cut structure")
+    starts, ends = zero.copy(), zero.copy()
+    starts[:, 1:] &= ~zero[:, :-1]
+    ends[:, :-1] &= ~zero[:, 1:]
+    return [BandFunction(c=tuple(np.flatnonzero(e).tolist()),
+                         d=tuple(np.flatnonzero(s)[1:].tolist()))
+            for e, s in zip(ends, starts)]
+
+
 def band_from_actions(column: Sequence[int]) -> BandFunction:
     """Parse one depth's action column into a band function.
 
@@ -513,33 +537,14 @@ def band_from_actions(column: Sequence[int]) -> BandFunction:
     for columns produced by the solver that signals a bug, since the
     optimal rule is guaranteed to be a band.
     """
-    acts = [int(a) for a in column]
-    if not acts or acts[0] != 0:
-        raise NotABand("action at x=0 must be 0")
-    runs: list[list[int]] = []
-    for x, a in enumerate(acts):
-        if a == 0:
-            if runs and runs[-1][1] == x - 1:
-                runs[-1][1] = x
-            else:
-                runs.append([x, x])
-    if runs[0][0] != 0:
-        raise NotABand("zero-payment region must start at x=0")
-    c = [runs[0][1]]
-    d = []
-    for start, end in runs[1:]:
-        d.append(start)
-        c.append(end)
-    band = BandFunction(c=tuple(c), d=tuple(d))
-    for x, a in enumerate(acts):
-        if band.evaluate(x) != a:
-            raise NotABand(f"action {a} at x={x} breaks the cut structure")
-    return band
+    return _band_rows(np.asarray(column).reshape(1, -1))[0]
 
 
 def extract_bands(policy: ExpPolicy) -> list[BandFunction]:
     """Band form of every depth's rule; NotABand signals a solver bug."""
-    return [band_from_actions(policy.action[n]) for n in range(policy.depth)]
+    rows = policy.action  # in slices of 16 rows, so the temporaries stay small
+    return [band for top in range(0, len(rows), 16)
+            for band in _band_rows(rows[top:top + 16])]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
     NegativeMass,
     NoRuinRisk,
     NotNormalized,
+    PolicyUndefined,
     ValidationError,
     ValueUnderflow,
 )
@@ -219,9 +220,12 @@ def policy_lookup(action: np.ndarray, t: int, x, cap: int):
     ``action`` is indexed by depth first; from its last depth on, the last
     rule is reused.  Surplus above the cap pays the overflow at once and
     then follows the cap's rule.  Returns the depth-t rule, the overflow
-    max(x - cap, 0) and the surplus min(x, cap) left standing.
+    max(x - cap, 0) and the surplus min(x, cap) left standing.  A ruined
+    surplus x < 0 has no action and raises PolicyUndefined.
     """
     x = np.asarray(x)
+    if np.any(x < 0):
+        raise PolicyUndefined(f"no action at ruined surplus x={np.min(x)}")
     extra = np.maximum(x - cap, 0)
     return action[min(t, len(action) - 1)], extra, x - extra
 

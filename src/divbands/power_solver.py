@@ -407,14 +407,13 @@ def barrier_diagnostics(policy: PowerPolicy) -> BarrierReport:
         idx_c = np.minimum(idx, m - 1)
         match = (target >= 0) & (pts[idx_c] == target)
         cols = np.nonzero(match)[0]
-        for j in cols:
-            jj = int(idx_c[j])
-            for x in range(nx - 1):
-                a0 = int(acts[d, x, j])
-                a1 = int(acts[d, x + 1, jj])
-                if a1 > 0 and a1 != a0 + 1:
-                    raise BarrierViolation(
-                        f"band shift broken at depth {d}, x={x}, "
-                        f"s={pts[j]:.6g}: f(x,s)={a0} but f(x+1,s-b^d)={a1}")
-                checked += 1
+        a0 = acts[d, :-1, cols]  # (pair, x): f(x, s)
+        a1 = acts[d, 1:, idx_c[cols]]  # f(x+1, s - beta^d)
+        broken = (a1 > 0) & (a1 != a0 + 1)
+        if broken.any():
+            k, x = divmod(int(np.argmax(broken)), nx - 1)
+            raise BarrierViolation(
+                f"band shift broken at depth {d}, x={x}, "
+                f"s={pts[cols[k]]:.6g}: f(x,s)={a0[k, x]} but f(x+1,s-b^d)={a1[k, x]}")
+        checked += broken.size
     return BarrierReport(bound=bound, xi=xi, shift_pairs_checked=checked)

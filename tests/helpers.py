@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from divbands.exp_solver import TIE_RTOL, required_cap, suggest_depth
+from divbands.errors import BarrierViolation, NotABand
+from divbands.exp_solver import BandFunction, TIE_RTOL, required_cap, suggest_depth
 from divbands.model import ProblemConfig, Utility, validate_distribution
 
 # certain unit loss every period: ruin next step, every closed form is exact
@@ -88,3 +89,54 @@ def assert_band_laws(policy) -> None:
     assert np.all(np.take_along_axis(acts, xs - acts, axis=1) == 0)
     nxt, cur = acts[:, 1:], acts[:, :-1]
     assert np.all((nxt == 0) | (nxt == cur + 1) | (cur == 0))
+
+
+def reference_bands(table) -> list[tuple[tuple, tuple]]:
+    """Per-column band parser the one-pass extraction replaced.
+
+    Returns the (c, d) cuts of every row, or raises NotABand with the
+    message of the first offending row.
+    """
+    out = []
+    for column in table:
+        acts = [int(a) for a in column]
+        if not acts or acts[0] != 0:
+            raise NotABand("action at x=0 must be 0")
+        runs: list[list[int]] = []
+        for x, a in enumerate(acts):
+            if a == 0:
+                if runs and runs[-1][1] == x - 1:
+                    runs[-1][1] = x
+                else:
+                    runs.append([x, x])
+        band = BandFunction(c=tuple(r[1] for r in runs),
+                            d=tuple(r[0] for r in runs[1:]))
+        for x, a in enumerate(acts):
+            if band.evaluate(x) != a:
+                raise NotABand(f"action {a} at x={x} breaks the cut structure")
+        out.append((band.c, band.d))
+    return out
+
+
+def reference_shift_pairs(policy) -> int:
+    """Per-pair loop of barrier_diagnostics' band-shift check.
+
+    Returns the number of pairs checked, or raises BarrierViolation at
+    the first broken pair in (d, j, x) order.
+    """
+    acts, pts = policy.action, policy.grid.points
+    n_depth, nx, m = acts.shape
+    checked = 0
+    for d in range(n_depth):
+        target = pts - policy.config.beta ** d
+        idx_c = np.minimum(np.searchsorted(pts, target), m - 1)
+        for j in np.nonzero((target >= 0) & (pts[idx_c] == target))[0]:
+            jj = int(idx_c[j])
+            for x in range(nx - 1):
+                a0, a1 = int(acts[d, x, j]), int(acts[d, x + 1, jj])
+                if a1 > 0 and a1 != a0 + 1:
+                    raise BarrierViolation(
+                        f"band shift broken at depth {d}, x={x}, "
+                        f"s={pts[j]:.6g}: f(x,s)={a0} but f(x+1,s-b^d)={a1}")
+                checked += 1
+    return checked

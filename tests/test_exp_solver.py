@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from divbands.exp_solver import (
 )
 from divbands.model import validate_distribution
 from divbands.oracle import exact_optimal
-from helpers import (DOWN_ONE, assert_band_laws, make_config, sized_exp_config,
-                     two_point)
+from helpers import (DOWN_ONE, assert_band_laws, make_config, reference_bands,
+                     sized_exp_config, two_point)
 
 TINY = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
 
@@ -183,6 +184,44 @@ def test_band_from_actions():
         band_from_actions([1, 0, 0])
     with pytest.raises(NotABand):
         band_from_actions([0, 0, 2, 0])  # pays below its own zero set
+
+
+def random_band_table(rng, rows: int, width: int) -> np.ndarray:
+    """Band rules a(x) = x - max{y <= x : a(y) = 0} on random zero sets."""
+    xs = np.arange(width)
+    zero = rng.random((rows, width)) < rng.uniform(0.05, 0.9)
+    zero[:, 0] = True
+    return xs - np.maximum.accumulate(np.where(zero, xs, 0), axis=1)
+
+
+def outcome(parse, table):
+    try:
+        return parse(table)
+    except NotABand as exc:
+        return str(exc)
+
+
+def test_one_pass_extraction_matches_per_column_parser():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(400):  # tables past 16 rows span extraction slices
+        table = random_band_table(rng, int(rng.integers(1, 40)),
+                                  int(rng.integers(1, 12)))
+        for _ in range(int(rng.integers(0, 3))):  # break some entries
+            n, x = rng.integers(0, table.shape[0]), rng.integers(0, table.shape[1])
+            table[n, x] = rng.integers(0, table.shape[1] + 1)
+        want = outcome(reference_bands, table)
+        got = outcome(lambda t: [(b.c, b.d) for b in
+                                 extract_bands(SimpleNamespace(action=t))], table)
+        assert got == want
+        one = outcome(lambda t: [(b.c, b.d) for b in
+                                 (band_from_actions(r) for r in t)], table)
+        assert one == want
+        seen.add(want if isinstance(want, str) and "x=0" in want else type(want))
+    # every outcome occurred: bands, the x=0 rule and a broken cut structure
+    assert seen == {list, str, "action at x=0 must be 0"}
+    with pytest.raises(NotABand, match="x=0 must be 0"):
+        band_from_actions([])
 
 
 def test_bandy_instance_has_positive_barrier():

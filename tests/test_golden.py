@@ -1,0 +1,99 @@
+"""Golden bytes of the CLI contract files, and the CSV writer's rules.
+
+Each directory under ``tests/golden`` holds one ``config.yaml`` (without
+``output_dir``) and the files the CLI wrote for it.  The directory name is
+the subcommand, optionally followed by ``.variant``.  To rewrite the
+goldens from the current code (only when a contract change is intended):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+import divbands.cli as cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+
+
+def run_case(case: str, outdir: Path, workdir: Path) -> None:
+    body = yaml.safe_load((GOLDEN / case / "config.yaml").read_text())
+    cfg = workdir / f"{case}.yaml"
+    cfg.write_text(yaml.safe_dump(dict(body, output_dir=str(outdir))))
+    assert cli.main([case.split(".")[0], str(cfg)]) == 0
+
+
+def test_cases_cover_every_table_writer():
+    assert {c.split(".")[0] for c in CASES} >= {
+        "solve-exp", "howard", "solve-power", "solve-log", "solve-neutral", "bands"}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden_bytes(tmp_path, case):
+    run_case(case, tmp_path / "out", tmp_path)
+    expected = sorted(p.name for p in (GOLDEN / case).iterdir()
+                      if p.name != "config.yaml")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == expected
+    for name in expected:
+        got = (tmp_path / "out" / name).read_bytes()
+        assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+
+
+# -- the writer ---------------------------------------------------------------
+
+def written(tmp_path, blocks, header=("a", "b")):
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, list(header), blocks)
+    return path.read_bytes().decode()
+
+
+def test_all_scalar_block_is_one_row(tmp_path):
+    assert written(tmp_path, [(3, "0;2;2")]) == "a,b\n3,0;2;2\n"
+    assert written(tmp_path, [(1, 0.5), (2, 1.5)]) == "a,b\n1,0.5\n2,1.5\n"
+
+
+def test_empty_block_is_no_row(tmp_path):
+    empty = np.zeros(0)
+    assert written(tmp_path, [(7, empty)]) == "a,b\n"
+    assert written(tmp_path, [(7, empty), (np.arange(0), [])]) == "a,b\n"
+    assert written(tmp_path, []) == "a,b\n"
+
+
+def test_ragged_block_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="ragged"):
+        written(tmp_path, [(np.arange(2), ["0"])])
+
+
+def test_float_column_renders_as_repr(tmp_path):
+    vals = [-0.0, math.inf, -math.inf, 1e16, 1e-5, 5e-324, 0.1 + 0.2, 2.0]
+    text = written(tmp_path, [(np.array(vals), np.float64(1.0))])
+    assert text.splitlines()[1:] == [f"{v!r},1.0" for v in vals]
+    assert "1e+16,1.0" in text and "5e-324,1.0" in text and "-0.0,1.0" in text
+
+
+def test_int_column_renders_as_str(tmp_path):
+    ints = np.array([0, -3, 2**40], dtype=np.int64)
+    assert written(tmp_path, [(ints, np.int64(5))]) == "a,b\n0,5\n-3,5\n1099511627776,5\n"
+
+
+def test_columns_mix_per_row_and_per_block(tmp_path):
+    labels = ["0", "1", "2"]
+    text = written(tmp_path, [(4, labels, np.array([0.25, 1.0, 3.0]))],
+                   header=("n", "x", "v"))
+    assert text == "n,x,v\n4,0,0.25\n4,1,1.0\n4,2,3.0\n"
+
+
+if __name__ == "__main__":
+    # regenerate every golden directory in place from the current code
+    with tempfile.TemporaryDirectory() as work:
+        for case in CASES:
+            run_case(case, GOLDEN / case, Path(work))
+            print(case, sorted(p.name for p in (GOLDEN / case).iterdir()),
+                  file=sys.stderr)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from divbands.errors import PolicyUndefined
 from divbands.exp_solver import solve_exp, solve_neutral
 from divbands.howard import policy_value_exp
 from divbands.oracle import exact_policy_value
@@ -79,6 +80,16 @@ def test_in_cap_lookup_reads_the_table(policy):
         for s in (0.0, 0.5, 7.25):
             want = row if row.ndim == 1 else row[:, policy.grid.floor_index(s)]
             assert np.array_equal(policy(t, x, s), want)
+
+
+def test_ruined_surplus_has_no_action(policy):
+    cfg = policy.config
+    for t in (0, cfg.depth - 1, cfg.depth + 3):
+        for x in (-1, -cfg.x_max - 1, np.array([0, 2, -1]), np.array([[-3]])):
+            with pytest.raises(PolicyUndefined, match="ruined surplus"):
+                policy(t, x, 0.0)
+        assert np.array_equal(policy(t, np.array([0, 1]), 0.0),
+                              [policy(t, 0, 0.0), policy(t, 1, 0.0)])
 
 
 def test_every_consumer_takes_the_solver_policy(policy):

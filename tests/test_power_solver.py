@@ -1,5 +1,6 @@
 """Power/log solver: grids, certified interpolation, barriers, closed forms."""
 
+import dataclasses
 import math
 import warnings
 
@@ -16,7 +17,7 @@ from divbands.power_solver import (
     solve_power,
     xi_star_bound,
 )
-from helpers import DOWN_ONE, make_config, two_point
+from helpers import DOWN_ONE, make_config, reference_shift_pairs, two_point
 
 # dyadic discount: every reachable payout total lands exactly on the grid
 DYADIC = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3,
@@ -146,6 +147,31 @@ def test_barrier_violation_detected():
                        utility=policy.utility, action=doctored)
     with pytest.raises(BarrierViolation):
         barrier_diagnostics(bad)
+
+
+def test_shift_check_matches_per_pair_loop():
+    def outcome(check, policy):
+        try:
+            return check(policy)
+        except BarrierViolation as exc:
+            return str(exc)
+
+    _, policy = solve_power(DYADIC)
+    assert reference_shift_pairs(policy) > 0
+    rng = np.random.default_rng(5)
+    messages = set()
+    for trial in range(60):
+        doctored = policy.action.copy()
+        for _ in range(trial % 4):  # pay more somewhere above x=1
+            d, x, j = (int(rng.integers(0, k)) for k in doctored.shape)
+            doctored[d, max(x, 2), j] += int(rng.integers(1, 3))
+        bad = dataclasses.replace(policy, action=doctored)
+        want = outcome(reference_shift_pairs, bad)
+        got = outcome(lambda p: barrier_diagnostics(p).shift_pairs_checked, bad)
+        assert got == want
+        if isinstance(want, str):
+            messages.add(want)
+    assert len(messages) > 10  # many distinct first violations, all alike
 
 
 def test_refinement_tightens_headline():
