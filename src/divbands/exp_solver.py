@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DepthTooSmall, NotABand, ValidationError, ValueUnderflow
 from .model import (LOG_DBL_MIN, IncomeDistribution, ProblemConfig, Utility,
-                    policy_lookup)
+                    expect_income, policy_lookup, tail_income)
 
 TIE_RTOL = 1e-12  # relative tie tolerance for the largest minimiser
 
@@ -77,11 +77,6 @@ def mgf_plus(dist: IncomeDistribution, t: float) -> float:
     if t > 0:
         raise ValidationError(f"mgf_plus needs t <= 0, got {t}")
     return sum(q * math.exp(t * max(k, 0)) for k, q in dist.items())
-
-
-def _pos_mean_tail(dist: IncomeDistribution, beta: float) -> float:
-    """E Z+ * beta/(1-beta): exponent scale of the product tail."""
-    return dist.mean_positive * beta / (1.0 - beta)
 
 
 def _h_lower_at(dist: IncomeDistribution, beta: float, tail_eps: float, theta: float) -> Interval:
@@ -254,7 +249,7 @@ def suggest_depth(config_like, x_max: int | None = None) -> int:
     income scale); backups never widen it.  Accepts a ProblemConfig.
     """
     cap = config_like.x_max if x_max is None else x_max
-    scale = cap + 1.0 + _pos_mean_tail(config_like.dist, config_like.beta)
+    scale = cap + 1.0 + tail_income(config_like.dist, config_like.beta)
     n = math.log(config_like.tail_eps / (abs(config_like.gamma) * scale)) / math.log(config_like.beta)
     return max(1, math.ceil(n))
 
@@ -271,36 +266,19 @@ def _extended_next(row: np.ndarray, theta_next: float, x_max: int,
     ruined state.  Ruined states are worth exactly 1; states above the cap
     are priced by the pay-down extension.
     """
-    lo_x = min(support_min, -1)
-    hi_x = x_max + max(support_max, 0)
-    ext = np.empty(hi_x - lo_x + 1)
-    off = -lo_x
-    ext[: off] = 1.0  # all x' < 0
-    ext[off : off + x_max + 1] = row[1:]
-    for x_over in range(x_max + 1, hi_x + 1):
-        ext[off + x_over] = math.exp(theta_next * (x_over - x_max)) * row[x_max + 1]
-    return ext
+    over = [math.exp(theta_next * o) * row[x_max + 1]
+            for o in range(1, max(support_max, 0) + 1)]
+    return np.concatenate([np.ones(-min(support_min, -1)), row[1:], over])
 
 
 def _g_rows(dist: IncomeDistribution, theta_next: float,
             next_lo: np.ndarray, next_hi: np.ndarray,
             x_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """G(v) = E J_next(v + Z) for v = 0..x_max, both bracket ends.
-
-    Income terms accumulate in ascending k so results are reproducible
-    bit-for-bit regardless of threading.
-    """
+    """G(v) = E J_next(v + Z) for v = 0..x_max, both bracket ends."""
     smin, smax = dist.support_min, dist.support_max
     ext_lo = _extended_next(next_lo, theta_next, x_max, smin, smax)
     ext_hi = _extended_next(next_hi, theta_next, x_max, smin, smax)
-    off = -min(smin, -1)
-    g_lo = np.zeros(x_max + 1)
-    g_hi = np.zeros(x_max + 1)
-    v = np.arange(x_max + 1)
-    for k, q in dist.items():
-        g_lo += q * ext_lo[off + v + k]
-        g_hi += q * ext_hi[off + v + k]
-    return g_lo, g_hi
+    return expect_income(dist, ext_lo, x_max + 1), expect_income(dist, ext_hi, x_max + 1)
 
 
 def exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray
@@ -574,19 +552,9 @@ class NeutralSolution:
 
 def _neutral_g(dist: IncomeDistribution, values: np.ndarray, x_max: int) -> np.ndarray:
     """E V(v + Z) with V = 0 after ruin and linear pay-down above the cap."""
-    smin, smax = dist.support_min, dist.support_max
-    lo_x = min(smin, -1)
-    hi_x = x_max + max(smax, 0)
-    ext = np.zeros(hi_x - lo_x + 1)
-    off = -lo_x
-    ext[off : off + x_max + 1] = values
-    for x_over in range(x_max + 1, hi_x + 1):
-        ext[off + x_over] = values[x_max] + (x_over - x_max)
-    g = np.zeros(x_max + 1)
-    v = np.arange(x_max + 1)
-    for k, q in dist.items():
-        g += q * ext[off + v + k]
-    return g
+    over = values[x_max] + np.arange(1, max(dist.support_max, 0) + 1)
+    ext = np.concatenate([np.zeros(-min(dist.support_min, -1)), values, over])
+    return expect_income(dist, ext, x_max + 1)
 
 
 def solve_neutral(config: ProblemConfig, *, max_iterations: int = 1_000_000
@@ -601,7 +569,7 @@ def solve_neutral(config: ProblemConfig, *, max_iterations: int = 1_000_000
         raise ValidationError("solve_neutral requires the risk-neutral utility")
     beta, x_max, dist = config.beta, config.x_max, config.dist
     xs = np.arange(x_max + 1, dtype=float)
-    values = xs + _pos_mean_tail(dist, beta)
+    values = xs + tail_income(dist, beta)
     stop = config.tail_eps * (1.0 - beta) / beta
     iterations = 0
     while iterations < max_iterations:

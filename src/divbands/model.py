@@ -98,6 +98,25 @@ class IncomeDistribution:
         return zip(self.support, self.probs)
 
 
+def tail_income(dist: IncomeDistribution, beta: float) -> float:
+    """beta EZ+/(1-beta): the mean discounted income after the present step."""
+    return dist.mean_positive * beta / (1.0 - beta)
+
+
+def expect_income(dist: IncomeDistribution, ext: np.ndarray, n: int) -> np.ndarray:
+    """E ext[v + Z] for v = 0..n-1.
+
+    ``ext`` holds next-step values on its first axis, ext[0] at surplus
+    min(support_min, -1); any further axes ride along.  Income terms
+    accumulate in ascending k so results are reproducible bit for bit.
+    """
+    off = -min(dist.support_min, -1)
+    out = np.zeros((n,) + ext.shape[1:])
+    for k, q in dist.items():
+        out += q * ext[off + k : off + k + n]
+    return out
+
+
 def validate_distribution(raw: Mapping[int, float]) -> IncomeDistribution:
     """Validate and normalize a raw integer->probability map.
 

@@ -25,6 +25,15 @@ reachable point when beta is dyadic and the lattice is in the grid, pass
 through untouched; on such grids the lo channel is the exact value of the
 (N+1)-step problem and the policy invariants below hold with equality.
 
+Each depth is one pass over the actions a = 0..x_max.  For action a the
+next-depth brackets are queried once, at the levels s + beta^d a, on the
+whole block of surplus rows (plus one call for the rows above the cap);
+F_a(u) = E W_{d+1}(u + Z, s + beta^d a) then raises the running best of
+every x = a + u in place.  The policy records the largest action whose lo
+continuation lies within the absolute TIE_TOL of the running best: best is
+updated before the comparison and actions ascend, so the last action to
+qualify is the largest that ties the final maximum.
+
 Barrier structure: at any depth and any s, paying nothing is optimal only
 below beta EZ+/(1-beta)^2; ``barrier_diagnostics`` re-derives the barriers
 from a solved policy and fails loudly if that bound ever breaks.
@@ -38,7 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BarrierViolation, DepthTooSmall, DomainError, ValidationError
-from .model import IncomeDistribution, ProblemConfig, Utility, policy_lookup
+from .model import (ProblemConfig, Utility, expect_income, policy_lookup,
+                    tail_income)
 
 TIE_TOL = 1e-12  # absolute tie tolerance for the largest maximiser
 
@@ -65,11 +75,6 @@ def xi_star_bound(config_like) -> float:
     """
     beta = config_like.beta
     return beta * config_like.dist.mean_positive / (1.0 - beta) ** 2
-
-
-def _tail_scale(dist: IncomeDistribution, beta: float) -> float:
-    """C = beta EZ+/(1-beta): mean discounted future income."""
-    return beta * dist.mean_positive / (1.0 - beta)
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ def _cash(utility: Utility, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
-                  q: np.ndarray, env_x: int, b_env: float, c_tail: float,
+                  q: np.ndarray, env_x, b_env: float, c_tail: float,
                   cash) -> tuple[np.ndarray, np.ndarray]:
     """Certified bracket of W(row surplus, q) for off-grid query points q.
 
@@ -145,7 +150,9 @@ def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
     bound is the best of the left neighbor, the right neighbor minus the
     concave increment cash(s_right) - cash(q), and the pay-all envelope;
     the upper bound mirrors that from above.  ``env_x`` and ``b_env`` are
-    the surplus and beta^depth of the row being evaluated.
+    the surplus and beta^depth of the row being evaluated.  The rows may
+    be one row with any shape of q, or a block of rows (surplus on the
+    leading axis, ``env_x`` a column) queried at one 1-D q.
     """
     m = len(pts)
     idx = np.searchsorted(pts, q)
@@ -161,18 +168,18 @@ def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
     env_hi = cash(q + b_env * (env_x + c_tail))
 
     with np.errstate(invalid="ignore"):
-        lo_r = np.where(has_right, row_lo[right] - (cash_r - cash_q), -np.inf)
+        lo_r = np.where(has_right, row_lo[..., right] - (cash_r - cash_q), -np.inf)
     lo_r = np.where(np.isnan(lo_r), -np.inf, lo_r)  # log row at q=0, exact anyway
-    lo = np.maximum(np.maximum(row_lo[left], lo_r), env_lo)
+    lo = np.maximum(np.maximum(row_lo[..., left], lo_r), env_lo)
 
     with np.errstate(invalid="ignore"):
-        hi_l = row_hi[left] + (cash_q - cash_l)
+        hi_l = row_hi[..., left] + (cash_q - cash_l)
     hi_l = np.where(np.isfinite(hi_l), hi_l, np.inf)  # log row at s=0
-    hi_r = np.where(has_right, row_hi[right], np.inf)
+    hi_r = np.where(has_right, row_hi[..., right], np.inf)
     hi = np.minimum(np.minimum(hi_r, hi_l), env_hi)
 
-    lo = np.where(exact, row_lo[idx_c], lo)
-    hi = np.where(exact, row_hi[idx_c], hi)
+    lo = np.where(exact, row_lo[..., idx_c], lo)
+    hi = np.where(exact, row_hi[..., idx_c], hi)
     return lo, hi
 
 
@@ -196,7 +203,7 @@ class PowerValueTable:
 
     def value_bracket(self, d: int, x: int, s: float) -> tuple[float, float]:
         """Certified bracket of W_d(x, s) at any payout level s >= 0."""
-        if s < 0:
+        if not s >= 0:
             raise DomainError(f"accumulated payout must be >= 0, got {s}")
         cash = _cash(self.utility, self.config.gamma)
         beta, cap = self.config.beta, self.config.x_max
@@ -209,7 +216,7 @@ class PowerValueTable:
             return v, v
         lo, hi = _eval_queries(self.grid.points, self.lo[d, x + 1],
                                self.hi[d, x + 1], q, x, beta ** d,
-                               _tail_scale(self.config.dist, beta), cash)
+                               tail_income(self.config.dist, beta), cash)
         return float(lo[0]), float(hi[0])
 
     def headline(self, x: int, s0: float = 0.0) -> tuple[float, float]:
@@ -241,56 +248,15 @@ class PowerPolicy:
 
         x and s are ints, floats or arrays that broadcast together.  The
         overflow above the cap raises s by beta^t per unit paid, and s is
-        floored to the grid.
+        floored to the grid.  A payout level below 0 (or NaN) raises
+        DomainError.
         """
+        s = np.asarray(s, dtype=float)
+        if not np.all(s >= 0):
+            raise DomainError(f"accumulated payout must be >= 0, got {np.min(s)}")
         row, extra, kept = policy_lookup(self.action, t, x, self.config.x_max)
-        q = np.asarray(s, dtype=float) + self.config.beta ** t * extra
+        q = s + self.config.beta ** t * extra
         return extra + row[kept, self.grid.floor_index(q)]
-
-
-def _continuations(dist, beta, x_max, c_tail, pts, cash,
-                   next_lo, next_hi, d):
-    """Continuation values F_a(u) = E W_{d+1}(u + Z, . ) after paying a.
-
-    Returns a closure: cont(a) -> (F_lo, F_hi), each indexed by the
-    post-payout surplus u = 0..x_max - a, arrays over the query points
-    (the grid shifted by beta^d a).  Income terms accumulate in ascending
-    k for bit-stable results.
-    """
-    bd = beta ** d
-    bnext = beta ** (d + 1)
-    smax = max(dist.support_max, 0)
-
-    def cont(a: int):
-        q = pts + bd * a
-        ruin_lo = cash(q)
-        rows_lo = {}
-        rows_hi = {}
-        for xp in range(x_max + 1):
-            rows_lo[xp], rows_hi[xp] = _eval_queries(
-                pts, next_lo[xp + 1], next_hi[xp + 1], q, xp, bnext, c_tail, cash)
-        for o in range(1, smax + 1):  # overflow: pay o now at next-step rate
-            rows_lo[x_max + o], rows_hi[x_max + o] = _eval_queries(
-                pts, next_lo[x_max + 1], next_hi[x_max + 1], q + bnext * o,
-                x_max, bnext, c_tail, cash)
-        f_lo = {}
-        f_hi = {}
-        for u in range(x_max + 1 - a):
-            acc_lo = np.zeros_like(q)
-            acc_hi = np.zeros_like(q)
-            for k, qk in dist.items():
-                xp = u + k
-                if xp < 0:
-                    acc_lo += qk * ruin_lo
-                    acc_hi += qk * ruin_lo
-                else:
-                    acc_lo += qk * rows_lo[xp]
-                    acc_hi += qk * rows_hi[xp]
-            f_lo[u] = acc_lo
-            f_hi[u] = acc_hi
-        return f_lo, f_hi
-
-    return cont
 
 
 def _solve(config: ProblemConfig, utility: Utility,
@@ -299,39 +265,41 @@ def _solve(config: ProblemConfig, utility: Utility,
     grid = SGrid.build(config)
     pts = grid.points
     m = len(pts)
-    n_depth, x_max, beta = config.depth, config.x_max, config.beta
-    c_tail = _tail_scale(config.dist, beta)
+    n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist
+    c_tail = tail_income(dist, beta)
+    xs = np.arange(x_max + 1)[:, None]
+    overflow = np.arange(1, max(dist.support_max, 0) + 1)[:, None]
+    n_ruin = -min(dist.support_min, -1)  # next-step rows x' < 0
 
     lo = np.empty((n_depth + 1, x_max + 2, m))
     hi = np.empty((n_depth + 1, x_max + 2, m))
-    ruined = cash(pts)
-    lo[:, 0] = ruined
-    hi[:, 0] = ruined
+    lo[:, 0] = hi[:, 0] = cash(pts)
     b_last = beta ** n_depth
-    for x in range(x_max + 1):
-        lo[n_depth, x + 1] = cash(pts + b_last * x)
-        hi[n_depth, x + 1] = cash(pts + b_last * (x + c_tail))
+    lo[n_depth, 1:] = cash(pts + b_last * xs)
+    hi[n_depth, 1:] = cash(pts + b_last * (xs + c_tail))
+    lo[:n_depth, 1:] = -np.inf
+    hi[:n_depth, 1:] = -np.inf
     action = np.zeros((n_depth, x_max + 1, m), dtype=np.int64)
 
     for d in range(n_depth - 1, -1, -1):
-        cont = _continuations(config.dist, beta, x_max, c_tail, pts, cash,
-                              lo[d + 1], hi[d + 1], d)
-        best_lo = np.full((x_max + 1, m), -np.inf)
-        best_hi = np.full((x_max + 1, m), -np.inf)
+        bd, bnext = beta ** d, beta ** (d + 1)
+        next_lo, next_hi = lo[d + 1], hi[d + 1]
+        best_lo, best_hi, act = lo[d, 1:], hi[d, 1:], action[d]
         for a in range(x_max + 1):
-            f_lo, f_hi = cont(a)
-            for x in range(a, x_max + 1):
-                np.maximum(best_lo[x], f_lo[x - a], out=best_lo[x])
-                np.maximum(best_hi[x], f_hi[x - a], out=best_hi[x])
-        act = np.zeros((x_max + 1, m), dtype=np.int64)
-        for a in range(x_max + 1):  # second pass: largest tying action
-            f_lo, _ = cont(a)
-            for x in range(a, x_max + 1):
-                qualify = f_lo[x - a] >= best_lo[x] - TIE_TOL
-                act[x][qualify] = a
-        lo[d, 1:] = best_lo
-        hi[d, 1:] = best_hi
-        action[d] = act
+            q = pts + bd * a
+            ruin = np.broadcast_to(cash(q), (n_ruin, m))
+            rows_lo, rows_hi = _eval_queries(pts, next_lo[1:], next_hi[1:], q,
+                                             xs, bnext, c_tail, cash)
+            # overflow: pay o now at next-step rate
+            over_lo, over_hi = _eval_queries(pts, next_lo[x_max + 1], next_hi[x_max + 1],
+                                             q + bnext * overflow, x_max, bnext,
+                                             c_tail, cash)
+            n_u = x_max + 1 - a
+            f_lo = expect_income(dist, np.concatenate([ruin, rows_lo, over_lo]), n_u)
+            f_hi = expect_income(dist, np.concatenate([ruin, rows_hi, over_hi]), n_u)
+            np.maximum(best_lo[a:], f_lo, out=best_lo[a:])
+            np.maximum(best_hi[a:], f_hi, out=best_hi[a:])
+            act[a:][f_lo >= best_lo[a:] - TIE_TOL] = a
 
     table = PowerValueTable(config=config, grid=grid, utility=utility,
                             lo=lo, hi=hi)
@@ -385,6 +353,11 @@ def barrier_diagnostics(policy: PowerPolicy) -> BarrierReport:
     * xi(d, s) <= beta EZ+/(1-beta)^2 everywhere;
     * on gridpoint pairs with s' = s - beta^d exact, a positive action at
       (x+1, s') must exceed the action at (x, s) by exactly 1.
+
+    The band-shift law is only checked where such exact pairs exist, which
+    takes a dyadic beta with the payout lattice in the grid.  Otherwise,
+    as at beta = 0.9 on a uniform grid, ``shift_pairs_checked`` is 0 and
+    only the barrier bound is enforced.
     """
     bound = xi_star_bound(policy.config)
     acts = policy.action

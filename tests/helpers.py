@@ -6,7 +6,8 @@ import numpy as np
 
 from divbands.errors import BarrierViolation, NotABand
 from divbands.exp_solver import BandFunction, TIE_RTOL, required_cap, suggest_depth
-from divbands.model import ProblemConfig, Utility, validate_distribution
+from divbands.model import ProblemConfig, Utility, tail_income, validate_distribution
+from divbands.power_solver import TIE_TOL, SGrid, _cash, _eval_queries
 
 # certain unit loss every period: ruin next step, every closed form is exact
 DOWN_ONE = {-1: 1.0}
@@ -140,3 +141,69 @@ def reference_shift_pairs(policy) -> int:
                         f"s={pts[j]:.6g}: f(x,s)={a0} but f(x+1,s-b^d)={a1}")
                 checked += 1
     return checked
+
+
+def reference_power_backup(config: ProblemConfig):
+    """Two-pass, per-row power/log induction the one-pass backup replaced.
+
+    Returns the (lo, hi, action) arrays of ``solve_power``/``solve_log``.
+    Every next-depth row is queried on its own, and a second pass over
+    the actions rebuilds each continuation to give ties to the largest.
+    """
+    cash = _cash(config.utility, config.gamma)
+    pts = SGrid.build(config).points
+    m = len(pts)
+    n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist
+    c_tail = tail_income(dist, beta)
+    smax = max(dist.support_max, 0)
+
+    def continuations(next_lo, next_hi, d):
+        bd, bnext = beta ** d, beta ** (d + 1)
+
+        def cont(a):
+            q = pts + bd * a
+            ruin_lo = cash(q)
+            rows_lo, rows_hi = {}, {}
+            for xp in range(x_max + 1):
+                rows_lo[xp], rows_hi[xp] = _eval_queries(
+                    pts, next_lo[xp + 1], next_hi[xp + 1], q, xp, bnext, c_tail, cash)
+            for o in range(1, smax + 1):
+                rows_lo[x_max + o], rows_hi[x_max + o] = _eval_queries(
+                    pts, next_lo[x_max + 1], next_hi[x_max + 1], q + bnext * o,
+                    x_max, bnext, c_tail, cash)
+            f_lo, f_hi = {}, {}
+            for u in range(x_max + 1 - a):
+                acc_lo, acc_hi = np.zeros_like(q), np.zeros_like(q)
+                for k, qk in dist.items():
+                    xp = u + k
+                    acc_lo += qk * (ruin_lo if xp < 0 else rows_lo[xp])
+                    acc_hi += qk * (ruin_lo if xp < 0 else rows_hi[xp])
+                f_lo[u], f_hi[u] = acc_lo, acc_hi
+            return f_lo, f_hi
+
+        return cont
+
+    lo = np.empty((n_depth + 1, x_max + 2, m))
+    hi = np.empty((n_depth + 1, x_max + 2, m))
+    lo[:, 0] = hi[:, 0] = cash(pts)
+    b_last = beta ** n_depth
+    for x in range(x_max + 1):
+        lo[n_depth, x + 1] = cash(pts + b_last * x)
+        hi[n_depth, x + 1] = cash(pts + b_last * (x + c_tail))
+    action = np.zeros((n_depth, x_max + 1, m), dtype=np.int64)
+    for d in range(n_depth - 1, -1, -1):
+        cont = continuations(lo[d + 1], hi[d + 1], d)
+        best_lo = np.full((x_max + 1, m), -np.inf)
+        best_hi = np.full((x_max + 1, m), -np.inf)
+        for a in range(x_max + 1):
+            f_lo, f_hi = cont(a)
+            for x in range(a, x_max + 1):
+                np.maximum(best_lo[x], f_lo[x - a], out=best_lo[x])
+                np.maximum(best_hi[x], f_hi[x - a], out=best_hi[x])
+        for a in range(x_max + 1):  # second pass: largest tying action
+            f_lo, _ = cont(a)
+            for x in range(a, x_max + 1):
+                action[d, x][f_lo[x - a] >= best_lo[x] - TIE_TOL] = a
+        lo[d, 1:] = best_lo
+        hi[d, 1:] = best_hi
+    return lo, hi, action

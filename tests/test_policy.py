@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divbands.errors import PolicyUndefined
+from divbands.errors import DomainError, PolicyUndefined
 from divbands.exp_solver import solve_exp, solve_neutral
 from divbands.howard import policy_value_exp
 from divbands.oracle import exact_policy_value
@@ -90,6 +90,20 @@ def test_ruined_surplus_has_no_action(policy):
                 policy(t, x, 0.0)
         assert np.array_equal(policy(t, np.array([0, 1]), 0.0),
                               [policy(t, 0, 0.0), policy(t, 1, 0.0)])
+
+
+def test_negative_payout_level_has_no_action():
+    table, policy = solve_power(make_config(
+        "power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3, s_grid_points=64))
+    for s in (-5.0, np.nan):  # the value table already refused these
+        with pytest.raises(DomainError, match="accumulated payout"):
+            table.value_bracket(0, 3, s)
+    for s in (-5.0, -1e-300, Fraction(-1, 3), np.nan, np.array([0.0, 1.5, -2.0]),
+              np.array([[np.nan]])):
+        for x in (3, policy.config.x_max + 2, np.array([0, 1, 2])):
+            with pytest.raises(DomainError, match="accumulated payout"):
+                policy(0, x, s)
+    assert policy(0, 3, 0.0) == policy(0, 3, np.array([0.0]))[0]
 
 
 def test_every_consumer_takes_the_solver_policy(policy):

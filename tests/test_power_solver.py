@@ -3,12 +3,15 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbands.errors import BarrierViolation, DepthTooSmall, DomainError
-from divbands.model import validate_distribution
+from divbands.model import Utility, validate_distribution
 from divbands.oracle import exact_optimal
 from divbands.power_solver import (
     SGrid,
@@ -17,7 +20,8 @@ from divbands.power_solver import (
     solve_power,
     xi_star_bound,
 )
-from helpers import DOWN_ONE, make_config, reference_shift_pairs, two_point
+from helpers import (DOWN_ONE, make_config, reference_power_backup,
+                     reference_shift_pairs, two_point)
 
 # dyadic discount: every reachable payout total lands exactly on the grid
 DYADIC = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3,
@@ -172,6 +176,44 @@ def test_shift_check_matches_per_pair_loop():
         if isinstance(want, str):
             messages.add(want)
     assert len(messages) > 10  # many distinct first violations, all alike
+
+
+@st.composite
+def small_configs(draw, utility, beta):
+    """Power or log on a few states; incomes reach +2 or +3 (overflow rows).
+
+    Dyadic beta puts the payout lattice in the grid when it is small
+    enough, so queries hit gridpoints exactly.  With gamma = 1e-13 every
+    positive cash value lies within TIE_TOL of 1, so most decisions are
+    ties and the tie rule sets the action.
+    """
+    gamma = draw(st.sampled_from([1e-13, 0.3, 0.5, 0.8])) if utility == "power" else 0.0
+    low, top = draw(st.integers(-3, -1)), draw(st.integers(2, 3))
+    weights = {k: draw(st.integers(0, 3)) for k in range(low + 1, top)}
+    weights[low], weights[top] = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    total = sum(weights.values())
+    mapping = {k: w / total for k, w in weights.items() if w}
+    need = math.ceil(xi_star_bound(SimpleNamespace(
+        beta=beta, dist=validate_distribution(mapping))) - 1e-9)
+    # a wide cap at depth 3 outgrows LATTICE_LIMIT: a uniform grid only
+    return make_config(utility, mapping, beta, gamma,
+                       need + draw(st.sampled_from([0, 1, 2, 12])),
+                       draw(st.integers(1, 3)),
+                       s_grid_points=draw(st.integers(8, 48)))
+
+
+@pytest.mark.parametrize("utility", ["power", "logarithmic"])
+@pytest.mark.parametrize("beta", [0.5, 0.6])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_pass_backup_matches_two_pass_reference(utility, beta, data):
+    cfg = data.draw(small_configs(utility, beta))
+    solve = solve_power if cfg.utility is Utility.POWER else solve_log
+    table, policy = solve(cfg)
+    ref_lo, ref_hi, ref_action = reference_power_backup(cfg)
+    assert table.lo.tobytes() == ref_lo.tobytes()
+    assert table.hi.tobytes() == ref_hi.tobytes()
+    np.testing.assert_array_equal(policy.action, ref_action)
 
 
 def test_refinement_tightens_headline():
