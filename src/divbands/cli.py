@@ -32,7 +32,7 @@ import yaml
 from .errors import ConfigParse, InvariantViolation, UnknownSubcommand, ValidationError
 from .exp_solver import extract_bands, solve_exp, solve_neutral
 from .howard import howard_solve
-from .model import (ProblemConfig, Utility, certainty_equivalent,
+from .model import (ProblemConfig, Utility, certainty_equivalent, check_y0,
                     validate_distribution)
 from .oracle import exact_optimal
 from .power_solver import barrier_diagnostics, solve_log, solve_power
@@ -197,7 +197,7 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     table, policy = solve_exp(config)
     bands = extract_bands(policy)
     cuts = [b.cut_string() for b in bands]
-    sched = table.schedule
+    sched = config.schedule
 
     xs = _cells(np.arange(config.x_max + 1))
     _write_csv(outdir / "values.csv",
@@ -288,7 +288,8 @@ def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
 
 
 def _cmd_solve_log(config: ProblemConfig, outdir: Path, args) -> int:
-    table, policy = solve_log(config, y0=args.y0)
+    check_y0(config.utility, args.y0)
+    table, policy = solve_log(config)
     _power_outputs(config, outdir, table, policy, args.y0)
     return 0
 
@@ -379,11 +380,11 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
                 f"--horizon must be >= 2 for this utility, got {horizon}")
         run = dataclasses.replace(config, depth=horizon - 1)
         y0 = args.y0 if config.utility is Utility.LOGARITHMIC else 0.0
-        table, _ = solve_log(run, y0=y0) if config.utility is Utility.LOGARITHMIC \
+        table, _ = solve_log(run) if config.utility is Utility.LOGARITHMIC \
             else solve_power(run)
         for x0 in x0s:
             val, _ = exact_optimal(run, x0, horizon, y0=y0)
-            lo, hi = table.headline(x0, y0 if config.utility is Utility.LOGARITHMIC else 0.0)
+            lo, hi = table.headline(x0, y0)
             gap = max(lo - val, val - hi, 0.0)
             checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
                            "solver_hi": hi, "gap": gap,
@@ -404,13 +405,13 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
     return 0
 
 
-def _solve_policy_for(config: ProblemConfig, y0: float):
+def _solve_policy_for(config: ProblemConfig):
     if config.utility is Utility.EXPONENTIAL:
         return solve_exp(config)[1]
     if config.utility is Utility.POWER:
         return solve_power(config)[1]
     if config.utility is Utility.LOGARITHMIC:
-        return solve_log(config, y0=y0)[1]
+        return solve_log(config)[1]
     return solve_neutral(config)
 
 
@@ -424,7 +425,7 @@ def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
         raise ValidationError(f"--max-steps must be positive, got {args.max_steps}")
     y0 = args.y0 if args.y0 is not None else \
         (1.0 if config.utility is Utility.LOGARITHMIC else 0.0)
-    policy = _solve_policy_for(config, y0)
+    policy = _solve_policy_for(config)
     result = simulate_paths(config, policy, x0, args.paths,
                             max_steps=args.max_steps, y0=y0)
     _write_json(outdir / "summary.json", result.summary())

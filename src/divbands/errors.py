@@ -45,10 +45,6 @@ class ValueUnderflow(ValidationError):
     """The value bracket at the surplus cap would underflow double precision."""
 
 
-class DepthTooSmall(ValidationError):
-    """The requested horizon leaves the value bracket wider than asked."""
-
-
 class InadmissiblePolicy(ValidationError):
     """A decision rule that fails the pay-down admissibility condition."""
 

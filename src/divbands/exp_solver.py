@@ -31,17 +31,20 @@ the gamma -> 0 limit is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DepthTooSmall, NotABand, ValidationError, ValueUnderflow
+from .errors import NotABand, ValidationError, ValueUnderflow
 from .model import (LOG_DBL_MIN, IncomeDistribution, ProblemConfig, Utility,
                     expect_income, policy_lookup, tail_income)
 
 TIE_RTOL = 1e-12  # relative tie tolerance for the largest minimiser
+
+NEUTRAL_MAX_ITERATIONS = 1_000_000  # value-iteration cap of solve_neutral
 
 __all__ = [
     "Interval",
@@ -51,12 +54,10 @@ __all__ = [
     "BandFunction",
     "NeutralSolution",
     "mgf_plus",
-    "h_lower",
     "required_cap",
     "suggest_depth",
     "exp_backup",
     "neutral_backup",
-    "bellman_backup_exp",
     "solve_exp",
     "extract_bands",
     "solve_neutral",
@@ -119,11 +120,6 @@ class ThetaSchedule:
     over the schedule.
     """
 
-    gamma: float
-    beta: float
-    depth: int
-    tail_eps: float
-    dist: IncomeDistribution
     thetas: tuple[float, ...]
     h_lo: tuple[Interval, ...]
     h_up: tuple[Interval, ...]
@@ -202,7 +198,6 @@ class ThetaSchedule:
             s_hi.append(max(0.0, min(num / den, s_cap)))
             s_tilde.append(max(0.0, min(-math.log(h_lo[n].lo) / den, s_cap)))
         return cls(
-            gamma=gamma, beta=beta, depth=n_depth, tail_eps=tail_eps, dist=dist,
             thetas=tuple(thetas), h_lo=tuple(h_lo), h_up=tuple(h_up),
             s_hi=tuple(s_hi), s_star=max(s_hi),
             s_tilde=tuple(s_tilde), s_tilde_star=max(s_tilde),
@@ -217,24 +212,6 @@ class ThetaSchedule:
     def from_config(cls, config: ProblemConfig) -> "ThetaSchedule":
         return cls.build(config.dist, config.beta, config.gamma,
                          config.depth, config.tail_eps)
-
-    def index_of(self, theta: float) -> int:
-        for n, t in enumerate(self.thetas):
-            if t == theta or abs(t - theta) <= 1e-14 * abs(t):
-                return n
-        raise ValidationError(f"theta={theta} is not on the schedule")
-
-
-def h_lower(schedule: ThetaSchedule, theta: float) -> Interval:
-    """Bracket of the lower envelope constant at theta.
-
-    Schedule points reuse the cached recursion values; any other
-    theta in [gamma, 0) is priced by a fresh truncated product.
-    """
-    try:
-        return schedule.h_lo[schedule.index_of(theta)]
-    except ValidationError:
-        return _h_lower_at(schedule.dist, schedule.beta, schedule.tail_eps, theta)
 
 
 def required_cap(config: ProblemConfig) -> int:
@@ -312,23 +289,6 @@ def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, v - np.searchsorted(pm, pm - TIE_RTOL * np.abs(values))
 
 
-def bellman_backup_exp(config: ProblemConfig, theta_n: float, x: int,
-                       next_lo: np.ndarray, next_hi: np.ndarray
-                       ) -> tuple[float, float, int]:
-    """One dynamic-programming backup at surplus x and parameter theta_n.
-
-    ``next_lo``/``next_hi`` are depth-(n+1) table rows of length
-    x_max + 2 (leading ruined entry).  Returns the bracketed minimum and
-    the largest action attaining the lo-minimum within relative TIE_RTOL.
-    """
-    if x < 0 or x > config.x_max:
-        raise ValidationError(f"x={x} outside [0, {config.x_max}]")
-    g_lo, g_hi = _g_rows(config.dist, theta_n * config.beta, next_lo, next_hi,
-                         config.x_max)
-    lo, hi, action = exp_backup(theta_n, g_lo, g_hi)
-    return float(lo[x]), float(hi[x]), int(action[x])
-
-
 @dataclass(frozen=True)
 class ExpValueTable:
     """Certified brackets lo <= J <= hi over (depth n, surplus x).
@@ -338,13 +298,8 @@ class ExpValueTable:
     """
 
     config: ProblemConfig
-    schedule: ThetaSchedule
     lo: np.ndarray
     hi: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return self.schedule.depth
 
     def value_bracket(self, n: int, x: int) -> Interval:
         """Bracket of J(x, theta_n), extending beyond the cap exactly."""
@@ -353,7 +308,7 @@ class ExpValueTable:
         cap = self.config.x_max
         if x <= cap:
             return Interval(float(self.lo[n, x + 1]), float(self.hi[n, x + 1]))
-        fac = math.exp(self.schedule.thetas[n] * (x - cap))
+        fac = math.exp(self.config.schedule.thetas[n] * (x - cap))
         return Interval(float(self.lo[n, cap + 1]) * fac,
                         float(self.hi[n, cap + 1]) * fac)
 
@@ -371,13 +326,12 @@ class ExpPolicy:
     """
 
     config: ProblemConfig
-    schedule: ThetaSchedule
     action: np.ndarray
-    xi: np.ndarray
 
-    @property
-    def depth(self) -> int:
-        return int(self.action.shape[0])
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        """The barrier of every depth: its last surplus with action 0."""
+        return self.config.x_max - np.argmax(self.action[:, ::-1] == 0, axis=1)
 
     def __call__(self, t: int, x, s):
         """Actions at step t for surplus x >= 0 (int or array); s is unused."""
@@ -385,8 +339,8 @@ class ExpPolicy:
         return extra + row[kept]
 
 
-def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
-              terminal: str = "tail") -> tuple[ExpValueTable, ExpPolicy]:
+def solve_exp(config: ProblemConfig, *, terminal: str = "tail"
+              ) -> tuple[ExpValueTable, ExpPolicy]:
     """Backward induction over the theta-schedule with certified brackets.
 
     ``terminal`` selects the depth-N closure: "tail" (default) encloses
@@ -394,9 +348,6 @@ def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
     "unit" sets the terminal row to exactly 1, which turns the table into
     the optimal value of the N-step problem where payouts simply stop
     (useful for exact cross-validation against brute-force enumeration).
-
-    When ``max_width`` is given, raises DepthTooSmall if the depth-0
-    bracket is wider than that anywhere.
     """
     if config.utility is not Utility.EXPONENTIAL:
         raise ValidationError("solve_exp requires the exponential utility")
@@ -423,16 +374,8 @@ def solve_exp(config: ProblemConfig, *, max_width: float | None = None,
                              lo[n + 1], hi[n + 1], x_max)
         lo[n, 1:], hi[n, 1:], action[n] = exp_backup(schedule.thetas[n],
                                                      g_lo, g_hi)
-    xi = x_max - np.argmax(action[:, ::-1] == 0, axis=1)  # last hold state
-
-    table = ExpValueTable(config=config, schedule=schedule, lo=lo, hi=hi)
-    policy = ExpPolicy(config=config, schedule=schedule, action=action, xi=xi)
-    if max_width is not None:
-        worst = float(np.max(table.widths(0)))
-        if worst > max_width:
-            raise DepthTooSmall(
-                f"depth {n_depth} leaves bracket width {worst:.3e} > {max_width:.3e}")
-    return table, policy
+    return (ExpValueTable(config=config, lo=lo, hi=hi),
+            ExpPolicy(config=config, action=action))
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +500,7 @@ def _neutral_g(dist: IncomeDistribution, values: np.ndarray, x_max: int) -> np.n
     return expect_income(dist, ext, x_max + 1)
 
 
-def solve_neutral(config: ProblemConfig, *, max_iterations: int = 1_000_000
-                  ) -> NeutralSolution:
+def solve_neutral(config: ProblemConfig) -> NeutralSolution:
     """Value iteration for sup E sum beta^k a_k from the upper envelope.
 
     Starts at V_0(x) = x + beta EZ+/(1-beta), a provable over-estimate, so
@@ -572,7 +514,7 @@ def solve_neutral(config: ProblemConfig, *, max_iterations: int = 1_000_000
     values = xs + tail_income(dist, beta)
     stop = config.tail_eps * (1.0 - beta) / beta
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < NEUTRAL_MAX_ITERATIONS:
         new, _ = neutral_backup(beta * _neutral_g(dist, values, x_max))
         iterations += 1
         diff = float(np.max(np.abs(new - values)))

@@ -104,7 +104,7 @@ def policy_value_exp(config: ProblemConfig, f) -> ExpValueTable:
         pays = np.exp(schedule.thetas[n] * acts)
         lo[n, 1:] = pays * g_lo[xs - acts]
         hi[n, 1:] = pays * g_hi[xs - acts]
-    return ExpValueTable(config=config, schedule=schedule, lo=lo, hi=hi)
+    return ExpValueTable(config=config, lo=lo, hi=hi)
 
 
 def improve(config: ProblemConfig, j_f: ExpValueTable) -> np.ndarray:
@@ -117,7 +117,7 @@ def improve(config: ProblemConfig, j_f: ExpValueTable) -> np.ndarray:
     surplus changes nothing) and respects the payout-pressure bound; both
     are rechecked here because they certify the iteration's ruin argument.
     """
-    schedule = j_f.schedule
+    schedule = config.schedule
     n_depth, x_max = config.depth, config.x_max
     rule = np.zeros((n_depth, x_max + 1), dtype=np.int64)
     for n in range(n_depth - 1, -1, -1):
@@ -151,16 +151,16 @@ class HowardResult:
     history: tuple[HowardIteration, ...]
 
 
-def howard_solve(config: ProblemConfig, f0=None, *,
-                 max_iterations: int = 1000) -> HowardResult:
+def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
+                 ) -> HowardResult:
     """Iterate evaluation and improvement until the rule is a fixed point.
 
-    Starts from pay-all unless ``f0`` is given.  Asserts the theoretical
-    pointwise non-increase of successive values: each new hi value may
-    exceed the previous one by at most the new bracket's width.  Raises
-    MaxIterations with the last sup-norm value change if the cap is hit.
+    Starts from pay-all.  Asserts the theoretical pointwise non-increase
+    of successive values: each new hi value may exceed the previous one by
+    at most the new bracket's width.  Raises MaxIterations with the last
+    sup-norm value change if the cap is hit.
     """
-    rule = pay_all_rule(config) if f0 is None else _as_rule(config, f0)
+    rule = pay_all_rule(config)
     prev_hi = None
     gap = math.inf
     history: list[HowardIteration] = []
@@ -177,11 +177,9 @@ def howard_solve(config: ProblemConfig, f0=None, *,
         prev_hi = table.hi[:, 1:].copy()
         improved = improve(config, table)
         if np.array_equal(improved, rule):
-            xi = config.x_max - np.argmax(rule[:, ::-1] == 0, axis=1)
-            policy = ExpPolicy(config=config, schedule=table.schedule,
-                               action=rule, xi=xi)
-            return HowardResult(table=table, policy=policy, iterations=it,
-                                final_gap=gap if it > 1 else 0.0,
+            return HowardResult(table=table,
+                                policy=ExpPolicy(config=config, action=rule),
+                                iterations=it, final_gap=gap if it > 1 else 0.0,
                                 history=tuple(history))
         rule = improved
     raise MaxIterations(max_iterations, gap)

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     CapTooSmall,
     DomainError,
-    IllegalAction,
     NegativeMass,
     NoRuinRisk,
     NotNormalized,
@@ -144,20 +143,6 @@ def validate_distribution(raw: Mapping[int, float]) -> IncomeDistribution:
     return IncomeDistribution(support=support, probs=probs)
 
 
-def action_set(x: int) -> range:
-    """Admissible dividends: {0,...,x} while solvent, {0} after ruin."""
-    return range(0, x + 1) if x >= 0 else range(0, 1)
-
-
-def step(x: int, a: int, z: int) -> int:
-    """One transition of the surplus chain; ruin states are absorbing."""
-    if a not in action_set(x):
-        raise IllegalAction(f"dividend {a} not in {{0,...,{max(x, 0)}}} at surplus {x}")
-    if x < 0:
-        return x
-    return x - a + z
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     """Everything a solver run needs, validated up front.
@@ -249,19 +234,35 @@ def policy_lookup(action: np.ndarray, t: int, x, cap: int):
     return action[min(t, len(action) - 1)], extra, x - extra
 
 
-def utility(u: Utility, gamma: float, w: float) -> float:
-    """Utility of a sure payout w >= 0 (w > 0 for logarithmic)."""
+def utility(u: Utility, gamma: float, w):
+    """Utility of sure payouts w, elementwise (w >= 0; w > 0 for logarithmic)."""
     if u is Utility.EXPONENTIAL:
-        return math.exp(gamma * w) / gamma
+        return np.exp(gamma * w) / gamma
     if u is Utility.POWER:
-        if w < 0:
-            raise DomainError(f"power utility needs w >= 0, got {w}")
-        return w**gamma
+        if np.any(w < 0):
+            raise DomainError(f"power utility needs w >= 0, got {np.min(w)}")
+        return np.power(w, gamma)
     if u is Utility.LOGARITHMIC:
-        if w <= 0:
-            raise DomainError(f"log utility needs w > 0, got {w}")
-        return math.log(w)
+        if np.any(w <= 0):
+            raise DomainError(f"log utility needs w > 0, got {np.min(w)}")
+        return np.log(w)
     return w
+
+
+def check_y0(u: Utility, y0: float) -> None:
+    """Reject a starting wealth outside the utility's domain (DomainError).
+
+    y0 must be finite, and also > 0 for logarithmic and >= 0 for power
+    utility; exponential and risk-neutral utilities take any finite y0.
+    """
+    if u is Utility.LOGARITHMIC:
+        ok, need = y0 > 0, " > 0"
+    elif u is Utility.POWER:
+        ok, need = y0 >= 0, " >= 0"
+    else:
+        ok, need = True, ""
+    if not (ok and math.isfinite(y0)):
+        raise DomainError(f"{u.value} utility needs a finite y0{need}, got {y0}")
 
 
 def certainty_equivalent(u: Utility, gamma: float, expected_utility: float) -> float:
@@ -281,18 +282,3 @@ def certainty_equivalent(u: Utility, gamma: float, expected_utility: float) -> f
     if u is Utility.LOGARITHMIC:
         return math.exp(expected_utility)
     return expected_utility
-
-
-def arrow_pratt(u: Utility, gamma: float, y: float) -> float:
-    """Absolute risk aversion -U''/U' at wealth y (reporting helper)."""
-    if u is Utility.EXPONENTIAL:
-        return -gamma
-    if u is Utility.POWER:
-        if y <= 0:
-            raise DomainError("power utility risk coefficient needs y > 0")
-        return (1.0 - gamma) / y
-    if u is Utility.LOGARITHMIC:
-        if y <= 0:
-            raise DomainError("log utility risk coefficient needs y > 0")
-        return 1.0 / y
-    return 0.0

@@ -21,7 +21,6 @@ it prices the truncated problem in which payouts simply cease at H.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -29,9 +28,10 @@ from itertools import product
 import numpy as np
 
 from .errors import TooLarge, UndefinedAction, ValidationError
-from .model import IncomeDistribution, ProblemConfig, Utility
+from .model import IncomeDistribution, ProblemConfig, Utility, check_y0
 
 NODE_GUARD = 10_000_000
+MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
 
 _LD = np.longdouble
 
@@ -61,9 +61,7 @@ def _leaf(utility: Utility, gamma: float, wealth: Fraction) -> np.longdouble:
     if utility is Utility.POWER:
         return w ** _LD(gamma) if w > 0 else _LD(0.0)
     if utility is Utility.LOGARITHMIC:
-        if w <= 0:
-            raise ValidationError("log utility needs positive wealth; pass y0 > 0")
-        return np.log(w)
+        return np.log(w)  # w >= y0 > 0, as check_y0 demands
     return w
 
 
@@ -122,21 +120,23 @@ class OracleTree:
         return {"value": self.value, "root": walk(0, self.x0, Fraction(0), ())}
 
 
-def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
-                  y0: float = 0.0, memoize: bool = True,
-                  node_guard: int = NODE_GUARD) -> tuple[float, OracleTree]:
-    """Optimum over history-dependent plans on the full outcome tree.
+def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, actions,
+          by_history: bool, node_guard: int) -> OracleTree:
+    """Backward induction over the outcome tree, trying ``actions`` per node.
 
-    Backward induction over every (history, action) branch; exponential
-    objectives are minimized (J-convention), all others maximized.  Ties
-    go to the largest action.  Raises TooLarge past ``node_guard`` visits.
+    ``actions(depth, x, s, history)`` gives the dividends to try at a
+    solvent node; the best expectation wins (minimized for exponential
+    objectives, maximized otherwise), ties going to the later, larger
+    action.  Nodes are memoized by (depth, x, s) unless ``by_history``
+    keys them by the income history as well.  Income terms accumulate in
+    ascending z.  Raises TooLarge past ``node_guard`` visits.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    check_y0(config.utility, y0)
     utility, gamma = config.utility, config.gamma
-    if utility is Utility.LOGARITHMIC and y0 <= 0:
-        raise ValidationError("log utility needs y0 > 0")
     probs = exact_probabilities(config.dist)
+    terms = [(z, _ld(q)) for z, q in sorted(probs.items())]
     beta = Fraction(config.beta)
     y0_frac = Fraction(y0)
     bpow = [beta ** k for k in range(horizon + 1)]
@@ -153,32 +153,42 @@ def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
             raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
         if x < 0 or depth == horizon:
             return _leaf(utility, gamma, y0_frac + s)
-        key = (depth, x, s, history) if not memoize else (depth, x, s)
-        if memoize and key in memo:
+        key = (depth, x, s, history) if by_history else (depth, x, s)
+        if not by_history and key in memo:
             return memo[key]
         best = None
         best_a = 0
-        for a in range(x + 1):
+        for a in actions(depth, x, s, history):
             s_next = s + bpow[depth] * a
             acc = _LD(0.0)
-            for z, q in sorted(probs.items()):
-                acc += _ld(q) * value(depth + 1, x - a + z, s_next,
-                                      history + (z,))
-            better = best is None or (acc < best if minimize else acc > best)
-            if better or acc == best:
+            for z, q in terms:
+                acc += q * value(depth + 1, x - a + z, s_next, history + (z,))
+            if best is None or acc == best or (acc < best if minimize else acc > best):
                 best = acc
                 best_a = a
         decisions[key] = best_a
-        if memoize:
+        if not by_history:
             memo[key] = best
         return best
 
     val = value(0, x0, Fraction(0), ())
-    tree = OracleTree(utility=utility, gamma=gamma, beta=beta, y0=y0_frac,
-                      x0=x0, horizon=horizon, probs=probs,
-                      decisions=decisions, value=float(val),
-                      by_history=not memoize)
-    return float(val), tree
+    return OracleTree(utility=utility, gamma=gamma, beta=beta, y0=y0_frac,
+                      x0=x0, horizon=horizon, probs=probs, decisions=decisions,
+                      value=float(val), by_history=by_history)
+
+
+def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
+                  y0: float = 0.0, memoize: bool = True,
+                  node_guard: int = NODE_GUARD) -> tuple[float, OracleTree]:
+    """Optimum over history-dependent plans on the full outcome tree.
+
+    Backward induction over every (history, action) branch; exponential
+    objectives are minimized (J-convention), all others maximized.  Ties
+    go to the largest action.  Raises TooLarge past ``node_guard`` visits.
+    """
+    tree = _walk(config, x0, horizon, y0, lambda depth, x, s, history: range(x + 1),
+                 not memoize, node_guard)
+    return tree.value, tree
 
 
 def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
@@ -193,48 +203,21 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
     Raises UndefinedAction when a reachable state has no action or the
     action leaves {0..x}.
     """
-    utility, gamma = config.utility, config.gamma
-    if utility is Utility.LOGARITHMIC and y0 <= 0:
-        raise ValidationError("log utility needs y0 > 0")
-    probs = exact_probabilities(config.dist)
-    beta = Fraction(config.beta)
-    y0_frac = Fraction(y0)
-    bpow = [beta ** k for k in range(horizon + 1)]
     if not callable(policy):
         raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")
     by_history = getattr(policy, "by_history", False)
-    memo: dict = {}
-    visits = 0
 
-    def value(depth: int, x: int, s: Fraction, history: tuple[int, ...]
-              ) -> np.longdouble:
-        nonlocal visits
-        visits += 1
-        if visits > node_guard:
-            raise TooLarge(f"policy tree exceeds {node_guard} nodes")
-        if x < 0 or depth == horizon:
-            return _leaf(utility, gamma, y0_frac + s)
-        key = (depth, x, s)
-        if not by_history and key in memo:
-            return memo[key]
+    def chosen(depth: int, x: int, s: Fraction, history: tuple[int, ...]):
         a = policy(depth, x, s, history) if by_history else policy(depth, x, s)
         if not isinstance(a, (int, np.integer)) or a < 0 or a > x:
             raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
                                   f"is outside {{0..{x}}}")
-        s_next = s + bpow[depth] * int(a)
-        acc = _LD(0.0)
-        for z, q in sorted(probs.items()):
-            acc += _ld(q) * value(depth + 1, x - int(a) + z, s_next,
-                                  history + (z,))
-        if not by_history:
-            memo[key] = acc
-        return acc
+        return (int(a),)
 
-    return float(value(0, x0, Fraction(0), ()))
+    return _walk(config, x0, horizon, y0, chosen, by_history, node_guard).value
 
 
-def markov_optimum(config: ProblemConfig, x0: int, horizon: int, *,
-                   rule_guard: int = 500_000) -> float:
+def markov_optimum(config: ProblemConfig, x0: int, horizon: int) -> float:
     """Exponential optimum over depth-indexed surplus-only rules.
 
     Enumerates every map (depth, surplus) -> action on the reachable grid
@@ -263,8 +246,8 @@ def markov_optimum(config: ProblemConfig, x0: int, horizon: int, *,
     n_rules = 1
     for _, x in slots:
         n_rules *= x + 1
-        if n_rules > rule_guard:
-            raise TooLarge(f"more than {rule_guard} Markov rules to enumerate")
+        if n_rules > MARKOV_RULE_GUARD:
+            raise TooLarge(f"more than {MARKOV_RULE_GUARD} Markov rules to enumerate")
 
     theta = [_LD(gamma) * _LD(beta) ** k for k in range(horizon)]
     best = None

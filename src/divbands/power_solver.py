@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BarrierViolation, DepthTooSmall, DomainError, ValidationError
+from .errors import BarrierViolation, DomainError, ValidationError
 from .model import (ProblemConfig, Utility, expect_income, policy_lookup,
                     tail_income)
 
@@ -193,19 +193,14 @@ class PowerValueTable:
 
     config: ProblemConfig
     grid: SGrid
-    utility: Utility
     lo: np.ndarray
     hi: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return int(self.lo.shape[0]) - 1
 
     def value_bracket(self, d: int, x: int, s: float) -> tuple[float, float]:
         """Certified bracket of W_d(x, s) at any payout level s >= 0."""
         if not s >= 0:
             raise DomainError(f"accumulated payout must be >= 0, got {s}")
-        cash = _cash(self.utility, self.config.gamma)
+        cash = _cash(self.config.utility, self.config.gamma)
         beta, cap = self.config.beta, self.config.x_max
         if x > cap:  # pay the overflow now, priced at this depth
             s = s + beta ** d * (x - cap)
@@ -236,12 +231,7 @@ class PowerPolicy:
 
     config: ProblemConfig
     grid: SGrid
-    utility: Utility
     action: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return int(self.action.shape[0])
 
     def __call__(self, t: int, x, s):
         """Actions at step t for surplus x >= 0 and payout level s.
@@ -259,9 +249,8 @@ class PowerPolicy:
         return extra + row[kept, self.grid.floor_index(q)]
 
 
-def _solve(config: ProblemConfig, utility: Utility,
-           max_width: float | None) -> tuple[PowerValueTable, PowerPolicy]:
-    cash = _cash(utility, config.gamma)
+def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
+    cash = _cash(config.utility, config.gamma)
     grid = SGrid.build(config)
     pts = grid.points
     m = len(pts)
@@ -301,40 +290,27 @@ def _solve(config: ProblemConfig, utility: Utility,
             np.maximum(best_hi[a:], f_hi, out=best_hi[a:])
             act[a:][f_lo >= best_lo[a:] - TIE_TOL] = a
 
-    table = PowerValueTable(config=config, grid=grid, utility=utility,
-                            lo=lo, hi=hi)
-    policy = PowerPolicy(config=config, grid=grid, utility=utility,
-                         action=action)
-    if max_width is not None:
-        worst = float(np.max(table.widths(0)))
-        if worst > max_width:
-            raise DepthTooSmall(
-                f"depth {n_depth} leaves bracket width {worst:.3e} > {max_width:.3e}")
-    return table, policy
+    return (PowerValueTable(config=config, grid=grid, lo=lo, hi=hi),
+            PowerPolicy(config=config, grid=grid, action=action))
 
 
-def solve_power(config: ProblemConfig, *, max_width: float | None = None
-                ) -> tuple[PowerValueTable, PowerPolicy]:
+def solve_power(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     """Backward induction for the power utility; headline is W_0(x, 0)."""
     if config.utility is not Utility.POWER:
         raise ValidationError("solve_power requires the power utility")
-    return _solve(config, Utility.POWER, max_width)
+    return _solve(config)
 
 
-def solve_log(config: ProblemConfig, *, y0: float = 1.0,
-              max_width: float | None = None
-              ) -> tuple[PowerValueTable, PowerPolicy]:
+def solve_log(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     """Same recursion with log wealth; headline is W_0(x, y0), y0 > 0.
 
-    The table itself does not depend on y0 (it enters as the depth-0
-    payout level), but the value of zero wealth is -inf, so a positive
-    starting wealth is required for a finite answer.
+    The table does not depend on y0, which enters as the depth-0 payout
+    level of ``headline``; the value of zero wealth is -inf, so a finite
+    answer needs a positive starting wealth (``model.check_y0``).
     """
     if config.utility is not Utility.LOGARITHMIC:
         raise ValidationError("solve_log requires the logarithmic utility")
-    if y0 <= 0:
-        raise DomainError(f"log utility needs y0 > 0, got {y0}")
-    return _solve(config, Utility.LOGARITHMIC, max_width)
+    return _solve(config)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolicyUndefined, InvariantViolation, ValidationError
-from .model import ProblemConfig, Utility
+from .model import ProblemConfig, Utility, check_y0, utility
 
 BATCH = 1 << 14  # paths per Philox substream
 
@@ -40,7 +40,6 @@ class SimulationResult:
 
     config: ProblemConfig
     x0: int
-    seed: int
     max_steps: int
     y0: float
     discounted_sums: np.ndarray  # per-path sum of beta^t a_t
@@ -102,13 +101,12 @@ def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray,
 
 
 def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
-                   max_steps: int = 10_000, seed: int | None = None,
-                   y0: float = 0.0) -> SimulationResult:
+                   max_steps: int = 10_000, y0: float = 0.0) -> SimulationResult:
     """Simulate the surplus process under a policy; reproducible per seed.
 
     Returns per-path discounted payout sums, ruin times (capped at
     max_steps, with surviving paths flagged truncated) and utilities of
-    y0 plus the payout sum.  The seed defaults to the config's.
+    y0 plus the payout sum.  The stream is keyed by ``config.seed``.
     """
     if not callable(policy):
         raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
@@ -116,9 +114,7 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
         raise ValidationError(f"n_paths must be positive, got {n_paths}")
     if max_steps < 1:
         raise ValidationError(f"max_steps must be positive, got {max_steps}")
-    if config.utility is Utility.LOGARITHMIC and y0 <= 0:
-        raise ValidationError("log utility needs y0 > 0")
-    seed = config.seed if seed is None else seed
+    check_y0(config.utility, y0)
     beta = config.beta
     support = np.array(config.dist.support, dtype=np.int64)
     cum = np.cumsum(np.array(config.dist.probs))
@@ -127,7 +123,7 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     times = np.empty(n_paths, dtype=np.int64)
     trunc = np.empty(n_paths, dtype=bool)
 
-    base = np.random.Philox(key=seed)
+    base = np.random.Philox(key=config.seed)
     for b in range(0, n_paths, BATCH):
         rng = np.random.Generator(base.jumped(b // BATCH))
         width = min(BATCH, n_paths - b)
@@ -156,18 +152,9 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
         times[b:b + width] = rtime
         trunc[b:b + width] = ~ruined
 
-    wealth = y0 + sums
-    if config.utility is Utility.EXPONENTIAL:
-        utils = np.exp(config.gamma * wealth) / config.gamma
-    elif config.utility is Utility.POWER:
-        utils = np.power(wealth, config.gamma)
-    elif config.utility is Utility.LOGARITHMIC:
-        utils = np.log(wealth)
-    else:
-        utils = wealth
-    return SimulationResult(config=config, x0=x0, seed=seed,
-                            max_steps=max_steps, y0=y0, discounted_sums=sums,
-                            ruin_times=times, truncated=trunc, utilities=utils)
+    return SimulationResult(config=config, x0=x0, max_steps=max_steps, y0=y0,
+                            discounted_sums=sums, ruin_times=times, truncated=trunc,
+                            utilities=utility(config.utility, config.gamma, y0 + sums))
 
 
 def _max_retained(policy) -> int:
@@ -187,8 +174,7 @@ def _max_retained(policy) -> int:
 
 
 def ruin_certainty_check(config: ProblemConfig, policy, x0: int,
-                         n_paths: int, max_steps: int = 10_000,
-                         seed: int | None = None) -> float:
+                         n_paths: int, max_steps: int = 10_000) -> float:
     """Verify that ruin is as certain as the block-counting bound demands.
 
     With xi* the largest surplus the rule leaves standing, any window of
@@ -198,8 +184,7 @@ def ruin_certainty_check(config: ProblemConfig, policy, x0: int,
     simulated fraction reaches that bound minus five standard errors and
     returns the fraction.
     """
-    result = simulate_paths(config, policy, x0, n_paths,
-                            max_steps=max_steps, seed=seed,
+    result = simulate_paths(config, policy, x0, n_paths, max_steps=max_steps,
                             y0=1.0 if config.utility is Utility.LOGARITHMIC else 0.0)
     frac = result.ruin_fraction
     xi_star = _max_retained(policy)

@@ -1,0 +1,69 @@
+"""Every public name of the package has a caller outside the tests.
+
+A public top-level function or class of a ``divbands`` module, or an
+``__all__`` entry, counts as used when code in ``src/`` or ``perfbench/``
+(its tests aside) refers to it outside its own definition: by name in its
+own module, by importing it, or as ``module.name``.  The only exceptions
+are the verification entry points the README lists under "Library use";
+any other name that only tests reach is dead API and should be deleted.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "divbands"
+
+VERIFICATION_API = {
+    ("oracle", "exact_policy_value"),
+    ("oracle", "markov_optimum"),
+    ("simulate", "ruin_certainty_check"),
+}
+
+
+def public_names(tree: ast.Module) -> set[str]:
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_")}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def references(module: str | None, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) pairs that a file refers to.
+
+    ``module`` is the file's own module name, under which its bare names
+    count; a top-level definition's references to its own name do not.
+    """
+    refs = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                refs |= {(source, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                refs.add((node.value.id, node.attr))
+            elif (module and isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load) and node.id != own):
+                refs.add((module, node.id))
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    defined, refs = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined[path.stem] = public_names(tree)
+        refs |= references(path.stem, tree)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            refs |= references(None, ast.parse(path.read_text()))
+    assert all(name in defined[module] for module, name in VERIFICATION_API)
+    unused = sorted(f"{module}.{name}" for module, names in defined.items()
+                    for name in names
+                    if (module, name) not in refs | VERIFICATION_API)
+    assert unused == []

@@ -163,6 +163,25 @@ def test_exit_two_when_values_would_underflow(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,utility,y0", [
+    ("oracle-check", "logarithmic", "nan"),
+    ("solve-log", "logarithmic", "inf"),
+    ("simulate", "logarithmic", "nan"),
+    ("simulate", "power", "-5"),
+])
+def test_exit_two_on_bad_starting_wealth(tmp_path, capsys, command, utility, y0):
+    gamma = 0.0 if utility == "logarithmic" else 0.5
+    path = write_config(tmp_path, power_body(tmp_path, utility=utility,
+                                             gamma=gamma, s_grid_points=64))
+    argv = [command, str(path), "--y0", y0]
+    if command == "simulate":
+        argv += ["--paths", "16", "--max-steps", "10"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite y0" in err
+    assert "Traceback" not in err
+
+
 def test_exit_three_on_invariant_violation(tmp_path, monkeypatch):
     def boom(config, outdir, args):
         raise InvariantViolation("forced for the exit-code test")

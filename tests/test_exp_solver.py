@@ -7,14 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from divbands.errors import DepthTooSmall, NotABand, ValidationError, ValueUnderflow
+from divbands.errors import NotABand, ValueUnderflow
 from divbands.exp_solver import (
     BandFunction,
     ThetaSchedule,
     band_from_actions,
-    bellman_backup_exp,
     extract_bands,
-    h_lower,
     mgf_plus,
     required_cap,
     solve_exp,
@@ -53,7 +51,7 @@ def test_h_lower_matches_direct_product():
     while abs(theta) * TINY.beta**k > 1e-16:
         direct *= mgf_plus(TINY.dist, theta * TINY.beta**k)
         k += 1
-    iv = h_lower(sched, theta)
+    iv = sched.h_lo[0]
     assert iv.lo - 1e-12 <= direct <= iv.hi + 1e-12
 
 
@@ -86,7 +84,7 @@ def test_payout_pressure_dominates_barrier_bound():
 ])
 def test_envelope_bounds_every_entry(cfg):
     table, _ = solve_exp(cfg)
-    sched = table.schedule
+    sched = cfg.schedule
     xs = np.arange(cfg.x_max + 1)
     for n in range(cfg.depth + 1):
         decay = np.exp(sched.thetas[n] * xs)
@@ -99,7 +97,7 @@ def test_envelope_bounds_every_entry(cfg):
 
 def test_values_decay_by_at_most_e_theta_per_unit():
     table, _ = solve_exp(TINY)
-    sched = table.schedule
+    sched = TINY.schedule
     for n in range(TINY.depth + 1):
         fac = math.exp(sched.thetas[n])
         for x in range(1, TINY.x_max + 1):
@@ -130,7 +128,7 @@ def test_tail_bracket_contains_converged_value():
 
 def test_cap_extension_is_exact():
     table, policy = solve_exp(TINY)
-    theta0 = table.schedule.thetas[0]
+    theta0 = TINY.schedule.thetas[0]
     base = table.value_bracket(0, TINY.x_max)
     ext = table.value_bracket(0, TINY.x_max + 3)
     assert ext.lo == pytest.approx(math.exp(3 * theta0) * base.lo, rel=1e-14)
@@ -144,19 +142,6 @@ def test_ruin_row_is_one():
     assert np.all(table.lo[:, 0] == 1.0)
     assert np.all(table.hi[:, 0] == 1.0)
     assert table.value_bracket(2, -4) == (1.0, 1.0)
-
-
-def test_depth_gate():
-    shallow = make_config("exponential", two_point(0.6, 1), 0.9, -1.0, 44, 3)
-    with pytest.raises(DepthTooSmall):
-        solve_exp(shallow, max_width=1e-30)
-    solve_exp(shallow, max_width=1.0)  # generous gate passes
-
-
-def test_backup_rejects_bad_surplus():
-    row = np.ones(TINY.x_max + 2)
-    with pytest.raises(ValidationError):
-        bellman_backup_exp(TINY, -1.0, TINY.x_max + 1, row, row)
 
 
 def test_band_function_evaluates_cuts():

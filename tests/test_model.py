@@ -1,13 +1,13 @@
-"""Input validation, dynamics primitives, utility helpers."""
+"""Input validation and utility helpers."""
 
 import math
 
+import numpy as np
 import pytest
 
 from divbands.errors import (
     CapTooSmall,
     DomainError,
-    IllegalAction,
     NegativeMass,
     NoRuinRisk,
     NotNormalized,
@@ -16,10 +16,8 @@ from divbands.errors import (
 from divbands.model import (
     ProblemConfig,
     Utility,
-    action_set,
-    arrow_pratt,
     certainty_equivalent,
-    step,
+    check_y0,
     utility,
     validate_distribution,
 )
@@ -60,17 +58,6 @@ def test_distribution_moments():
     assert d.p_negative == pytest.approx(0.4)
     assert d.mean_positive == pytest.approx(0.6)
     assert d.mean == pytest.approx(0.6 - 0.8)
-
-
-def test_action_set_and_step():
-    assert list(action_set(3)) == [0, 1, 2, 3]
-    assert list(action_set(-2)) == [0]
-    assert step(3, 2, -1) == 0
-    assert step(-2, 0, 5) == -2  # absorbing
-    with pytest.raises(IllegalAction):
-        step(3, 4, 0)
-    with pytest.raises(IllegalAction):
-        step(-1, 1, 0)
 
 
 @pytest.mark.parametrize("kw,msg", [
@@ -121,6 +108,32 @@ def test_certainty_equivalent_inverts_utility(u, gamma, w):
     assert certainty_equivalent(u, gamma, utility(u, gamma, w)) == pytest.approx(w, rel=1e-12)
 
 
+def test_utility_is_vectorised():
+    w = np.array([0.0, 0.5, 2.0, 7.25])
+    for u, gamma in ((Utility.EXPONENTIAL, -0.7), (Utility.POWER, 0.4),
+                     (Utility.RISK_NEUTRAL, 0.0)):
+        assert utility(u, gamma, w).tolist() == [utility(u, gamma, v) for v in w]
+    assert utility(Utility.LOGARITHMIC, 0.0, w[1:]).tolist() == np.log(w[1:]).tolist()
+    with pytest.raises(DomainError):
+        utility(Utility.POWER, 0.5, np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        utility(Utility.LOGARITHMIC, 0.0, w)
+
+
+@pytest.mark.parametrize("u,good,bad", [
+    (Utility.LOGARITHMIC, (1e-300, 1.0), (0.0, -1.0)),
+    (Utility.POWER, (0.0, 3.0), (-5.0, -1e-300)),
+    (Utility.EXPONENTIAL, (-5.0, 0.0, 2.0), ()),
+    (Utility.RISK_NEUTRAL, (-5.0, 0.0, 2.0), ()),
+])
+def test_starting_wealth_check(u, good, bad):
+    for y0 in good:
+        check_y0(u, y0)
+    for y0 in bad + (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite y0"):
+            check_y0(u, y0)
+
+
 def test_utility_domain_errors():
     with pytest.raises(DomainError):
         utility(Utility.POWER, 0.5, -1.0)
@@ -128,13 +141,6 @@ def test_utility_domain_errors():
         utility(Utility.LOGARITHMIC, 0.0, 0.0)
     with pytest.raises(DomainError):
         certainty_equivalent(Utility.EXPONENTIAL, -1.0, 0.5)  # wrong sign
-
-
-def test_arrow_pratt():
-    assert arrow_pratt(Utility.EXPONENTIAL, -2.0, 10.0) == 2.0
-    assert arrow_pratt(Utility.POWER, 0.25, 3.0) == pytest.approx(0.25)
-    assert arrow_pratt(Utility.LOGARITHMIC, 0.0, 4.0) == 0.25
-    assert arrow_pratt(Utility.RISK_NEUTRAL, 0.0, 1.0) == 0.0
 
 
 def test_config_round_trip_through_helpers():

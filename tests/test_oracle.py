@@ -27,6 +27,11 @@ TINY_POWER = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3)
 # exact rational tree, longdouble leaves
 FROZEN_POWER_X1_H3 = 1.136905131730971
 
+# frozen from exact_optimal(cfg, x0=2, horizon=3, memoize=False) on
+# beta 0.5, {+1: 0.7, -1: 0.3}, x_max 4, gamma -1 (exp) and 0.5 (power)
+FROZEN_BY_HISTORY = {"exponential": (-1.0, 0.08916308667328926),
+                     "power": (0.5, 1.5688762966666814)}
+
 
 def test_probabilities_are_exact_rationals():
     cfg = make_config("exponential", {1: 0.1, 2: 0.2, -1: 0.7}, 0.5, -1.0, 3, 2)
@@ -85,6 +90,17 @@ def test_policy_value_brackets_optimum():
 def test_policy_value_of_optimal_tree_is_optimal():
     opt, tree = exact_optimal(TINY_POWER, 2, 3)
     assert exact_policy_value(TINY_POWER, tree, 2, 3) == pytest.approx(opt, rel=1e-15)
+
+
+@pytest.mark.parametrize("utility", sorted(FROZEN_BY_HISTORY))
+def test_by_history_tree_replays_its_optimum(utility):
+    # a memoize=False tree is called with the income history as well
+    gamma, frozen = FROZEN_BY_HISTORY[utility]
+    cfg = make_config(utility, {1: 0.7, -1: 0.3}, 0.5, gamma, 4, 3)
+    opt, tree = exact_optimal(cfg, 2, 3, memoize=False)
+    assert tree.by_history
+    assert exact_policy_value(cfg, tree, 2, 3) == opt
+    assert opt == pytest.approx(frozen, rel=1e-13)
 
 
 def test_policy_value_rejects_illegal_action():

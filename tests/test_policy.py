@@ -108,7 +108,8 @@ def test_negative_payout_level_has_no_action():
 
 def test_every_consumer_takes_the_solver_policy(policy):
     cfg = policy.config
-    result = simulate_paths(cfg, policy, cfg.x_max, 64, max_steps=50, seed=1)
+    result = simulate_paths(dataclasses.replace(cfg, seed=1), policy, cfg.x_max, 64,
+                            max_steps=50)
     assert result.n_paths == 64
     value = exact_policy_value(cfg, policy, cfg.x_max, 3)
     assert np.isfinite(value)
@@ -118,7 +119,7 @@ def test_exp_policy_is_priced_alike_by_oracle_and_howard():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
     _, policy = solve_exp(cfg)
     table = policy_value_exp(cfg, policy)
-    assert table.schedule is cfg.schedule  # built once, at validation
+    assert table.config is cfg  # its schedule is cfg.schedule, built at validation
     for x0 in range(cfg.x_max + 1):
         # the hi channel closes the tail with 1: the truncated expectation
         val = exact_policy_value(cfg, policy, x0, cfg.depth)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divbands.errors import BarrierViolation, DepthTooSmall, DomainError
-from divbands.model import Utility, validate_distribution
+from divbands.errors import BarrierViolation, DomainError
+from divbands.model import Utility, check_y0, validate_distribution
 from divbands.oracle import exact_optimal
 from divbands.power_solver import (
     SGrid,
@@ -147,8 +147,7 @@ def test_barrier_violation_detected():
     _, policy = solve_power(DYADIC)
     doctored = policy.action.copy()
     doctored[0, :, :] = 0  # "hold everything", far above the barrier bound
-    bad = type(policy)(config=policy.config, grid=policy.grid,
-                       utility=policy.utility, action=doctored)
+    bad = type(policy)(config=policy.config, grid=policy.grid, action=doctored)
     with pytest.raises(BarrierViolation):
         barrier_diagnostics(bad)
 
@@ -249,7 +248,7 @@ def test_log_certain_loss_closed_form():
     # 257 points put integer wealth levels exactly on the grid
     cfg = make_config("logarithmic", DOWN_ONE, 0.5, 0.0, 4, 3,
                       s_grid_points=257)
-    table, _ = solve_log(cfg, y0=1.0)
+    table, _ = solve_log(cfg)
     for x in range(5):
         lo, hi = table.headline(x, 1.0)
         assert hi - lo <= 1e-12
@@ -259,7 +258,7 @@ def test_log_certain_loss_closed_form():
 def test_log_matches_oracle():
     cfg = make_config("logarithmic", {1: 0.5, -1: 0.5}, 0.5, 0.0, 4, 3,
                       s_grid_points=256)
-    table, _ = solve_log(cfg, y0=1.0)
+    table, _ = solve_log(cfg)
     for x0 in (0, 2, 4):
         val, _ = exact_optimal(cfg, x0, cfg.depth + 1, y0=1.0)
         lo, hi = table.value_bracket(0, x0, 1.0)
@@ -269,7 +268,7 @@ def test_log_matches_oracle():
 def test_log_rejects_nonpositive_start():
     cfg = make_config("logarithmic", {1: 0.5, -1: 0.5}, 0.5, 0.0, 4, 3)
     with pytest.raises(DomainError):
-        solve_log(cfg, y0=0.0)
+        check_y0(cfg.utility, 0.0)
 
 
 def test_log_zero_wealth_column_is_quiet():
@@ -277,7 +276,7 @@ def test_log_zero_wealth_column_is_quiet():
                       s_grid_points=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        table, _ = solve_log(cfg, y0=1.0)
+        table, _ = solve_log(cfg)
     # zero cash and zero banked payout: ruin is reachable with log-wealth
     # -inf, so the true value (and both bracket ends) is -inf
     lo, hi = table.value_bracket(0, 0, 0.0)
@@ -292,7 +291,3 @@ def test_ruined_rows_carry_banked_wealth():
         lo, hi = table.value_bracket(1, -3, s)
         assert lo == hi == pytest.approx(math.sqrt(s), abs=1e-15)
 
-
-def test_depth_gate_power():
-    with pytest.raises(DepthTooSmall):
-        solve_power(DYADIC, max_width=1e-30)

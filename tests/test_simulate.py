@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, summary contract, brackets, ruin bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +59,9 @@ def test_summary_keys_and_none_ruin_time():
 
 def test_prefix_stable_within_batch():
     _, policy = solve_exp(TINY)
-    small = simulate_paths(TINY, policy, 2, 100, max_steps=200, seed=2)
-    large = simulate_paths(TINY, policy, 2, 1000, max_steps=200, seed=2)
+    cfg = replace(TINY, seed=2)
+    small = simulate_paths(cfg, policy, 2, 100, max_steps=200)
+    large = simulate_paths(cfg, policy, 2, 1000, max_steps=200)
     assert np.array_equal(small.discounted_sums, large.discounted_sums[:100])
     assert np.array_equal(small.ruin_times, large.ruin_times[:100])
     assert np.array_equal(small.truncated, large.truncated[:100])
@@ -67,32 +69,34 @@ def test_prefix_stable_within_batch():
 
 def test_prefix_stable_across_batches():
     _, policy = solve_exp(TINY)
-    one = simulate_paths(TINY, policy, 2, BATCH, max_steps=200, seed=2)
-    two = simulate_paths(TINY, policy, 2, BATCH + 7, max_steps=200, seed=2)
+    cfg = replace(TINY, seed=2)
+    one = simulate_paths(cfg, policy, 2, BATCH, max_steps=200)
+    two = simulate_paths(cfg, policy, 2, BATCH + 7, max_steps=200)
     assert np.array_equal(one.discounted_sums, two.discounted_sums[:BATCH])
     assert np.array_equal(one.ruin_times, two.ruin_times[:BATCH])
 
 
 def test_same_seed_same_result_other_seed_differs():
     _, policy = solve_exp(TINY)
-    a = simulate_paths(TINY, policy, 2, 500, max_steps=200, seed=0)
-    b = simulate_paths(TINY, policy, 2, 500, max_steps=200, seed=0)
-    c = simulate_paths(TINY, policy, 2, 500, max_steps=200, seed=1)
+    a = simulate_paths(TINY, policy, 2, 500, max_steps=200)
+    b = simulate_paths(TINY, policy, 2, 500, max_steps=200)
+    c = simulate_paths(replace(TINY, seed=1), policy, 2, 500, max_steps=200)
     assert np.array_equal(a.utilities, b.utilities)
     assert not np.array_equal(a.ruin_times, c.ruin_times)
 
 
 def test_stderr_scales_with_paths(claim):
     cfg, policy = claim
-    r1 = simulate_paths(cfg, policy, 2, 4000, max_steps=2000, seed=3)
-    r2 = simulate_paths(cfg, policy, 2, 16000, max_steps=2000, seed=3)
+    cfg = replace(cfg, seed=3)
+    r1 = simulate_paths(cfg, policy, 2, 4000, max_steps=2000)
+    r2 = simulate_paths(cfg, policy, 2, 16000, max_steps=2000)
     assert r1.std_err / r2.std_err == pytest.approx(2.0, rel=0.2)
 
 
 def test_exp_mean_within_solver_bracket(claim):
     cfg, policy = claim
     table, _ = solve_exp(cfg)
-    result = simulate_paths(cfg, policy, 2, 16000, max_steps=2000, seed=3)
+    result = simulate_paths(replace(cfg, seed=3), policy, 2, 16000, max_steps=2000)
     j_est = cfg.gamma * result.mean_utility
     slack = 4.0 * abs(cfg.gamma) * result.std_err
     assert table.lo[0, 3] - slack <= j_est <= table.hi[0, 3] + slack
@@ -102,7 +106,7 @@ def test_power_mean_within_solver_bracket():
     cfg = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3,
                       s_grid_points=256)
     table, policy = solve_power(cfg)
-    result = simulate_paths(cfg, policy, 4, 20000, max_steps=60, seed=7)
+    result = simulate_paths(replace(cfg, seed=7), policy, 4, 20000, max_steps=60)
     lo, hi = table.headline(4, 0.0)
     slack = 4.0 * result.std_err
     assert lo - slack <= result.mean_utility <= hi + slack
@@ -112,7 +116,7 @@ def test_power_mean_within_solver_bracket():
 def test_neutral_mean_matches_value_function():
     cfg = make_config("risk_neutral", two_point(0.6, 1), 0.9, 0.0, 54, 4)
     sol = solve_neutral(cfg)
-    result = simulate_paths(cfg, sol, 5, 20000, max_steps=3000, seed=11)
+    result = simulate_paths(replace(cfg, seed=11), sol, 5, 20000, max_steps=3000)
     slack = 4.0 * result.std_err
     assert sol.values[5] - cfg.tail_eps - slack <= result.mean_utility
     assert result.mean_utility <= sol.values[5] + slack
@@ -121,7 +125,7 @@ def test_neutral_mean_matches_value_function():
 def test_log_paths_need_positive_start():
     cfg = make_config("logarithmic", {1: 0.5, -1: 0.5}, 0.5, 0.0, 4, 3,
                       s_grid_points=64)
-    _, policy = solve_log(cfg, y0=1.0)
+    _, policy = solve_log(cfg)
     with pytest.raises(ValidationError):
         simulate_paths(cfg, policy, 2, 16, y0=0.0)
     result = simulate_paths(cfg, policy, 2, 256, max_steps=100, y0=1.0)
@@ -131,7 +135,7 @@ def test_log_paths_need_positive_start():
 def test_truncation_flagging():
     cfg = make_config("exponential", two_point(0.9, 1), 0.5, -1.0, 3, 3)
     hold = lambda t, x, s: 0
-    result = simulate_paths(cfg, hold, 0, 2000, max_steps=1, seed=4)
+    result = simulate_paths(replace(cfg, seed=4), hold, 0, 2000, max_steps=1)
     s = result.summary()
     assert result.ruin_times.max() <= 1
     assert s["mean_ruin_time"] == 1.0
@@ -149,7 +153,7 @@ def test_argument_validation():
 
 def test_ruin_certainty_check_passes(claim):
     cfg, policy = claim
-    frac = ruin_certainty_check(cfg, policy, 2, 4000, max_steps=2000, seed=5)
+    frac = ruin_certainty_check(replace(cfg, seed=5), policy, 2, 4000, max_steps=2000)
     assert frac == 1.0  # deterministic given the seed
 
 
@@ -162,7 +166,7 @@ def test_ruin_certainty_check_rejects_callables():
 def test_ruin_certainty_violation_raises(monkeypatch):
     _, policy = solve_exp(TINY)
     fake = SimulationResult(
-        config=TINY, x0=2, seed=0, max_steps=10, y0=0.0,
+        config=TINY, x0=2, max_steps=10, y0=0.0,
         discounted_sums=np.zeros(100), ruin_times=np.full(100, 10),
         truncated=np.ones(100, dtype=bool), utilities=np.full(100, -1.0))
     monkeypatch.setattr(divbands.simulate, "simulate_paths",
