@@ -349,6 +349,8 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
         if not 0 <= x0 <= config.x_max:
             raise ValidationError(f"--x0 must be in [0, {config.x_max}], got {x0}")
 
+    if args.y0 is not None and config.utility in (Utility.EXPONENTIAL, Utility.RISK_NEUTRAL):
+        raise ValidationError(f"--y0 does not apply to {config.utility.value} utility")
     checks = []
     if config.utility is Utility.EXPONENTIAL:
         # unit terminal makes the solver row 0 the exact horizon optimum
@@ -379,7 +381,9 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
             raise ValidationError(
                 f"--horizon must be >= 2 for this utility, got {horizon}")
         run = dataclasses.replace(config, depth=horizon - 1)
-        y0 = args.y0 if config.utility is Utility.LOGARITHMIC else 0.0
+        y0 = args.y0 if args.y0 is not None else \
+            (1.0 if config.utility is Utility.LOGARITHMIC else 0.0)
+        check_y0(config.utility, y0)
         table, _ = solve_log(run) if config.utility is Utility.LOGARITHMIC \
             else solve_power(run)
         for x0 in x0s:
@@ -464,8 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="single start surplus (default: all)")
             p.add_argument("--horizon", type=int, default=None,
                            help="oracle tree depth (default: config depth)")
-            p.add_argument("--y0", type=float, default=1.0,
-                           help="initial wealth for the log utility")
+            p.add_argument("--y0", type=float, default=None,
+                           help="initial wealth for power (default 0.0) and log (1.0)")
         if name == "simulate":
             p.add_argument("--x0", type=int, default=None,
                            help="start surplus (default: x_max)")

@@ -2,9 +2,12 @@
 
 Everything here is deliberately brute force: optimize over *history
 dependent* plans on the full outcome tree, with probabilities and
-accumulated discounted dividends kept as exact rationals and utilities
-taken in 80-bit floats only at the leaves.  Solver tolerances can then be
+accumulated discounted dividends s kept exact and utilities taken in
+80-bit floats only at the leaves.  Solver tolerances can then be
 attributed to tail closures and grids, never to the reference values.
+``Fraction(beta)`` is dyadic, p / 2^k, so a horizon-H tree carries s as
+the integer s * scale, scale = max(2^(k(H-1)), denominator of y0), and a
+leaf turns y0 + s into a long double by integer division alone.
 
 Conventions shared with the solvers:
 
@@ -36,15 +39,16 @@ MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
 _LD = np.longdouble
 
 
-def _ld(x: Fraction) -> np.longdouble:
-    """Fraction -> longdouble via a two-step split, ~1e-35 relative error.
+def _ld(n: int, d: int) -> np.longdouble:
+    """n / d -> longdouble via a two-step split, ~1e-35 relative error.
 
     Direct conversion of big integers would round through a 53-bit float;
     splitting off the nearest double first keeps full extended precision.
+    Integer true division rounds correctly, so neither step needs a Fraction.
     """
-    head = float(x)
-    rest = x - Fraction(head)
-    return _LD(head) + _LD(float(rest))
+    head = n / d
+    hn, hd = head.as_integer_ratio()
+    return _LD(head) + _LD((n * hd - hn * d) / (d * hd))
 
 
 def exact_probabilities(dist: IncomeDistribution) -> dict[int, Fraction]:
@@ -54,8 +58,8 @@ def exact_probabilities(dist: IncomeDistribution) -> dict[int, Fraction]:
     return {k: q / total for k, q in raw.items()}
 
 
-def _leaf(utility: Utility, gamma: float, wealth: Fraction) -> np.longdouble:
-    w = _ld(wealth)
+def _leaf(utility: Utility, gamma: float, wealth: int, scale: int) -> np.longdouble:
+    w = _ld(wealth, scale)
     if utility is Utility.EXPONENTIAL:
         return np.exp(_LD(gamma) * w)
     if utility is Utility.POWER:
@@ -72,7 +76,7 @@ class OracleTree:
     In the default memoized mode decisions are keyed by (depth, surplus,
     accumulated dividends); with ``memoize=False`` the key carries the
     full income history instead, so plans may differ across histories that
-    share a state.
+    share a state.  Keys hold the dividends s as the exact integer s * scale.
     """
 
     utility: Utility
@@ -82,6 +86,7 @@ class OracleTree:
     x0: int
     horizon: int
     probs: dict[int, Fraction]
+    scale: int
     decisions: dict = field(repr=False)
     value: float = 0.0
     by_history: bool = False
@@ -89,80 +94,107 @@ class OracleTree:
     def action(self, depth: int, x: int, s: Fraction,
                history: tuple[int, ...] = ()) -> int:
         """The recorded decision; ``history`` matters only with by_history."""
-        key = (depth, x, s, history) if self.by_history else (depth, x, s)
-        try:
+        paid = Fraction(s) * self.scale
+        n = paid.numerator
+        key = (depth, x, n, history) if self.by_history else (depth, x, n)
+        if paid.denominator == 1 and key in self.decisions:
             return self.decisions[key]
-        except KeyError:
-            raise UndefinedAction(f"no decision recorded at depth={depth}, "
-                                  f"x={x}, s={s}") from None
+        raise UndefinedAction(f"no decision recorded at depth={depth}, "
+                              f"x={x}, s={s}")
 
     __call__ = action  # the policy protocol, one state at a time
 
     def dump(self, max_depth: int | None = None) -> dict:
         """JSON-ready nested view of the decision tree, depth-limited."""
         limit = self.horizon if max_depth is None else min(max_depth, self.horizon)
+        base = int(self.y0 * self.scale)
 
-        def walk(depth: int, x: int, s: Fraction, history: tuple[int, ...]) -> dict:
+        def walk(depth: int, x: int, paid: int, history: tuple[int, ...]) -> dict:
+            s = Fraction(paid, self.scale)
             node: dict = {"depth": depth, "x": x, "s": str(s)}
             if x < 0 or depth >= self.horizon:
-                node["leaf"] = float(_leaf(self.utility, self.gamma, self.y0 + s))
+                node["leaf"] = float(_leaf(self.utility, self.gamma, base + paid,
+                                           self.scale))
                 return node
             a = self.action(depth, x, s, history)
             node["action"] = a
             if depth < limit:
-                s_next = s + self.beta ** depth * a
+                paid_next = paid + int(self.beta ** depth * self.scale) * a
                 node["children"] = {
-                    str(z): walk(depth + 1, x - a + z, s_next, history + (z,))
+                    str(z): walk(depth + 1, x - a + z, paid_next, history + (z,))
                     for z in sorted(self.probs)
                 }
             return node
 
-        return {"value": self.value, "root": walk(0, self.x0, Fraction(0), ())}
+        return {"value": self.value, "root": walk(0, self.x0, 0, ())}
 
 
-def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, actions,
+def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, policy,
           by_history: bool, node_guard: int) -> OracleTree:
-    """Backward induction over the outcome tree, trying ``actions`` per node.
+    """Backward induction over the outcome tree, carrying paid = s * scale.
 
-    ``actions(depth, x, s, history)`` gives the dividends to try at a
-    solvent node; the best expectation wins (minimized for exponential
-    objectives, maximized otherwise), ties going to the later, larger
-    action.  Nodes are memoized by (depth, x, s) unless ``by_history``
-    keys them by the income history as well.  Income terms accumulate in
-    ascending z.  Raises TooLarge past ``node_guard`` visits.
+    With ``policy`` None a solvent node tries every dividend 0..x and the
+    best expectation wins (minimized for exponential objectives, maximized
+    otherwise), ties going to the later, larger action; else it takes
+    policy(depth, x, s), with s the exact Fraction (and the income history
+    when ``by_history``).  Nodes are memoized by (depth, x, paid) unless
+    ``by_history`` keys them by the income history as well.  Income terms
+    accumulate in ascending z; the leaves below one action share their
+    payout and are evaluated once.  Raises TooLarge past ``node_guard``.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
     check_y0(config.utility, y0)
     utility, gamma = config.utility, config.gamma
     probs = exact_probabilities(config.dist)
-    terms = [(z, _ld(q)) for z, q in sorted(probs.items())]
-    beta = Fraction(config.beta)
-    y0_frac = Fraction(y0)
-    bpow = [beta ** k for k in range(horizon + 1)]
+    terms = [(z, _ld(q.numerator, q.denominator)) for z, q in sorted(probs.items())]
+    beta, y0_frac = Fraction(config.beta), Fraction(y0)
+    scale = max(beta.denominator ** max(horizon - 1, 0), y0_frac.denominator)
+    base = int(y0_frac * scale)
+    step = [beta.numerator ** d * scale // beta.denominator ** d
+            for d in range(horizon)]
     minimize = utility is Utility.EXPONENTIAL
     decisions: dict = {}
     memo: dict = {}
     visits = 0
 
-    def value(depth: int, x: int, s: Fraction, history: tuple[int, ...]
+    def value(depth: int, x: int, paid: int, history: tuple[int, ...]
               ) -> np.longdouble:
         nonlocal visits
         visits += 1
         if visits > node_guard:
             raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
         if x < 0 or depth == horizon:
-            return _leaf(utility, gamma, y0_frac + s)
-        key = (depth, x, s, history) if by_history else (depth, x, s)
+            return _leaf(utility, gamma, base + paid, scale)
+        key = (depth, x, paid, history) if by_history else (depth, x, paid)
         if not by_history and key in memo:
             return memo[key]
-        best = None
-        best_a = 0
-        for a in actions(depth, x, s, history):
-            s_next = s + bpow[depth] * a
+        if policy is None:
+            acts = range(x + 1)
+        else:
+            s = Fraction(paid, scale)
+            a = policy(depth, x, s, history) if by_history else policy(depth, x, s)
+            if not isinstance(a, (int, np.integer)) or a < 0 or a > x:
+                raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
+                                      f"is outside {{0..{x}}}")
+            acts = (int(a),)
+        last = depth + 1 == horizon
+        best, best_a = None, 0
+        for a in acts:
+            paid_next = paid + step[depth] * a
+            leaf = None
             acc = _LD(0.0)
             for z, q in terms:
-                acc += q * value(depth + 1, x - a + z, s_next, history + (z,))
+                x_next = x - a + z
+                if last or x_next < 0:  # a leaf child, inlined
+                    visits += 1
+                    if visits > node_guard:
+                        raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
+                    if leaf is None:
+                        leaf = _leaf(utility, gamma, base + paid_next, scale)
+                    acc += q * leaf
+                else:
+                    acc += q * value(depth + 1, x_next, paid_next, history + (z,))
             if best is None or acc == best or (acc < best if minimize else acc > best):
                 best = acc
                 best_a = a
@@ -171,10 +203,13 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, actions,
             memo[key] = best
         return best
 
-    val = value(0, x0, Fraction(0), ())
+    try:
+        val = value(0, x0, 0, ())
+    finally:
+        del value  # break the closure's self-reference, freeing memo now
     return OracleTree(utility=utility, gamma=gamma, beta=beta, y0=y0_frac,
-                      x0=x0, horizon=horizon, probs=probs, decisions=decisions,
-                      value=float(val), by_history=by_history)
+                      x0=x0, horizon=horizon, probs=probs, scale=scale,
+                      decisions=decisions, value=float(val), by_history=by_history)
 
 
 def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
@@ -186,8 +221,7 @@ def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
     objectives are minimized (J-convention), all others maximized.  Ties
     go to the largest action.  Raises TooLarge past ``node_guard`` visits.
     """
-    tree = _walk(config, x0, horizon, y0, lambda depth, x, s, history: range(x + 1),
-                 not memoize, node_guard)
+    tree = _walk(config, x0, horizon, y0, None, not memoize, node_guard)
     return tree.value, tree
 
 
@@ -205,16 +239,8 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
     """
     if not callable(policy):
         raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")
-    by_history = getattr(policy, "by_history", False)
-
-    def chosen(depth: int, x: int, s: Fraction, history: tuple[int, ...]):
-        a = policy(depth, x, s, history) if by_history else policy(depth, x, s)
-        if not isinstance(a, (int, np.integer)) or a < 0 or a > x:
-            raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
-                                  f"is outside {{0..{x}}}")
-        return (int(a),)
-
-    return _walk(config, x0, horizon, y0, chosen, by_history, node_guard).value
+    return _walk(config, x0, horizon, y0, policy, getattr(policy, "by_history", False),
+                 node_guard).value
 
 
 def markov_optimum(config: ProblemConfig, x0: int, horizon: int) -> float:
@@ -228,7 +254,7 @@ def markov_optimum(config: ProblemConfig, x0: int, horizon: int) -> float:
     if config.utility is not Utility.EXPONENTIAL:
         raise ValidationError("markov_optimum applies to the exponential case")
     probs = sorted(exact_probabilities(config.dist).items())
-    q_ld = [(z, _ld(q)) for z, q in probs]
+    q_ld = [(z, _ld(q.numerator, q.denominator)) for z, q in probs]
     gamma, beta = config.gamma, config.beta
 
     reachable: list[set[int]] = [{x0}]

@@ -7,6 +7,9 @@ no matter how many paths run, in how many batches, or on how many
 threads.  One uniform is drawn per path per step, ruined paths included
 (their draws are burned), keeping the stream layout independent of the
 ruin pattern; a batch stops early once every path in it is ruined.
+Only the live paths are stepped: each batch keeps their surplus and
+payout in compact arrays, in path order, and a path's outcome is written
+out the step it is ruined, when it leaves those arrays.
 
 A policy is any callable policy(t, x, s) -> actions, vectorized over
 the surplus x and the discounted payout s of the live paths; it is
@@ -80,21 +83,15 @@ class SimulationResult:
         }
 
 
-def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray,
-                  alive: np.ndarray) -> np.ndarray:
-    """One vectorized policy call on the live paths; 0 on ruined paths."""
-    a = np.zeros_like(x)
-    idx = np.nonzero(alive)[0]
-    if idx.size == 0:
-        return a
-    xa = x[idx]
-    acts = np.asarray(policy(t, xa, s[idx]))
+def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """One vectorized policy call on the live paths, checked against {0..x}."""
+    acts = np.asarray(policy(t, x, s))
     if not np.issubdtype(acts.dtype, np.integer):
         raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
-    a[idx] = acts
-    bad = (a[idx] < 0) | (a[idx] > xa)
-    if np.any(bad):
-        j = idx[np.nonzero(bad)[0][0]]
+    a = acts if acts.shape == x.shape else np.broadcast_to(acts, x.shape)
+    bad = (a < 0) | (a > x)
+    if bad.any():
+        j = np.nonzero(bad)[0][0]
         raise PolicyUndefined(
             f"action {a[j]} outside {{0..{x[j]}}} at step {t}, x={x[j]}")
     return a
@@ -119,38 +116,35 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     support = np.array(config.dist.support, dtype=np.int64)
     cum = np.cumsum(np.array(config.dist.probs))
 
-    sums = np.empty(n_paths)
-    times = np.empty(n_paths, dtype=np.int64)
-    trunc = np.empty(n_paths, dtype=bool)
+    # a path ruined from the start keeps sum 0, time 0 and no flag
+    sums = np.zeros(n_paths)
+    times = np.zeros(n_paths, dtype=np.int64)
+    trunc = np.zeros(n_paths, dtype=bool)
 
     base = np.random.Philox(key=config.seed)
+    buf = np.empty(BATCH)
     for b in range(0, n_paths, BATCH):
         rng = np.random.Generator(base.jumped(b // BATCH))
-        width = min(BATCH, n_paths - b)
-        x = np.full(width, x0, dtype=np.int64)
-        s = np.zeros(width)
-        ruined = x < 0
-        rtime = np.full(width, max_steps, dtype=np.int64)
-        rtime[ruined] = 0
+        live = np.arange(b, min(b + BATCH, n_paths) if x0 >= 0 else b)
+        x = np.full(live.size, x0, dtype=np.int64)
+        s = np.zeros(live.size)
         disc = 1.0
         for t in range(max_steps):
-            if ruined.all():
+            if live.size == 0:
                 break
-            alive = ~ruined
-            a = _step_actions(policy, t, x, s, alive)
-            s[alive] += disc * a[alive]
-            draws = rng.random(BATCH)[:width]
+            a = _step_actions(policy, t, x, s)
+            s = s + disc * a
+            draws = rng.random(out=buf)[live - b]
             z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
                                    len(support) - 1)]
-            x_next = x - a + z
-            now_ruined = alive & (x_next < 0)
-            rtime[now_ruined] = t + 1
-            x = np.where(alive, x_next, x)
-            ruined |= now_ruined
+            x = x - a + z
+            ruined = x < 0
+            if ruined.any():
+                sums[live[ruined]] = s[ruined]
+                times[live[ruined]] = t + 1
+                live, x, s = live[~ruined], x[~ruined], s[~ruined]
             disc *= beta
-        sums[b:b + width] = s
-        times[b:b + width] = rtime
-        trunc[b:b + width] = ~ruined
+        sums[live], times[live], trunc[live] = s, max_steps, True
 
     return SimulationResult(config=config, x0=x0, max_steps=max_steps, y0=y0,
                             discounted_sums=sums, ruin_times=times, truncated=trunc,

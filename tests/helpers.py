@@ -1,13 +1,17 @@
 """Shared instance builders for the test suite."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
-from divbands.errors import BarrierViolation, NotABand
+from divbands.errors import BarrierViolation, NotABand, PolicyUndefined
 from divbands.exp_solver import BandFunction, TIE_RTOL, required_cap, suggest_depth
-from divbands.model import ProblemConfig, Utility, tail_income, validate_distribution
+from divbands.model import (ProblemConfig, Utility, tail_income, utility,
+                            validate_distribution)
+from divbands.oracle import exact_probabilities
 from divbands.power_solver import TIE_TOL, SGrid, _cash, _eval_queries
+from divbands.simulate import BATCH
 
 # certain unit loss every period: ruin next step, every closed form is exact
 DOWN_ONE = {-1: 1.0}
@@ -207,3 +211,120 @@ def reference_power_backup(config: ProblemConfig):
         lo[d, 1:] = best_lo
         hi[d, 1:] = best_hi
     return lo, hi, action
+
+
+def reference_simulate(config: ProblemConfig, policy, x0: int, n_paths: int,
+                       max_steps: int, y0: float = 0.0):
+    """All-paths loop the live-path simulator replaced.
+
+    Every step steps the whole batch, ruined paths included, and masks
+    them out.  Returns (discounted sums, ruin times, truncation flags,
+    utilities), or raises the PolicyUndefined of the first offender.
+    """
+    beta = config.beta
+    support = np.array(config.dist.support, dtype=np.int64)
+    cum = np.cumsum(np.array(config.dist.probs))
+    sums = np.empty(n_paths)
+    times = np.empty(n_paths, dtype=np.int64)
+    trunc = np.empty(n_paths, dtype=bool)
+    base = np.random.Philox(key=config.seed)
+    for b in range(0, n_paths, BATCH):
+        rng = np.random.Generator(base.jumped(b // BATCH))
+        width = min(BATCH, n_paths - b)
+        x = np.full(width, x0, dtype=np.int64)
+        s = np.zeros(width)
+        ruined = x < 0
+        rtime = np.full(width, max_steps, dtype=np.int64)
+        rtime[ruined] = 0
+        disc = 1.0
+        for t in range(max_steps):
+            if ruined.all():
+                break
+            alive = ~ruined
+            a = np.zeros_like(x)
+            idx = np.nonzero(alive)[0]
+            acts = np.asarray(policy(t, x[idx], s[idx]))
+            if not np.issubdtype(acts.dtype, np.integer):
+                raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
+            a[idx] = acts
+            bad = (a[idx] < 0) | (a[idx] > x[idx])
+            if np.any(bad):
+                j = idx[np.nonzero(bad)[0][0]]
+                raise PolicyUndefined(
+                    f"action {a[j]} outside {{0..{x[j]}}} at step {t}, x={x[j]}")
+            s[alive] += disc * a[alive]
+            draws = rng.random(BATCH)[:width]
+            z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
+                                   len(support) - 1)]
+            x_next = x - a + z
+            now_ruined = alive & (x_next < 0)
+            rtime[now_ruined] = t + 1
+            x = np.where(alive, x_next, x)
+            ruined |= now_ruined
+            disc *= beta
+        sums[b:b + width] = s
+        times[b:b + width] = rtime
+        trunc[b:b + width] = ~ruined
+    return sums, times, trunc, utility(config.utility, config.gamma, y0 + sums)
+
+
+def _reference_ld(x: Fraction) -> np.longdouble:
+    head = float(x)
+    return np.longdouble(head) + np.longdouble(float(x - Fraction(head)))
+
+
+def reference_walk(config: ProblemConfig, x0: int, horizon: int, y0: float = 0.0,
+                   policy=None, by_history: bool = False):
+    """Exact-rational oracle walk the integer-payout walk replaced.
+
+    Carries the accumulated payout s as a Fraction and converts y0 + s at
+    every leaf.  ``policy`` None optimizes over every action (ties to the
+    largest); otherwise the walk prices policy(depth, x, s[, history]).
+    Returns (value, decisions keyed by (depth, x, s[, history]), visits).
+    """
+    ld = np.longdouble
+    terms = [(z, _reference_ld(q))
+             for z, q in sorted(exact_probabilities(config.dist).items())]
+    beta, y0_frac = Fraction(config.beta), Fraction(y0)
+    minimize = config.utility is Utility.EXPONENTIAL
+    decisions, memo = {}, {}
+    visits = 0
+
+    def leaf(s):
+        w = _reference_ld(y0_frac + s)
+        if config.utility is Utility.EXPONENTIAL:
+            return np.exp(ld(config.gamma) * w)
+        if config.utility is Utility.POWER:
+            return w ** ld(config.gamma) if w > 0 else ld(0.0)
+        if config.utility is Utility.LOGARITHMIC:
+            return np.log(w)
+        return w
+
+    def value(depth, x, s, history):
+        nonlocal visits
+        visits += 1
+        if x < 0 or depth == horizon:
+            return leaf(s)
+        key = (depth, x, s, history) if by_history else (depth, x, s)
+        if not by_history and key in memo:
+            return memo[key]
+        if policy is None:
+            acts = range(x + 1)
+        else:
+            acts = (int(policy(depth, x, s, history) if by_history
+                        else policy(depth, x, s)),)
+        best, best_a = None, 0
+        for a in acts:
+            s_next = s + beta ** depth * a
+            acc = ld(0.0)
+            for z, q in terms:
+                acc += q * value(depth + 1, x - a + z, s_next, history + (z,))
+            if best is None or acc == best or (acc < best if minimize else acc > best):
+                best, best_a = acc, a
+        decisions[key] = best_a
+        if not by_history:
+            memo[key] = best
+        return best
+
+    val = value(0, x0, Fraction(0), ())
+    return float(val), decisions, visits

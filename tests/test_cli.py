@@ -168,6 +168,8 @@ def test_exit_two_when_values_would_underflow(tmp_path, capsys):
     ("solve-log", "logarithmic", "inf"),
     ("simulate", "logarithmic", "nan"),
     ("simulate", "power", "-5"),
+    ("oracle-check", "power", "-5"),
+    ("oracle-check", "power", "nan"),
 ])
 def test_exit_two_on_bad_starting_wealth(tmp_path, capsys, command, utility, y0):
     gamma = 0.0 if utility == "logarithmic" else 0.5
@@ -266,6 +268,27 @@ def test_oracle_check_power_and_neutral(tmp_path):
     neutral = write_config(tmp_path, neutral_body(tmp_path), "neutral.yaml")
     assert cli.main(["oracle-check", str(neutral)]) == 0
     assert read_summary(tmp_path)["pass"] is True
+
+
+def test_oracle_check_power_uses_y0(tmp_path):
+    path = write_config(tmp_path, power_body(tmp_path))
+    assert cli.main(["oracle-check", str(path), "--x0", "2"]) == 0
+    without = read_summary(tmp_path)["checks"][0]
+    assert cli.main(["oracle-check", str(path), "--x0", "2", "--y0", "0.5"]) == 0
+    summary = read_summary(tmp_path)
+    assert summary["pass"] is True
+    # sqrt(0.5 + S) beats sqrt(S) on every path, on both sides of the check
+    assert summary["checks"][0]["oracle"] > without["oracle"]
+    assert summary["checks"][0]["solver_lo"] > without["solver_lo"]
+
+
+@pytest.mark.parametrize("body", [exp_body, neutral_body])
+def test_oracle_check_refuses_y0_without_wealth(tmp_path, capsys, body):
+    path = write_config(tmp_path, body(tmp_path))
+    assert cli.main(["oracle-check", str(path), "--y0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--y0" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_check_power_explicit_horizon(tmp_path):

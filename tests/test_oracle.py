@@ -5,7 +5,9 @@ internal consistency checks (history reduction, Markov separability), so
 the solver comparisons elsewhere rest on a verified reference.
 """
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,9 @@ from divbands.oracle import (
     exact_probabilities,
     markov_optimum,
 )
-from helpers import DOWN_ONE, make_config, two_point
+from divbands.power_solver import solve_power
+from helpers import (DOWN_ONE, make_config, reference_walk, sized_exp_config,
+                     two_point)
 
 TINY_EXP = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
 TINY_POWER = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3)
@@ -136,3 +140,69 @@ def test_two_point_family_monotone_in_horizon():
     # extra stages can only lower the minimized objective
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-15
+
+
+# (utility, gamma, y0) cases of the integer-payout walk's reference check
+WALK_CASES = [("exponential", -1.0, 0.0), ("power", 0.5, 0.0),
+              ("logarithmic", 0.0, 1.0), ("logarithmic", 0.0, 0.3),
+              ("risk_neutral", 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.95])
+@pytest.mark.parametrize("utility,gamma,y0", WALK_CASES)
+def test_walk_matches_fraction_reference(utility, gamma, y0, beta):
+    # x_max only has to pass validation; the trees never reach it
+    cfg = make_config(utility, {2: 0.2, 1: 0.4, -1: 0.4}, beta, gamma, 400, 3)
+    for horizon in range(5):
+        for memoize in (True, False):
+            x0 = 2 if memoize else 1
+            ref_val, ref_dec, visits = reference_walk(cfg, x0, horizon, y0,
+                                                      by_history=not memoize)
+            val, tree = exact_optimal(cfg, x0, horizon, y0=y0, memoize=memoize)
+            assert val == ref_val
+            assert len(tree.decisions) == len(ref_dec)
+            for key, a in ref_dec.items():
+                assert tree.action(*key) == a
+            exact_optimal(cfg, x0, horizon, y0=y0, memoize=memoize, node_guard=visits)
+            with pytest.raises(TooLarge):
+                exact_optimal(cfg, x0, horizon, y0=y0, memoize=memoize,
+                              node_guard=visits - 1)
+
+
+def test_policy_value_matches_fraction_reference():
+    _, policy = solve_power(TINY_POWER)
+    for x0 in range(4):
+        ref, _, _ = reference_walk(TINY_POWER, x0, 3, policy=policy)
+        assert exact_policy_value(TINY_POWER, policy, x0, 3) == ref
+    cfg = make_config("logarithmic", {1: 0.7, -1: 0.3}, 0.9, 0.0, 100, 3)
+    _, tree = exact_optimal(cfg, 2, 3, y0=0.3, memoize=False)
+    ref, _, _ = reference_walk(cfg, 2, 3, 0.3, policy=tree, by_history=True)
+    assert exact_policy_value(cfg, tree, 2, 3, y0=0.3) == ref == tree.value
+
+
+def test_tree_action_needs_a_reachable_exact_payout():
+    _, tree = exact_optimal(TINY_EXP, 2, 3)
+    assert tree.action(1, 1, Fraction(0)) == tree.action(1, 1, 0.0)
+    with pytest.raises(UndefinedAction):
+        tree.action(1, 1, Fraction(1, 3))  # not a multiple of 1 / scale
+
+
+def test_walk_frees_its_memo():
+    # the recursive closure refers to itself; with the cycle left in place
+    # the memo would stay alive until the cyclic collector next ran
+    cfg = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        # a traced first call fills the interpreter's free lists (tuples
+        # are kept, not freed), so the second call can reuse them
+        exact_optimal(cfg, 4, 5)
+        before = tracemalloc.get_traced_memory()[0]
+        _, tree = exact_optimal(cfg, 4, 5)
+        del tree
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 64 * 1024

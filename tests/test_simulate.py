@@ -1,10 +1,13 @@
 """Monte Carlo engine: determinism, summary contract, brackets, ruin bound."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divbands.simulate
 from divbands.errors import InvariantViolation, PolicyUndefined, ValidationError
@@ -16,7 +19,8 @@ from divbands.simulate import (
     ruin_certainty_check,
     simulate_paths,
 )
-from helpers import DOWN_ONE, make_config, sized_exp_config, two_point
+from helpers import (DOWN_ONE, make_config, reference_simulate, sized_exp_config,
+                     two_point)
 
 SUMMARY_KEYS = {"n_paths", "mean_utility", "std_err", "ruin_fraction",
                 "mean_ruin_time", "truncated_fraction"}
@@ -173,3 +177,48 @@ def test_ruin_certainty_violation_raises(monkeypatch):
                         lambda *a, **k: fake)
     with pytest.raises(InvariantViolation):
         ruin_certainty_check(TINY, policy, 2, 100, max_steps=10)
+
+
+@functools.cache
+def stepping_cases():
+    """(config, policy) per case of the live-path reference check."""
+    power = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3, s_grid_points=64)
+    return {
+        "exp": (TINY, solve_exp(TINY)[1]),
+        "power": (power, solve_power(power)[1]),  # depends on s
+        # one scalar for all live paths: the smallest live surplus
+        "scalar": (TINY, lambda t, x, s: int(x.min())),
+    }
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@example(case="exp", x0=0, n_paths=BATCH + 1, max_steps=2000, seed=0)
+@example(case="power", x0=4, n_paths=BATCH + 1, max_steps=3, seed=1)
+@example(case="scalar", x0=3, n_paths=300, max_steps=4, seed=2)
+@given(case=st.sampled_from(["exp", "power", "scalar"]), x0=st.integers(0, 5),
+       n_paths=st.sampled_from([1, 50, BATCH + 1]),
+       max_steps=st.sampled_from([1, 4, 200]), seed=st.integers(0, 3))
+def test_live_paths_match_all_paths_reference(case, x0, n_paths, max_steps, seed):
+    cfg, policy = stepping_cases()[case]
+    cfg = replace(cfg, seed=seed)
+    got = simulate_paths(cfg, policy, x0, n_paths, max_steps=max_steps)
+    want = reference_simulate(cfg, policy, x0, n_paths, max_steps)
+    for field, a, b in zip(("sums", "times", "flags", "utilities"),
+                           (got.discounted_sums, got.ruin_times, got.truncated,
+                            got.utilities), want):
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_out_of_range_action_names_the_first_offender():
+    # pay 1 at odd surplus until step 5, then pay more than the surplus by
+    # an amount set by the path's payouts so far: some paths are ruined by
+    # then, and the message names the first offending path
+    cfg = make_config("exponential", {1: 0.4, 2: 0.2, -1: 0.4}, 0.5, -1.0, 20, 3,
+                      seed=5)
+    bad = lambda t, x, s: np.where((t >= 5) & (x >= 3),
+                                   x + 1 + (s * 32).astype(np.int64), x % 2)
+    with pytest.raises(PolicyUndefined) as want:
+        reference_simulate(cfg, bad, 3, 500, 50)
+    with pytest.raises(PolicyUndefined) as got:
+        simulate_paths(cfg, bad, 3, 500, max_steps=50)
+    assert str(got.value) == str(want.value)
