@@ -202,7 +202,7 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     xs = _cells(np.arange(config.x_max + 1))
     _write_csv(outdir / "values.csv",
                ["n", "theta", "x", "j_lo", "j_hi", "action", "xi", "band_cuts"],
-               ((n, sched.thetas[n], xs, table.lo[n, 1:], table.hi[n, 1:],
+               ((n, sched.thetas[n], xs, table.lo[n], table.hi[n],
                  policy.action[n], policy.xi[n], cuts[n])
                 for n in range(config.depth)))
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
@@ -259,7 +259,7 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
     dxs = [(d, x) for d in range(config.depth) for x in range(config.x_max + 1)]
     _write_csv(outdir / "values.csv",
                ["d", "x", "s", "w_lo", "w_hi", "action", "xi_of_s"],
-               ((d, x, ss, table.lo[d, x + 1], table.hi[d, x + 1],
+               ((d, x, ss, table.lo[d, x], table.hi[d, x],
                  policy.action[d, x], xi[d]) for d, x in dxs))
     _write_csv(outdir / "policy.csv", ["d", "x", "s", "action"],
                ((d, x, ss, policy.action[d, x]) for d, x in dxs))
@@ -269,7 +269,7 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
     gamma = config.gamma
     values = []
     for x in range(config.x_max + 1):
-        lo, hi = table.headline(x, s0)
+        lo, hi = table.value_bracket(0, x, s0)
         values.append({"x": x, "j_hat_lo": lo, "j_hat_hi": hi,
                        "certainty_equivalent": certainty_equivalent(
                            config.utility, gamma, lo)})
@@ -288,9 +288,9 @@ def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
 
 
 def _cmd_solve_log(config: ProblemConfig, outdir: Path, args) -> int:
-    check_y0(config.utility, args.y0)
+    y0 = check_y0(config.utility, args.y0)
     table, policy = solve_log(config)
-    _power_outputs(config, outdir, table, policy, args.y0)
+    _power_outputs(config, outdir, table, policy, y0)
     return 0
 
 
@@ -381,14 +381,12 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
             raise ValidationError(
                 f"--horizon must be >= 2 for this utility, got {horizon}")
         run = dataclasses.replace(config, depth=horizon - 1)
-        y0 = args.y0 if args.y0 is not None else \
-            (1.0 if config.utility is Utility.LOGARITHMIC else 0.0)
-        check_y0(config.utility, y0)
+        y0 = check_y0(config.utility, args.y0)
         table, _ = solve_log(run) if config.utility is Utility.LOGARITHMIC \
             else solve_power(run)
         for x0 in x0s:
             val, _ = exact_optimal(run, x0, horizon, y0=y0)
-            lo, hi = table.headline(x0, y0)
+            lo, hi = table.value_bracket(0, x0, y0)
             gap = max(lo - val, val - hi, 0.0)
             checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
                            "solver_hi": hi, "gap": gap,
@@ -427,8 +425,7 @@ def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
         raise ValidationError(f"--paths must be positive, got {args.paths}")
     if args.max_steps < 1:
         raise ValidationError(f"--max-steps must be positive, got {args.max_steps}")
-    y0 = args.y0 if args.y0 is not None else \
-        (1.0 if config.utility is Utility.LOGARITHMIC else 0.0)
+    y0 = check_y0(config.utility, args.y0)  # reject a bad --y0 before solving
     policy = _solve_policy_for(config)
     result = simulate_paths(config, policy, x0, args.paths,
                             max_steps=args.max_steps, y0=y0)
@@ -461,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="reserved; accepted but has no effect")
         if name == "solve-log":
-            p.add_argument("--y0", type=float, default=1.0,
-                           help="initial wealth entering the logarithm")
+            p.add_argument("--y0", type=float, default=None,
+                           help="initial wealth entering the logarithm (default 1.0)")
         if name == "oracle-check":
             p.add_argument("--x0", type=int, default=None,
                            help="single start surplus (default: all)")

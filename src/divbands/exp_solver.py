@@ -68,10 +68,6 @@ class Interval(NamedTuple):
     lo: float
     hi: float
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def mgf_plus(dist: IncomeDistribution, t: float) -> float:
     """E exp(t * Z+) for t <= 0; always in (0, 1]."""
@@ -132,9 +128,10 @@ class ThetaSchedule:
     s_tilde_star: float
 
     @classmethod
-    def build(cls, dist: IncomeDistribution, beta: float, gamma: float,
-              depth: int, tail_eps: float) -> "ThetaSchedule":
-        n_depth = depth
+    def build(cls, config) -> "ThetaSchedule":
+        """Schedule of a ProblemConfig, or of any object with its fields."""
+        dist, beta, gamma = config.dist, config.beta, config.gamma
+        n_depth, tail_eps = config.depth, config.tail_eps
         thetas = [gamma]
         for _ in range(n_depth):
             thetas.append(thetas[-1] * beta)
@@ -208,15 +205,10 @@ class ThetaSchedule:
         """Smallest admissible x_max: ceil of the s* over-estimate."""
         return math.ceil(self.s_star - 1e-12)
 
-    @classmethod
-    def from_config(cls, config: ProblemConfig) -> "ThetaSchedule":
-        return cls.build(config.dist, config.beta, config.gamma,
-                         config.depth, config.tail_eps)
-
 
 def required_cap(config: ProblemConfig) -> int:
     """Smallest admissible x_max: ceil of the s* over-estimate."""
-    return ThetaSchedule.from_config(config).cap
+    return ThetaSchedule.build(config).cap
 
 
 def suggest_depth(config_like, x_max: int | None = None) -> int:
@@ -239,13 +231,13 @@ def _extended_next(row: np.ndarray, theta_next: float, x_max: int,
                    support_min: int, support_max: int) -> np.ndarray:
     """Next-depth values on x' in [support_min, x_max + support_max].
 
-    ``row`` is a table row of length x_max + 2 whose leading entry is the
-    ruined state.  Ruined states are worth exactly 1; states above the cap
-    are priced by the pay-down extension.
+    ``row`` is a table row indexed by surplus 0..x_max.  Ruined states
+    are worth exactly 1; states above the cap are priced by the pay-down
+    extension.
     """
-    over = [math.exp(theta_next * o) * row[x_max + 1]
+    over = [math.exp(theta_next * o) * row[x_max]
             for o in range(1, max(support_max, 0) + 1)]
-    return np.concatenate([np.ones(-min(support_min, -1)), row[1:], over])
+    return np.concatenate([np.ones(-min(support_min, -1)), row, over])
 
 
 def _g_rows(dist: IncomeDistribution, theta_next: float,
@@ -293,8 +285,8 @@ def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ExpValueTable:
     """Certified brackets lo <= J <= hi over (depth n, surplus x).
 
-    Arrays have shape (N+1, x_max+2); column 0 is the ruined row (worth
-    exactly 1), column x+1 holds surplus x.
+    Arrays have shape (N+1, x_max+1), indexed by surplus x.  A ruined
+    state is worth exactly 1 and is not stored.
     """
 
     config: ProblemConfig
@@ -307,13 +299,13 @@ class ExpValueTable:
             return Interval(1.0, 1.0)
         cap = self.config.x_max
         if x <= cap:
-            return Interval(float(self.lo[n, x + 1]), float(self.hi[n, x + 1]))
+            return Interval(float(self.lo[n, x]), float(self.hi[n, x]))
         fac = math.exp(self.config.schedule.thetas[n] * (x - cap))
-        return Interval(float(self.lo[n, cap + 1]) * fac,
-                        float(self.hi[n, cap + 1]) * fac)
+        return Interval(float(self.lo[n, cap]) * fac,
+                        float(self.hi[n, cap]) * fac)
 
     def widths(self, n: int = 0) -> np.ndarray:
-        return self.hi[n, 1:] - self.lo[n, 1:]
+        return self.hi[n] - self.lo[n]
 
 
 @dataclass(frozen=True)
@@ -356,12 +348,12 @@ def solve_exp(config: ProblemConfig, *, terminal: str = "tail"
     schedule = config.schedule  # validated at construction: x_max >= its cap
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
-    lo = np.ones((n_depth + 1, x_max + 2))
-    hi = np.ones((n_depth + 1, x_max + 2))
+    lo = np.ones((n_depth + 1, x_max + 1))
+    hi = np.ones((n_depth + 1, x_max + 1))
     if terminal == "tail":
         decay = np.exp(schedule.thetas[n_depth] * xs)
-        lo[n_depth, 1:] = decay * schedule.h_lo[n_depth].lo
-        hi[n_depth, 1:] = np.minimum(1.0, decay * schedule.h_up[n_depth].hi)
+        lo[n_depth] = decay * schedule.h_lo[n_depth].lo
+        hi[n_depth] = np.minimum(1.0, decay * schedule.h_up[n_depth].hi)
     action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
 
     for n in range(n_depth - 1, -1, -1):
@@ -372,8 +364,7 @@ def solve_exp(config: ProblemConfig, *, terminal: str = "tail"
             theta_next = 0.0
         g_lo, g_hi = _g_rows(config.dist, theta_next,
                              lo[n + 1], hi[n + 1], x_max)
-        lo[n, 1:], hi[n, 1:], action[n] = exp_backup(schedule.thetas[n],
-                                                     g_lo, g_hi)
+        lo[n], hi[n], action[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)
     return (ExpValueTable(config=config, lo=lo, hi=hi),
             ExpPolicy(config=config, action=action))
 

@@ -94,16 +94,16 @@ def policy_value_exp(config: ProblemConfig, f) -> ExpValueTable:
 
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
-    lo = np.ones((n_depth + 1, x_max + 2))
-    hi = np.ones((n_depth + 1, x_max + 2))
-    lo[n_depth, 1:] = np.exp(schedule.thetas[n_depth] * xs) * schedule.h_lo[n_depth].lo
+    lo = np.ones((n_depth + 1, x_max + 1))
+    hi = np.ones((n_depth + 1, x_max + 1))
+    lo[n_depth] = np.exp(schedule.thetas[n_depth] * xs) * schedule.h_lo[n_depth].lo
     for n in range(n_depth - 1, -1, -1):
         g_lo, g_hi = _g_rows(config.dist, schedule.thetas[n + 1],
                              lo[n + 1], hi[n + 1], x_max)
         acts = rule[n]
         pays = np.exp(schedule.thetas[n] * acts)
-        lo[n, 1:] = pays * g_lo[xs - acts]
-        hi[n, 1:] = pays * g_hi[xs - acts]
+        lo[n] = pays * g_lo[xs - acts]
+        hi[n] = pays * g_hi[xs - acts]
     return ExpValueTable(config=config, lo=lo, hi=hi)
 
 
@@ -139,7 +139,7 @@ class HowardIteration:
     """One evaluate/improve round: the rule used and its hi-channel values."""
 
     rule: np.ndarray
-    j_hi: np.ndarray  # (N+1, x_max+1), without the ruined column
+    j_hi: np.ndarray  # (N+1, x_max+1), the evaluated table's hi, by surplus
 
 
 @dataclass(frozen=True)
@@ -166,15 +166,14 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
     history: list[HowardIteration] = []
     for it in range(1, max_iterations + 1):
         table = policy_value_exp(config, rule)
-        history.append(HowardIteration(rule=rule.copy(), j_hi=table.hi[:, 1:].copy()))
+        history.append(HowardIteration(rule=rule, j_hi=table.hi))
         if prev_hi is not None:
-            slack = table.hi[:, 1:] - table.lo[:, 1:]
-            worst = float(np.max(table.hi[:, 1:] - prev_hi - slack))
+            worst = float(np.max(table.hi - prev_hi - (table.hi - table.lo)))
             if worst > 1e-12:
                 raise ValidationError(
                     f"policy iteration increased a value by {worst:.3e}")
-            gap = float(np.max(np.abs(table.hi[:, 1:] - prev_hi)))
-        prev_hi = table.hi[:, 1:].copy()
+            gap = float(np.max(np.abs(table.hi - prev_hi)))
+        prev_hi = table.hi
         improved = improve(config, table)
         if np.array_equal(improved, rule):
             return HowardResult(table=table,

@@ -193,7 +193,7 @@ class ProblemConfig:
         # imported lazily: the solvers import this module at load time
         from .exp_solver import ThetaSchedule
 
-        return ThetaSchedule.from_config(self)
+        return ThetaSchedule.build(self)
 
     def _check_cap(self):
         if self.utility is Utility.EXPONENTIAL:
@@ -249,12 +249,16 @@ def utility(u: Utility, gamma: float, w):
     return w
 
 
-def check_y0(u: Utility, y0: float) -> None:
-    """Reject a starting wealth outside the utility's domain (DomainError).
+def check_y0(u: Utility, y0: float | None = None) -> float:
+    """The starting wealth to use: y0 if it is in the utility's domain.
 
+    None means the default, 1.0 for logarithmic utility and 0.0 otherwise.
     y0 must be finite, and also > 0 for logarithmic and >= 0 for power
     utility; exponential and risk-neutral utilities take any finite y0.
+    Anything else raises DomainError.
     """
+    if y0 is None:
+        return 1.0 if u is Utility.LOGARITHMIC else 0.0
     if u is Utility.LOGARITHMIC:
         ok, need = y0 > 0, " > 0"
     elif u is Utility.POWER:
@@ -263,6 +267,7 @@ def check_y0(u: Utility, y0: float) -> None:
         ok, need = True, ""
     if not (ok and math.isfinite(y0)):
         raise DomainError(f"{u.value} utility needs a finite y0{need}, got {y0}")
+    return y0
 
 
 def certainty_equivalent(u: Utility, gamma: float, expected_utility: float) -> float:

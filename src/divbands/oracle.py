@@ -16,7 +16,7 @@ Conventions shared with the solvers:
 * exponential values are reported as E exp(gamma * S) (minimized), the
   multiplicative factor without the 1/gamma scaling;
 * power / log / risk-neutral values are the maximized expected utility of
-  y0 + sum beta^k a_k, with y0 = 0 unless given.
+  y0 + sum beta^k a_k, y0 defaulting as in ``model.check_y0``.
 
 A horizon-H tree takes actions at steps 0..H-1 and stops afterwards, so
 it prices the truncated problem in which payouts simply cease at H.
@@ -129,7 +129,7 @@ class OracleTree:
         return {"value": self.value, "root": walk(0, self.x0, 0, ())}
 
 
-def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, policy,
+def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy,
           by_history: bool, node_guard: int) -> OracleTree:
     """Backward induction over the outcome tree, carrying paid = s * scale.
 
@@ -144,7 +144,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, policy,
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    check_y0(config.utility, y0)
+    y0 = check_y0(config.utility, y0)
     utility, gamma = config.utility, config.gamma
     probs = exact_probabilities(config.dist)
     terms = [(z, _ld(q.numerator, q.denominator)) for z, q in sorted(probs.items())]
@@ -213,7 +213,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float, policy,
 
 
 def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
-                  y0: float = 0.0, memoize: bool = True,
+                  y0: float | None = None, memoize: bool = True,
                   node_guard: int = NODE_GUARD) -> tuple[float, OracleTree]:
     """Optimum over history-dependent plans on the full outcome tree.
 
@@ -226,7 +226,7 @@ def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
 
 
 def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
-                       *, y0: float = 0.0,
+                       *, y0: float | None = None,
                        node_guard: int = NODE_GUARD) -> float:
     """Exact expectation of the objective under a fixed policy.
 

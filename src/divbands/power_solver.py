@@ -187,8 +187,8 @@ def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
 class PowerValueTable:
     """Brackets of W_d(x, s) over (depth, surplus, gridpoint).
 
-    Arrays have shape (N+1, x_max+2, M); row index x+1, row 0 holds the
-    ruined state, whose value is cash(s) exactly at every depth.
+    Arrays have shape (N+1, x_max+1, M), indexed by surplus x.  A ruined
+    state is worth cash(s) exactly at every depth and is not stored.
     """
 
     config: ProblemConfig
@@ -209,17 +209,10 @@ class PowerValueTable:
         if x < 0:
             v = float(cash(q)[0])
             return v, v
-        lo, hi = _eval_queries(self.grid.points, self.lo[d, x + 1],
-                               self.hi[d, x + 1], q, x, beta ** d,
+        lo, hi = _eval_queries(self.grid.points, self.lo[d, x], self.hi[d, x],
+                               q, x, beta ** d,
                                tail_income(self.config.dist, beta), cash)
         return float(lo[0]), float(hi[0])
-
-    def headline(self, x: int, s0: float = 0.0) -> tuple[float, float]:
-        """Depth-0 value bracket at initial payout level s0."""
-        return self.value_bracket(0, x, s0)
-
-    def widths(self, d: int = 0) -> np.ndarray:
-        return self.hi[d, 1:] - self.lo[d, 1:]
 
 
 @dataclass(frozen=True)
@@ -260,27 +253,24 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     overflow = np.arange(1, max(dist.support_max, 0) + 1)[:, None]
     n_ruin = -min(dist.support_min, -1)  # next-step rows x' < 0
 
-    lo = np.empty((n_depth + 1, x_max + 2, m))
-    hi = np.empty((n_depth + 1, x_max + 2, m))
-    lo[:, 0] = hi[:, 0] = cash(pts)
+    lo = np.full((n_depth + 1, x_max + 1, m), -np.inf)
+    hi = np.full((n_depth + 1, x_max + 1, m), -np.inf)
     b_last = beta ** n_depth
-    lo[n_depth, 1:] = cash(pts + b_last * xs)
-    hi[n_depth, 1:] = cash(pts + b_last * (xs + c_tail))
-    lo[:n_depth, 1:] = -np.inf
-    hi[:n_depth, 1:] = -np.inf
+    lo[n_depth] = cash(pts + b_last * xs)
+    hi[n_depth] = cash(pts + b_last * (xs + c_tail))
     action = np.zeros((n_depth, x_max + 1, m), dtype=np.int64)
 
     for d in range(n_depth - 1, -1, -1):
         bd, bnext = beta ** d, beta ** (d + 1)
         next_lo, next_hi = lo[d + 1], hi[d + 1]
-        best_lo, best_hi, act = lo[d, 1:], hi[d, 1:], action[d]
+        best_lo, best_hi, act = lo[d], hi[d], action[d]
         for a in range(x_max + 1):
             q = pts + bd * a
             ruin = np.broadcast_to(cash(q), (n_ruin, m))
-            rows_lo, rows_hi = _eval_queries(pts, next_lo[1:], next_hi[1:], q,
+            rows_lo, rows_hi = _eval_queries(pts, next_lo, next_hi, q,
                                              xs, bnext, c_tail, cash)
             # overflow: pay o now at next-step rate
-            over_lo, over_hi = _eval_queries(pts, next_lo[x_max + 1], next_hi[x_max + 1],
+            over_lo, over_hi = _eval_queries(pts, next_lo[x_max], next_hi[x_max],
                                              q + bnext * overflow, x_max, bnext,
                                              c_tail, cash)
             n_u = x_max + 1 - a
@@ -305,7 +295,7 @@ def solve_log(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     """Same recursion with log wealth; headline is W_0(x, y0), y0 > 0.
 
     The table does not depend on y0, which enters as the depth-0 payout
-    level of ``headline``; the value of zero wealth is -inf, so a finite
+    level of ``value_bracket``; the value of zero wealth is -inf, so a finite
     answer needs a positive starting wealth (``model.check_y0``).
     """
     if config.utility is not Utility.LOGARITHMIC:

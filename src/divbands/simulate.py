@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolicyUndefined, InvariantViolation, ValidationError
-from .model import ProblemConfig, Utility, check_y0, utility
+from .model import ProblemConfig, check_y0, utility
 
 BATCH = 1 << 14  # paths per Philox substream
 
@@ -98,12 +98,13 @@ def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
-                   max_steps: int = 10_000, y0: float = 0.0) -> SimulationResult:
+                   max_steps: int = 10_000, y0: float | None = None) -> SimulationResult:
     """Simulate the surplus process under a policy; reproducible per seed.
 
     Returns per-path discounted payout sums, ruin times (capped at
     max_steps, with surviving paths flagged truncated) and utilities of
-    y0 plus the payout sum.  The stream is keyed by ``config.seed``.
+    y0 plus the payout sum (default y0: ``model.check_y0``).  The stream
+    is keyed by ``config.seed``.
     """
     if not callable(policy):
         raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
@@ -111,7 +112,7 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
         raise ValidationError(f"n_paths must be positive, got {n_paths}")
     if max_steps < 1:
         raise ValidationError(f"max_steps must be positive, got {max_steps}")
-    check_y0(config.utility, y0)
+    y0 = check_y0(config.utility, y0)
     beta = config.beta
     support = np.array(config.dist.support, dtype=np.int64)
     cum = np.cumsum(np.array(config.dist.probs))
@@ -178,8 +179,7 @@ def ruin_certainty_check(config: ProblemConfig, policy, x0: int,
     simulated fraction reaches that bound minus five standard errors and
     returns the fraction.
     """
-    result = simulate_paths(config, policy, x0, n_paths, max_steps=max_steps,
-                            y0=1.0 if config.utility is Utility.LOGARITHMIC else 0.0)
+    result = simulate_paths(config, policy, x0, n_paths, max_steps=max_steps)
     frac = result.ruin_fraction
     xi_star = _max_retained(policy)
     p_neg = config.dist.p_negative

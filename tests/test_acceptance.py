@@ -133,10 +133,10 @@ def test_a01_exp_depth0_matches_brute_force(exp_batch):
         for x0 in range(cfg.x_max + 1):
             val, _ = exact_optimal(cfg, x0, cfg.depth)
             worst_unit = max(worst_unit,
-                             abs(float(unit_table.lo[0, x0 + 1]) - val))
-            r = float(ref.lo[0, x0 + 1])
-            worst_ref = max(worst_ref, float(table.lo[0, x0 + 1]) - r,
-                            r - float(table.hi[0, x0 + 1]), 0.0)
+                             abs(float(unit_table.lo[0, x0]) - val))
+            r = float(ref.lo[0, x0])
+            worst_ref = max(worst_ref, float(table.lo[0, x0]) - r,
+                            r - float(table.hi[0, x0]), 0.0)
     elapsed = build_s + time.perf_counter() - t0
     assert worst_unit <= 1e-10
     assert worst_ref <= 1e-9
@@ -156,7 +156,7 @@ def test_a02_power_depth0_matches_brute_force(power_batch):
         assert cfg.gamma in (0.3, 0.7)
         for x0 in range(cfg.x_max + 1):
             val, _ = exact_optimal(cfg, x0, cfg.depth + 1)
-            lo, hi = table.headline(x0)
+            lo, hi = table.value_bracket(0, x0, 0.0)
             worst = max(worst, lo - val, val - hi, 0.0)
     elapsed = build_s + time.perf_counter() - t0
     assert worst <= 1e-6
@@ -178,8 +178,8 @@ def test_a03_certain_loss_closed_forms():
     sched = cfg.schedule
     xs = np.arange(cfg.x_max + 1)
     closed = np.exp(cfg.gamma * xs)
-    assert float(np.max(np.abs(table.lo[0, 1:] - closed))) <= 1e-12
-    assert float(np.max(np.abs(table.hi[0, 1:] - closed))) <= 1e-12
+    assert float(np.max(np.abs(table.lo[0] - closed))) <= 1e-12
+    assert float(np.max(np.abs(table.hi[0] - closed))) <= 1e-12
     assert float(np.max(table.widths(0))) <= cfg.tail_eps
     assert all(h.lo == 1.0 and h.hi == 1.0 for h in sched.h_lo)
     assert all(h.lo == 1.0 and h.hi == 1.0 for h in sched.h_up)
@@ -191,7 +191,7 @@ def test_a03_certain_loss_closed_forms():
     pcfg = make_config("power", DOWN_ONE, 0.9, 0.5, 6, 8, s_grid_points=257)
     ptable, ppolicy = solve_power(pcfg)
     for x in range(pcfg.x_max + 1):
-        lo, hi = ptable.headline(x)
+        lo, hi = ptable.value_bracket(0, x, 0.0)
         want = math.sqrt(x)
         assert lo - 1e-12 <= want <= hi + 1e-12
         assert hi - lo <= pcfg.tail_eps
@@ -219,17 +219,17 @@ def test_a04_exp_structure_laws(claim_batch):
             th = sched.thetas[n]
             env_lo = np.exp(th * xs) * sched.h_lo[n].lo
             env_hi = np.minimum(1.0, np.exp(th * xs) * sched.h_up[n].hi)
-            if np.any(table.lo[n, 1:] < env_lo - 1e-12):
+            if np.any(table.lo[n] < env_lo - 1e-12):
                 viol["envelope"] += 1
-            if np.any(table.hi[n, 1:] > env_hi + 1e-12):
+            if np.any(table.hi[n] > env_hi + 1e-12):
                 viol["envelope"] += 1
-            w = table.hi[n, 1:] - table.lo[n, 1:]
+            w = table.hi[n] - table.lo[n]
             fac = math.exp(th)
             for x in range(1, xm + 1):
                 tol = w[x] + w[x - 1] + 1e-12
-                if table.lo[n, x + 1] > fac * table.lo[n, x] + tol:
+                if table.lo[n, x] > fac * table.lo[n, x - 1] + tol:
                     viol["decay"] += 1
-                if table.hi[n, x + 1] > fac * table.hi[n, x] + tol:
+                if table.hi[n, x] > fac * table.hi[n, x - 1] + tol:
                     viol["decay"] += 1
         for n in range(cfg.depth):
             acts = policy.action[n]
@@ -273,13 +273,13 @@ def test_a06_policy_iteration_agrees(claim_batch):
         total_iters += conv.iterations
         assert np.array_equal(conv.policy.action, policy.action)
         assert np.array_equal(conv.policy.xi, policy.xi)
-        slack = (table.hi[0, 1:] - table.lo[0, 1:]
-                 + conv.table.hi[0, 1:] - conv.table.lo[0, 1:] + 1e-12)
-        assert np.all(np.abs(conv.table.hi[0, 1:] - table.hi[0, 1:]) <= slack)
-        assert np.all(np.abs(conv.table.lo[0, 1:] - table.lo[0, 1:]) <= slack)
+        slack = (table.hi[0] - table.lo[0]
+                 + conv.table.hi[0] - conv.table.lo[0] + 1e-12)
+        assert np.all(np.abs(conv.table.hi[0] - table.hi[0]) <= slack)
+        assert np.all(np.abs(conv.table.lo[0] - table.lo[0]) <= slack)
         for k in range(len(conv.history) - 1):
             nxt = policy_value_exp(cfg, conv.history[k + 1].rule)
-            width = nxt.hi[:, 1:] - nxt.lo[:, 1:]
+            width = nxt.hi - nxt.lo
             assert np.all(conv.history[k + 1].j_hi
                           <= conv.history[k].j_hi + width + 1e-12)
     print(f"A06 PASS policy iteration matches induction on "
@@ -308,9 +308,9 @@ def test_a07_power_structure_laws(power_batch):
             for x in range(cfg.x_max + 1):
                 low_env = np.power(pts + bd * x, gamma)
                 up_env = np.power(pts + bd * (x + c_tail), gamma)
-                if np.any(table.lo[d, x + 1] < low_env - 1e-12):
+                if np.any(table.lo[d, x] < low_env - 1e-12):
                     env_viol += 1
-                if np.any(table.hi[d, x + 1] > up_env + 1e-12):
+                if np.any(table.hi[d, x] > up_env + 1e-12):
                     env_viol += 1
         for d in range(cfg.depth):
             bd = beta ** d

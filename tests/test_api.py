@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every name the benchmark's span recorder wraps still exists.
 
 A public top-level function or class of a ``divbands`` module, or an
 ``__all__`` entry, counts as used when code in ``src/`` or ``perfbench/``
@@ -9,6 +10,8 @@ any other name that only tests reach is dead API and should be deleted.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +70,21 @@ def test_every_public_name_has_a_caller():
                     for name in names
                     if (module, name) not in refs | VERIFICATION_API)
     assert unused == []
+
+
+def test_every_span_target_exists(monkeypatch):
+    # a renamed target would silently read 0 in its per-layer metrics
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    rec = spans.Recorder()
+    try:
+        rec.install()
+        assert rec.absent == []
+        assert len(rec._patches) == len(spans.TARGETS)
+    finally:
+        rec.restore()
+    assert rec._patches == []

@@ -38,13 +38,13 @@ def test_mgf_plus_hand_value():
 
 
 def test_schedule_is_geometric():
-    sched = ThetaSchedule.from_config(TINY)
+    sched = ThetaSchedule.build(TINY)
     for n, th in enumerate(sched.thetas):
         assert th == pytest.approx(TINY.gamma * TINY.beta**n, rel=1e-14)
 
 
 def test_h_lower_matches_direct_product():
-    sched = ThetaSchedule.from_config(TINY)
+    sched = ThetaSchedule.build(TINY)
     theta = sched.thetas[0]
     direct = 1.0
     k = 1
@@ -56,7 +56,7 @@ def test_h_lower_matches_direct_product():
 
 
 def test_h_envelopes_ordered_and_bounded():
-    sched = ThetaSchedule.from_config(TINY)
+    sched = ThetaSchedule.build(TINY)
     for lo_iv, up_iv in zip(sched.h_lo, sched.h_up):
         assert 0.0 < lo_iv.lo <= lo_iv.hi <= up_iv.hi + 1e-15
         assert up_iv.hi <= 1.0 + 1e-15
@@ -64,7 +64,7 @@ def test_h_envelopes_ordered_and_bounded():
 
 def test_certain_loss_degenerates():
     cfg = make_config("exponential", DOWN_ONE, 0.5, -1.0, 3, 4)
-    sched = ThetaSchedule.from_config(cfg)
+    sched = ThetaSchedule.build(cfg)
     for iv in sched.h_lo + sched.h_up:
         assert iv.lo == 1.0 and iv.hi == 1.0
     assert sched.s_star == 0.0
@@ -73,7 +73,7 @@ def test_certain_loss_degenerates():
 
 
 def test_payout_pressure_dominates_barrier_bound():
-    sched = ThetaSchedule.from_config(BANDY)
+    sched = ThetaSchedule.build(BANDY)
     assert np.all(np.asarray(sched.s_tilde) >= np.asarray(sched.s_hi) - 1e-12)
     assert sched.s_star <= sched.s_tilde_star + 1e-12
 
@@ -90,9 +90,9 @@ def test_envelope_bounds_every_entry(cfg):
         decay = np.exp(sched.thetas[n] * xs)
         floor = decay * sched.h_lo[n].lo
         ceil = decay * sched.h_up[n].hi
-        assert np.all(table.lo[n, 1:] >= floor - 1e-12)
-        assert np.all(table.hi[n, 1:] <= np.minimum(1.0, ceil) + 1e-12)
-        assert np.all(table.lo[n, 1:] <= table.hi[n, 1:] + 1e-15)
+        assert np.all(table.lo[n] >= floor - 1e-12)
+        assert np.all(table.hi[n] <= np.minimum(1.0, ceil) + 1e-12)
+        assert np.all(table.lo[n] <= table.hi[n] + 1e-15)
 
 
 def test_values_decay_by_at_most_e_theta_per_unit():
@@ -101,11 +101,11 @@ def test_values_decay_by_at_most_e_theta_per_unit():
     for n in range(TINY.depth + 1):
         fac = math.exp(sched.thetas[n])
         for x in range(1, TINY.x_max + 1):
-            w = table.hi[n, x + 1] - table.lo[n, x + 1]
-            w_prev = table.hi[n, x] - table.lo[n, x]
+            w = table.hi[n, x] - table.lo[n, x]
+            w_prev = table.hi[n, x - 1] - table.lo[n, x - 1]
             tol = w + w_prev + 1e-12
-            assert table.hi[n, x + 1] <= fac * table.hi[n, x] + tol
-            assert table.lo[n, x + 1] <= fac * table.lo[n, x] + tol
+            assert table.hi[n, x] <= fac * table.hi[n, x - 1] + tol
+            assert table.lo[n, x] <= fac * table.lo[n, x - 1] + tol
 
 
 def test_unit_terminal_equals_oracle():
@@ -123,7 +123,7 @@ def test_tail_bracket_contains_converged_value():
     table, _ = solve_exp(TINY)  # depth 4 tail closure
     for x0 in range(TINY.x_max + 1):
         lo, hi = table.value_bracket(0, x0)
-        assert lo - 1e-12 <= ref.lo[0, x0 + 1] <= hi + 1e-12
+        assert lo - 1e-12 <= ref.lo[0, x0] <= hi + 1e-12
 
 
 def test_cap_extension_is_exact():
@@ -139,8 +139,6 @@ def test_cap_extension_is_exact():
 
 def test_ruin_row_is_one():
     table, _ = solve_exp(TINY)
-    assert np.all(table.lo[:, 0] == 1.0)
-    assert np.all(table.hi[:, 0] == 1.0)
     assert table.value_bracket(2, -4) == (1.0, 1.0)
 
 

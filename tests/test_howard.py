@@ -32,8 +32,8 @@ def test_matches_value_iteration(converged):
     assert np.array_equal(converged.policy.xi, vi_policy.xi)
     # both brackets contain the same optimal values, so they overlap and
     # their hi channels differ by at most the two widths combined
-    h_lo, h_hi = converged.table.lo[:, 1:], converged.table.hi[:, 1:]
-    v_lo, v_hi = vi_table.lo[:, 1:], vi_table.hi[:, 1:]
+    h_lo, h_hi = converged.table.lo, converged.table.hi
+    v_lo, v_hi = vi_table.lo, vi_table.hi
     assert np.all(h_lo <= v_hi + 1e-12)
     assert np.all(v_lo <= h_hi + 1e-12)
     combined = (h_hi - h_lo) + (v_hi - v_lo)
@@ -104,8 +104,8 @@ def test_pay_all_bracket_contains_truncated_expectation():
         val = exact_policy_value(cfg, lambda n, x, s: x, x0, cfg.depth)
         # hi closes the tail with 1, which makes it exactly the truncated
         # expectation; lo bounds the infinite-horizon value from below
-        assert abs(val - table.hi[0, x0 + 1]) <= 1e-12
-        assert table.lo[0, x0 + 1] - 1e-12 <= val <= 1.0
+        assert abs(val - table.hi[0, x0]) <= 1e-12
+        assert table.lo[0, x0] - 1e-12 <= val <= 1.0
 
 
 def test_iteration_cap_raises():

@@ -10,8 +10,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from divbands import oracle
 from divbands.errors import TooLarge, UndefinedAction
 from divbands.model import Utility
 from divbands.oracle import (
@@ -206,3 +208,15 @@ def test_walk_frees_its_memo():
         tracemalloc.stop()
         gc.enable()
     assert held < 64 * 1024
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+@pytest.mark.parametrize("utility,gamma", [("exponential", -1.0), ("power", 0.5)])
+def test_exact_ties_go_to_the_largest_action(monkeypatch, utility, gamma, memoize):
+    # with every leaf worth 1 and dyadic weights, each action's expectation
+    # is exactly 1, so every node ties across all of its actions
+    monkeypatch.setattr(oracle, "_leaf", lambda *args: np.longdouble(1.0))
+    cfg = make_config(utility, {1: 0.5, -1: 0.5}, 0.5, gamma, 4, 3)
+    val, tree = exact_optimal(cfg, 3, 3, memoize=memoize)
+    assert val == 1.0 and len(tree.decisions) > 1
+    assert all(a == key[1] for key, a in tree.decisions.items())

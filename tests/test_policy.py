@@ -123,4 +123,4 @@ def test_exp_policy_is_priced_alike_by_oracle_and_howard():
     for x0 in range(cfg.x_max + 1):
         # the hi channel closes the tail with 1: the truncated expectation
         val = exact_policy_value(cfg, policy, x0, cfg.depth)
-        assert abs(val - table.hi[0, x0 + 1]) <= 1e-12
+        assert abs(val - table.hi[0, x0]) <= 1e-12

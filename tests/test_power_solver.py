@@ -59,10 +59,10 @@ def test_depth0_matches_oracle_on_lattice():
     table, _ = solve_power(DYADIC)
     for x0 in range(DYADIC.x_max + 1):
         val, _ = exact_optimal(DYADIC, x0, DYADIC.depth + 1)
-        lo, hi = table.headline(x0, 0.0)
+        lo, hi = table.value_bracket(0, x0, 0.0)
         assert abs(val - lo) <= 1e-12
         assert lo - 1e-12 <= val <= hi + 1e-12
-    assert table.headline(1, 0.0)[0] == pytest.approx(FROZEN_POWER_X1_H4, rel=1e-13)
+    assert table.value_bracket(0, 1, 0.0)[0] == pytest.approx(FROZEN_POWER_X1_H4, rel=1e-13)
 
 
 def test_off_grid_bracket_still_contains_oracle():
@@ -85,8 +85,8 @@ def test_envelope_bounds_every_entry():
         for x in range(cfg.x_max + 1):
             floor = (pts + scale * x) ** cfg.gamma
             ceil = (pts + scale * (x + c_tail)) ** cfg.gamma
-            assert np.all(table.lo[d, x + 1] >= floor - 1e-12)
-            assert np.all(table.hi[d, x + 1] <= ceil + 1e-12)
+            assert np.all(table.lo[d, x] >= floor - 1e-12)
+            assert np.all(table.hi[d, x] <= ceil + 1e-12)
 
 
 def test_values_monotone_in_s():
@@ -210,8 +210,8 @@ def test_one_pass_backup_matches_two_pass_reference(utility, beta, data):
     solve = solve_power if cfg.utility is Utility.POWER else solve_log
     table, policy = solve(cfg)
     ref_lo, ref_hi, ref_action = reference_power_backup(cfg)
-    assert table.lo.tobytes() == ref_lo.tobytes()
-    assert table.hi.tobytes() == ref_hi.tobytes()
+    assert table.lo.tobytes() == ref_lo[:, 1:].tobytes()  # ref keeps a ruin row
+    assert table.hi.tobytes() == ref_hi[:, 1:].tobytes()
     np.testing.assert_array_equal(policy.action, ref_action)
 
 
@@ -223,7 +223,7 @@ def test_refinement_tightens_headline():
         cfg = make_config("power", {1: 0.4, -1: 0.6}, 0.6, 0.4, 4, 6,
                           s_grid_points=m)
         table, _ = solve_power(cfg)
-        lo, hi = table.headline(3, 0.0)
+        lo, hi = table.value_bracket(0, 3, 0.0)
         return hi - lo
 
     w65, w129, w257 = (width_at(m) for m in (65, 129, 257))
@@ -236,7 +236,7 @@ def test_certain_loss_closed_forms():
     cfg = make_config("power", DOWN_ONE, 0.9, 0.5, 4, 3, s_grid_points=257)
     table, policy = solve_power(cfg)
     for x in range(5):
-        lo, hi = table.headline(x, 0.0)
+        lo, hi = table.value_bracket(0, x, 0.0)
         assert hi - lo <= 1e-12
         assert lo == pytest.approx(math.sqrt(x), abs=1e-12)
         assert policy.action[0, x, 0] == x
@@ -250,7 +250,7 @@ def test_log_certain_loss_closed_form():
                       s_grid_points=257)
     table, _ = solve_log(cfg)
     for x in range(5):
-        lo, hi = table.headline(x, 1.0)
+        lo, hi = table.value_bracket(0, x, 1.0)
         assert hi - lo <= 1e-12
         assert lo == pytest.approx(math.log(1.0 + x), abs=1e-12)
 

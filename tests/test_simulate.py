@@ -103,7 +103,7 @@ def test_exp_mean_within_solver_bracket(claim):
     result = simulate_paths(replace(cfg, seed=3), policy, 2, 16000, max_steps=2000)
     j_est = cfg.gamma * result.mean_utility
     slack = 4.0 * abs(cfg.gamma) * result.std_err
-    assert table.lo[0, 3] - slack <= j_est <= table.hi[0, 3] + slack
+    assert table.lo[0, 2] - slack <= j_est <= table.hi[0, 2] + slack
 
 
 def test_power_mean_within_solver_bracket():
@@ -111,7 +111,7 @@ def test_power_mean_within_solver_bracket():
                       s_grid_points=256)
     table, policy = solve_power(cfg)
     result = simulate_paths(replace(cfg, seed=7), policy, 4, 20000, max_steps=60)
-    lo, hi = table.headline(4, 0.0)
+    lo, hi = table.value_bracket(0, 4, 0.0)
     slack = 4.0 * result.std_err
     assert lo - slack <= result.mean_utility <= hi + slack
     assert result.summary()["truncated_fraction"] == 0.0
