@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigParse, InvariantViolation, UnknownSubcommand, ValidationError
-from .exp_solver import extract_bands, solve_exp, solve_neutral
+from .exp_solver import BandFunction, extract_bands, solve_exp, solve_neutral
 from .howard import howard_solve
 from .model import (ProblemConfig, Utility, certainty_equivalent, check_y0,
                     validate_distribution)
@@ -166,9 +166,20 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def _write_bands(outdir: Path, xi: np.ndarray, cuts: list[str]) -> None:
+def _write_bands(outdir: Path, policy) -> list[str]:
+    """Write bands.csv for an exponential policy; returns each depth's cuts."""
+    cuts = [b.cut_string() for b in extract_bands(policy)]
     _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
-               [(np.arange(len(cuts)), xi, cuts)])
+               [(np.arange(len(cuts)), policy.xi, cuts)])
+    return cuts
+
+
+def _write_neutral_band(outdir: Path, sol) -> BandFunction:
+    """Write the one-row bands.csv of a risk-neutral solution; returns its band."""
+    band = sol.band()
+    _write_csv(outdir / "bands.csv", ["xi", "band_cuts"],
+               [(band.c[0], band.cut_string())])
+    return band
 
 
 def _write_json(path: Path, obj) -> None:
@@ -195,8 +206,7 @@ def _config_echo(config: ProblemConfig) -> dict:
 
 def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     table, policy = solve_exp(config)
-    bands = extract_bands(policy)
-    cuts = [b.cut_string() for b in bands]
+    cuts = _write_bands(outdir, policy)
     sched = config.schedule
 
     xs = _cells(np.arange(config.x_max + 1))
@@ -207,7 +217,6 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
                 for n in range(config.depth)))
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
                ((n, xs, policy.action[n]) for n in range(config.depth)))
-    _write_bands(outdir, policy.xi, cuts)
 
     gamma = config.gamma
     values = []
@@ -226,7 +235,7 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
         "config": _config_echo(config),
         "s_star": sched.s_star,
         "required_cap": sched.cap,
-        "max_depth0_width": float(np.max(table.widths(0))),
+        "max_depth0_width": float(np.max(table.hi[0] - table.lo[0])),
         "values": values,
     })
     return 0
@@ -241,8 +250,7 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
                 for i, it in enumerate(result.history) for n in range(config.depth)))
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
                ((n, xs, result.policy.action[n]) for n in range(config.depth)))
-    _write_bands(outdir, result.policy.xi,
-                 [b.cut_string() for b in extract_bands(result.policy)])
+    _write_bands(outdir, result.policy)
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
         "iterations": result.iterations,
@@ -299,9 +307,7 @@ def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
     xs = _cells(np.arange(config.x_max + 1))
     _write_csv(outdir / "values.csv", ["x", "value"], [(xs, sol.values)])
     _write_csv(outdir / "policy.csv", ["x", "action"], [(xs, sol.action)])
-    band = sol.band()
-    _write_csv(outdir / "bands.csv", ["xi", "band_cuts"],
-               [(band.c[0], band.cut_string())])
+    band = _write_neutral_band(outdir, sol)
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
         "iterations": sol.iterations,
@@ -317,8 +323,7 @@ def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
 def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
     if config.utility is Utility.EXPONENTIAL:
         _, policy = solve_exp(config)
-        cuts = [b.cut_string() for b in extract_bands(policy)]
-        _write_bands(outdir, policy.xi, cuts)
+        cuts = _write_bands(outdir, policy)
         _write_json(outdir / "summary.json", {
             "config": _config_echo(config),
             "bands": [{"n": n, "xi": int(policy.xi[n]), "band_cuts": cuts[n]}
@@ -326,10 +331,7 @@ def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
         })
         return 0
     if config.utility is Utility.RISK_NEUTRAL:
-        sol = solve_neutral(config)
-        band = sol.band()
-        _write_csv(outdir / "bands.csv", ["xi", "band_cuts"],
-                   [(band.c[0], band.cut_string())])
+        band = _write_neutral_band(outdir, solve_neutral(config))
         _write_json(outdir / "summary.json", {
             "config": _config_echo(config),
             "bands": [{"xi": band.c[0], "band_cuts": band.cut_string()}],

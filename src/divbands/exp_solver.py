@@ -13,8 +13,9 @@ by the rigorous envelope
 
     e^{theta x} * h_lower(theta)  <=  J(x, theta)  <=  e^{theta x} * h_upper(theta).
 
-Both envelope constants are themselves computed as two-sided brackets, so
-every table entry is a certified enclosure of the true value.  The optimal
+The envelope enters through one-sided certified bounds, a lower bound of
+h_lower and an upper bound of h_upper (``ThetaSchedule``), so every table
+entry is a certified enclosure of the true value.  The optimal
 expected utility is (1/gamma) * J(x, gamma), and the depth-n decision rule
 is the largest minimiser of the lo-evaluation within relative TIE_RTOL =
 1e-12, found for a whole depth by one prefix-minimum scan (``exp_backup``).
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ TIE_RTOL = 1e-12  # relative tie tolerance for the largest minimiser
 NEUTRAL_MAX_ITERATIONS = 1_000_000  # value-iteration cap of solve_neutral
 
 __all__ = [
-    "Interval",
     "ThetaSchedule",
     "ExpValueTable",
     "ExpPolicy",
@@ -64,11 +64,6 @@ __all__ = [
 ]
 
 
-class Interval(NamedTuple):
-    lo: float
-    hi: float
-
-
 def mgf_plus(dist: IncomeDistribution, t: float) -> float:
     """E exp(t * Z+) for t <= 0; always in (0, 1]."""
     if t > 0:
@@ -76,55 +71,30 @@ def mgf_plus(dist: IncomeDistribution, t: float) -> float:
     return sum(q * math.exp(t * max(k, 0)) for k, q in dist.items())
 
 
-def _h_lower_at(dist: IncomeDistribution, beta: float, tail_eps: float, theta: float) -> Interval:
-    """Bracket the infinite product prod_{k>=1} E exp(theta beta^k Z+).
-
-    The product is truncated once the certified tail factor bracket
-    [exp(theta beta^{K+1} EZ+/(1-beta)), 1] is tighter than tail_eps both
-    absolutely and relative to |theta| (the relative criterion keeps the
-    s(theta) estimate bounded as theta -> 0-).
-    """
-    if theta >= 0:
-        raise ValidationError(f"h_lower needs theta < 0, got {theta}")
-    ez = dist.mean_positive
-    target = tail_eps * min(1.0, abs(theta))
-    part = 1.0
-    bk = beta  # beta^k for the next factor
-    scale = ez / (1.0 - beta)
-    k = 1
-    while ez > 0 and -theta * bk * scale > target and k <= 100_000:
-        part *= mgf_plus(dist, theta * bk)
-        bk *= beta
-        k += 1
-    tail_lo = math.exp(theta * bk * scale)
-    return Interval(part * tail_lo, part)
-
-
 @dataclass(frozen=True)
 class ThetaSchedule:
-    """The orbit theta_n = gamma beta^n with its envelope brackets.
+    """The orbit theta_n = gamma beta^n with its certified envelope bounds.
 
-    ``h_lo``/``h_up`` hold the h_lower/h_upper brackets per depth, both
-    obtained from the exact one-step recursions
+    ``h_lower[n]`` is a lower bound of h_lower(theta_n) and ``h_upper[n]``
+    an upper bound of h_upper(theta_n), from the exact one-step recursions
 
         h_lower(theta_n) = mgf_plus(theta_{n+1}) * h_lower(theta_{n+1}),
         h_upper(theta_n) = p_neg + (sum_{m>=0} q_m e^{theta_{n+1} m}) * h_upper(theta_{n+1}),
 
-    closed below the schedule by descending extra levels until the Jensen
-    envelope pins the remainder.  ``s_hi`` is the conservative upper
-    bracket of the barrier bound s(theta_n), and ``s_star`` its maximum
+    followed down the orbit below theta_N until the Jensen floor
+    e^{theta beta EZ+/(1-beta)} <= h_lower(theta) <= h_upper(theta) <= 1
+    pins the remainder: h_lower is closed there by the floor, h_upper by 1.
+    ``s_star`` is a conservative upper bound of the barrier bound s(theta_n)
     over the schedule.
     """
 
     thetas: tuple[float, ...]
-    h_lo: tuple[Interval, ...]
-    h_up: tuple[Interval, ...]
-    s_hi: tuple[float, ...]
+    h_lower: tuple[float, ...]
+    h_upper: tuple[float, ...]
     s_star: float
-    # like s_hi/s_star but with numerator -ln h_lower alone: the payout
-    # pressure bound that holds for improvement steps from any admissible
-    # rule, not only for the optimal rule (upper envelope unavailable there)
-    s_tilde: tuple[float, ...]
+    # like s_star but with numerator -ln h_lower alone: the payout pressure
+    # bound that holds for improvement steps from any admissible rule, not
+    # only for the optimal rule (upper envelope unavailable there)
     s_tilde_star: float
 
     @classmethod
@@ -135,70 +105,62 @@ class ThetaSchedule:
         thetas = [gamma]
         for _ in range(n_depth):
             thetas.append(thetas[-1] * beta)
+        theta_last = thetas[-1]
+        if theta_last >= 0:
+            raise ValidationError(f"h_lower needs theta < 0, got {theta_last}")
 
-        ez = dist.mean_positive
-        scale = ez / (1.0 - beta)
+        scale = dist.mean_positive / (1.0 - beta)
         p_neg = dist.p_negative
 
-        # extend the orbit below theta_N until the Jensen closure of the
-        # h_upper recursion is tighter than tail_eps relative to |theta_N|
-        target = tail_eps * min(1.0, abs(thetas[-1]))
-        ext = [thetas[-1]]
-        while ez > 0 and -ext[-1] * beta * scale > target and len(ext) <= 200_000:
-            ext.append(ext[-1] * beta)
+        # the orbit below theta_N, theta_N beta^k for k = 1..K, until the
+        # Jensen floor exp(theta_N beta^{K+1} EZ+/(1-beta)) of the rest is
+        # within tail_eps of 1, relative to |theta_N| when that is below 1
+        # (which keeps the s(theta) estimate bounded as theta -> 0-)
+        target = tail_eps * min(1.0, abs(theta_last))
+        below = []
+        bk = beta  # beta^k for the next level
+        while scale > 0 and -theta_last * bk * scale > target and len(below) < 200_000:
+            below.append(theta_last * bk)
+            bk *= beta
 
-        # closure at the bottom: h in [exp(theta * beta * EZ+/(1-beta)), 1]
-        t_bot = ext[-1]
-        closure = Interval(math.exp(t_bot * beta * scale), 1.0)
-
-        # roll h_upper back up through the extension, then the schedule
         def c_factor(theta_next: float) -> float:
             return sum(q * math.exp(theta_next * k) for k, q in dist.items() if k >= 0)
 
-        d_lo, d_hi = closure
-        for j in range(len(ext) - 2, -1, -1):
-            c = c_factor(ext[j + 1])
-            d_lo = p_neg + c * d_lo
-            d_hi = p_neg + c * d_hi
-        h_up = [Interval(d_lo, min(1.0, d_hi))]
-        h_lo = [_h_lower_at(dist, beta, tail_eps, thetas[-1])]
-        for n in range(n_depth - 1, -1, -1):
-            t_next = thetas[n + 1]
-            c = c_factor(t_next)
-            prev_up = h_up[0]
-            h_up.insert(0, Interval(p_neg + c * prev_up.lo,
-                                    min(1.0, p_neg + c * prev_up.hi)))
-            m = mgf_plus(dist, t_next)
-            prev_lo = h_lo[0]
-            h_lo.insert(0, Interval(m * prev_lo.lo, m * prev_lo.hi))
-        if not min(h.lo for h in h_lo) > 0.0:
+        lower = math.prod(mgf_plus(dist, t) for t in below) * math.exp(theta_last * bk * scale)
+        upper = 1.0
+        for t in reversed(below):
+            upper = p_neg + c_factor(t) * upper
+        h_lower, h_upper = [lower], [min(1.0, upper)]
+        for t in reversed(thetas[1:]):
+            h_lower.append(mgf_plus(dist, t) * h_lower[-1])
+            h_upper.append(min(1.0, p_neg + c_factor(t) * h_upper[-1]))
+        h_lower.reverse()
+        h_upper.reverse()
+        if not h_lower[0] > 0.0:
             raise ValueUnderflow(
                 f"h_lower(gamma) underflows to 0 for gamma={gamma}, beta={beta}: "
                 f"its logarithm is below ln(DBL_MIN) = {LOG_DBL_MIN:.1f}, so "
                 f"values would underflow double precision")
 
-        # h_up <= 1 and the Jensen floor h_lower(theta) >= e^{theta beta scale}
-        # give s(theta) <= beta EZ+/(1-beta)^2 for every theta < 0; deep in
-        # the schedule the log-ratio drowns in accumulated rounding, so such
-        # levels take that provable bound instead of a 0/0 artifact
+        # h_upper <= 1 and the Jensen floor give s(theta) <= beta EZ+/(1-beta)^2
+        # for every theta < 0; deep in the schedule the log-ratio drowns in
+        # accumulated rounding, so such levels take that provable bound
+        # instead of a 0/0 artifact
         s_cap = beta * scale / (1.0 - beta)
-        noise_floor = 16.0 * math.ulp(1.0) * max(n_depth + len(ext), 1)
-        s_hi = []
-        s_tilde = []
-        for n in range(n_depth + 1):
-            den = thetas[n] * (beta - 1.0)
-            num = math.log(h_up[n].hi) - math.log(h_lo[n].lo)
-            if abs(thetas[n]) < 1e-8 and num < noise_floor:
-                s_hi.append(s_cap)
-                s_tilde.append(s_cap)
-                continue
-            s_hi.append(max(0.0, min(num / den, s_cap)))
-            s_tilde.append(max(0.0, min(-math.log(h_lo[n].lo) / den, s_cap)))
-        return cls(
-            thetas=tuple(thetas), h_lo=tuple(h_lo), h_up=tuple(h_up),
-            s_hi=tuple(s_hi), s_star=max(s_hi),
-            s_tilde=tuple(s_tilde), s_tilde_star=max(s_tilde),
-        )
+        noise_floor = 16.0 * math.ulp(1.0) * (n_depth + len(below) + 1)
+        s_star = s_tilde_star = 0.0
+        for theta, lo, up in zip(thetas, h_lower, h_upper):
+            den = theta * (beta - 1.0)
+            num = math.log(up) - math.log(lo)
+            if abs(theta) < 1e-8 and num < noise_floor:
+                s, s_tilde = s_cap, s_cap
+            else:
+                s = max(0.0, min(num / den, s_cap))
+                s_tilde = max(0.0, min(-math.log(lo) / den, s_cap))
+            s_star, s_tilde_star = max(s_star, s), max(s_tilde_star, s_tilde)
+        return cls(thetas=tuple(thetas), h_lower=tuple(h_lower),
+                   h_upper=tuple(h_upper), s_star=s_star,
+                   s_tilde_star=s_tilde_star)
 
     @property
     def cap(self) -> int:
@@ -293,19 +255,15 @@ class ExpValueTable:
     lo: np.ndarray
     hi: np.ndarray
 
-    def value_bracket(self, n: int, x: int) -> Interval:
-        """Bracket of J(x, theta_n), extending beyond the cap exactly."""
+    def value_bracket(self, n: int, x: int) -> tuple[float, float]:
+        """(lo, hi) bracket of J(x, theta_n), extending beyond the cap exactly."""
         if x < 0:
-            return Interval(1.0, 1.0)
+            return 1.0, 1.0
         cap = self.config.x_max
         if x <= cap:
-            return Interval(float(self.lo[n, x]), float(self.hi[n, x]))
+            return float(self.lo[n, x]), float(self.hi[n, x])
         fac = math.exp(self.config.schedule.thetas[n] * (x - cap))
-        return Interval(float(self.lo[n, cap]) * fac,
-                        float(self.hi[n, cap]) * fac)
-
-    def widths(self, n: int = 0) -> np.ndarray:
-        return self.hi[n] - self.lo[n]
+        return float(self.lo[n, cap]) * fac, float(self.hi[n, cap]) * fac
 
 
 @dataclass(frozen=True)
@@ -352,8 +310,8 @@ def solve_exp(config: ProblemConfig, *, terminal: str = "tail"
     hi = np.ones((n_depth + 1, x_max + 1))
     if terminal == "tail":
         decay = np.exp(schedule.thetas[n_depth] * xs)
-        lo[n_depth] = decay * schedule.h_lo[n_depth].lo
-        hi[n_depth] = np.minimum(1.0, decay * schedule.h_up[n_depth].hi)
+        lo[n_depth] = decay * schedule.h_lower[n_depth]
+        hi[n_depth] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
     action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
 
     for n in range(n_depth - 1, -1, -1):

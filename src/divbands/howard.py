@@ -96,7 +96,7 @@ def policy_value_exp(config: ProblemConfig, f) -> ExpValueTable:
     xs = np.arange(x_max + 1)
     lo = np.ones((n_depth + 1, x_max + 1))
     hi = np.ones((n_depth + 1, x_max + 1))
-    lo[n_depth] = np.exp(schedule.thetas[n_depth] * xs) * schedule.h_lo[n_depth].lo
+    lo[n_depth] = np.exp(schedule.thetas[n_depth] * xs) * schedule.h_lower[n_depth]
     for n in range(n_depth - 1, -1, -1):
         g_lo, g_hi = _g_rows(config.dist, schedule.thetas[n + 1],
                              lo[n + 1], hi[n + 1], x_max)

@@ -89,10 +89,6 @@ class IncomeDistribution:
         """E Z+ = sum of k*q_k over positive k."""
         return math.fsum(k * q for k, q in self.items() if k > 0)
 
-    @property
-    def mean(self) -> float:
-        return math.fsum(k * q for k, q in self.items())
-
     def items(self):
         return zip(self.support, self.probs)
 
@@ -210,7 +206,7 @@ class ProblemConfig:
         if self.utility is Utility.EXPONENTIAL:
             # the lower bracket e^{gamma x_max} h_lower(gamma) of J(x_max) must
             # be a normal double; this also keeps e^{-theta v} <= 1/DBL_MIN
-            floor = self.gamma * self.x_max + math.log(self.schedule.h_lo[0].lo)
+            floor = self.gamma * self.x_max + math.log(self.schedule.h_lower[0])
             if floor < LOG_DBL_MIN:
                 raise ValueUnderflow(
                     f"gamma*x_max + ln h_lower(gamma) = {floor:.1f} is below "

@@ -81,6 +81,7 @@ def xi_star_bound(config_like) -> float:
 class SGrid:
     """Sorted accumulated-payout levels covering [0, s_max].
 
+    s_max = (x_max + max(support_max, 0))/(1-beta) is the last point.
     Uniform with ``s_grid_points`` knots, merged with the exact payout
     lattice {sum c_m beta^m : 0 <= c_m <= x_max + support_max} whenever
     that lattice is small enough to enumerate; lattice membership makes
@@ -88,8 +89,6 @@ class SGrid:
     """
 
     points: np.ndarray
-    s_max: float
-    has_lattice: bool
 
     def __post_init__(self):
         if len(self.points) == 0 or self.points[0] != 0.0:
@@ -100,14 +99,11 @@ class SGrid:
     @classmethod
     def build(cls, config: ProblemConfig) -> "SGrid":
         pay_max = config.x_max + max(config.dist.support_max, 0)
-        s_max = pay_max / (1.0 - config.beta)
-        uniform = np.linspace(0.0, s_max, config.s_grid_points)
+        points = np.linspace(0.0, pay_max / (1.0 - config.beta), config.s_grid_points)
         lattice = _payout_lattice(config.beta, config.depth, pay_max)
-        if lattice is None:
-            points = np.unique(uniform)
-            return cls(points=points, s_max=s_max, has_lattice=False)
-        points = np.unique(np.concatenate([uniform, lattice]))
-        return cls(points=points, s_max=s_max, has_lattice=True)
+        if lattice is not None:
+            points = np.concatenate([points, lattice])
+        return cls(points=np.unique(points))
 
     def floor_index(self, s):
         """Index of the closest gridpoint at or below s (scalar or array)."""

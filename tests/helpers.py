@@ -1,13 +1,16 @@
 """Shared instance builders for the test suite."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
-from divbands.errors import BarrierViolation, NotABand, PolicyUndefined
-from divbands.exp_solver import BandFunction, TIE_RTOL, required_cap, suggest_depth
-from divbands.model import (ProblemConfig, Utility, tail_income, utility,
+from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
+                             ValueUnderflow)
+from divbands.exp_solver import (BandFunction, TIE_RTOL, mgf_plus, required_cap,
+                                 suggest_depth)
+from divbands.model import (LOG_DBL_MIN, ProblemConfig, Utility, tail_income, utility,
                             validate_distribution)
 from divbands.oracle import exact_probabilities
 from divbands.power_solver import TIE_TOL, SGrid, _cash, _eval_queries
@@ -57,6 +60,80 @@ def claim_family_configs(depth: int | None = None) -> list[ProblemConfig]:
                 out.append(sized_exp_config(two_point(p, n), 0.9, gamma,
                                             depth=depth))
     return out
+
+
+def reference_schedule(config) -> SimpleNamespace:
+    """Two-loop schedule build the one-orbit ``ThetaSchedule.build`` replaced.
+
+    h_lower(theta_N) is bracketed by its own truncated product over
+    theta_N beta^k (beta^k by repeated multiplication, at most 100,000
+    factors); h_upper is rolled up from [Jensen floor, 1] over a second
+    extension theta_N, theta_N beta, ... formed by multiplying theta by
+    beta (at most 200,000 levels).  Both keep two bracket ends per depth
+    and per-depth barrier bounds.  Returns the fields of a ThetaSchedule
+    (the solver-read ends of each bracket) plus its ``cap``.
+    """
+    dist, beta, gamma = config.dist, config.beta, config.gamma
+    n_depth, tail_eps = config.depth, config.tail_eps
+    thetas = [gamma]
+    for _ in range(n_depth):
+        thetas.append(thetas[-1] * beta)
+
+    ez = dist.mean_positive
+    scale = ez / (1.0 - beta)
+    p_neg = dist.p_negative
+
+    def h_lower_at(theta):
+        if theta >= 0:
+            raise ValidationError(f"h_lower needs theta < 0, got {theta}")
+        target = tail_eps * min(1.0, abs(theta))
+        part, bk, k = 1.0, beta, 1
+        while ez > 0 and -theta * bk * scale > target and k <= 100_000:
+            part *= mgf_plus(dist, theta * bk)
+            bk *= beta
+            k += 1
+        return part * math.exp(theta * bk * scale), part
+
+    target = tail_eps * min(1.0, abs(thetas[-1]))
+    ext = [thetas[-1]]
+    while ez > 0 and -ext[-1] * beta * scale > target and len(ext) <= 200_000:
+        ext.append(ext[-1] * beta)
+
+    def c_factor(theta_next):
+        return sum(q * math.exp(theta_next * k) for k, q in dist.items() if k >= 0)
+
+    d_lo, d_hi = math.exp(ext[-1] * beta * scale), 1.0
+    for j in range(len(ext) - 2, -1, -1):
+        c = c_factor(ext[j + 1])
+        d_lo = p_neg + c * d_lo
+        d_hi = p_neg + c * d_hi
+    h_up = [(d_lo, min(1.0, d_hi))]
+    h_lo = [h_lower_at(thetas[-1])]
+    for n in range(n_depth - 1, -1, -1):
+        t_next = thetas[n + 1]
+        c = c_factor(t_next)
+        h_up.insert(0, (p_neg + c * h_up[0][0], min(1.0, p_neg + c * h_up[0][1])))
+        m = mgf_plus(dist, t_next)
+        h_lo.insert(0, (m * h_lo[0][0], m * h_lo[0][1]))
+    if not min(h[0] for h in h_lo) > 0.0:
+        raise ValueUnderflow(f"h_lower(gamma) is below ln(DBL_MIN) = {LOG_DBL_MIN:.1f}")
+
+    s_cap = beta * scale / (1.0 - beta)
+    noise_floor = 16.0 * math.ulp(1.0) * max(n_depth + len(ext), 1)
+    s_hi, s_tilde = [], []
+    for n in range(n_depth + 1):
+        den = thetas[n] * (beta - 1.0)
+        num = math.log(h_up[n][1]) - math.log(h_lo[n][0])
+        if abs(thetas[n]) < 1e-8 and num < noise_floor:
+            s_hi.append(s_cap)
+            s_tilde.append(s_cap)
+            continue
+        s_hi.append(max(0.0, min(num / den, s_cap)))
+        s_tilde.append(max(0.0, min(-math.log(h_lo[n][0]) / den, s_cap)))
+    return SimpleNamespace(
+        thetas=tuple(thetas), h_lower=tuple(h[0] for h in h_lo),
+        h_upper=tuple(h[1] for h in h_up), s_star=max(s_hi),
+        s_tilde_star=max(s_tilde), cap=math.ceil(max(s_hi) - 1e-12))
 
 
 def reference_exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray):

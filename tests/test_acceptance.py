@@ -180,10 +180,9 @@ def test_a03_certain_loss_closed_forms():
     closed = np.exp(cfg.gamma * xs)
     assert float(np.max(np.abs(table.lo[0] - closed))) <= 1e-12
     assert float(np.max(np.abs(table.hi[0] - closed))) <= 1e-12
-    assert float(np.max(table.widths(0))) <= cfg.tail_eps
-    assert all(h.lo == 1.0 and h.hi == 1.0 for h in sched.h_lo)
-    assert all(h.lo == 1.0 and h.hi == 1.0 for h in sched.h_up)
-    assert sched.s_star == 0.0 and max(sched.s_hi) == 0.0
+    assert float(np.max(table.hi[0] - table.lo[0])) <= cfg.tail_eps
+    assert sched.h_lower == sched.h_upper == (1.0,) * (cfg.depth + 1)
+    assert sched.s_star == 0.0
     assert sched.s_tilde_star == 0.0
     assert np.array_equal(policy.action, np.tile(xs, (cfg.depth, 1)))
     assert int(policy.xi.max()) == 0
@@ -217,8 +216,8 @@ def test_a04_exp_structure_laws(claim_batch):
         xs = np.arange(xm + 1)
         for n in range(cfg.depth + 1):
             th = sched.thetas[n]
-            env_lo = np.exp(th * xs) * sched.h_lo[n].lo
-            env_hi = np.minimum(1.0, np.exp(th * xs) * sched.h_up[n].hi)
+            env_lo = np.exp(th * xs) * sched.h_lower[n]
+            env_hi = np.minimum(1.0, np.exp(th * xs) * sched.h_upper[n])
             if np.any(table.lo[n] < env_lo - 1e-12):
                 viol["envelope"] += 1
             if np.any(table.hi[n] > env_hi + 1e-12):

@@ -1,12 +1,15 @@
-"""Every public name of the package has a caller outside the tests, and
-every name the benchmark's span recorder wraps still exists.
+"""Every public name and member of the package has a caller outside the
+tests, and every name the benchmark's span recorder wraps still exists.
 
 A public top-level function or class of a ``divbands`` module, or an
 ``__all__`` entry, counts as used when code in ``src/`` or ``perfbench/``
 (its tests aside) refers to it outside its own definition: by name in its
-own module, by importing it, or as ``module.name``.  The only exceptions
-are the verification entry points the README lists under "Library use";
-any other name that only tests reach is dead API and should be deleted.
+own module, by importing it, or as ``module.name``.  A public method,
+property or annotated field of a public class counts as used when that
+code reads an attribute of its name.  The only exceptions are the
+verification entry points and result members the README lists under
+"Library use"; any other name that only tests reach is dead API and
+should be deleted.
 """
 
 import ast
@@ -22,6 +25,10 @@ VERIFICATION_API = {
     ("oracle", "markov_optimum"),
     ("simulate", "ruin_certainty_check"),
 }
+RESULT_API = {
+    ("exp_solver", "BandFunction.evaluate"),
+    ("howard", "HowardResult.table"),
+}
 
 
 def public_names(tree: ast.Module) -> set[str]:
@@ -33,6 +40,38 @@ def public_names(tree: ast.Module) -> set[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names |= set(ast.literal_eval(node.value))
     return names
+
+
+def public_members(tree: ast.Module) -> set[str]:
+    """``Class.member`` for each public method, property or field of a public class."""
+    members = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                members.add(f"{cls.name}.{name}")
+    return members
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def program_trees():
+    """(module name or None, syntax tree) of each file in src/ and perfbench/, tests aside."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            yield None, ast.parse(path.read_text())
 
 
 def references(module: str | None, tree: ast.Module) -> set[tuple[str, str]]:
@@ -58,17 +97,28 @@ def references(module: str | None, tree: ast.Module) -> set[tuple[str, str]]:
 
 def test_every_public_name_has_a_caller():
     defined, refs = {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defined[path.stem] = public_names(tree)
-        refs |= references(path.stem, tree)
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        if not path.name.startswith("test_"):
-            refs |= references(None, ast.parse(path.read_text()))
+    for module, tree in program_trees():
+        if module:
+            defined[module] = public_names(tree)
+        refs |= references(module, tree)
     assert all(name in defined[module] for module, name in VERIFICATION_API)
     unused = sorted(f"{module}.{name}" for module, names in defined.items()
                     for name in names
                     if (module, name) not in refs | VERIFICATION_API)
+    assert unused == []
+
+
+def test_every_public_member_has_a_reader():
+    defined, reads = {}, set()
+    for module, tree in program_trees():
+        if module:
+            defined[module] = public_members(tree)
+        reads |= attribute_reads(tree)
+    assert all(member in defined[module] for module, member in RESULT_API)
+    unused = sorted(f"{module}.{member}" for module, members in defined.items()
+                    for member in members
+                    if member.split(".")[1] not in reads
+                    and (module, member) not in RESULT_API)
     assert unused == []
 
 

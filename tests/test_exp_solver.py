@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from divbands.errors import NotABand, ValueUnderflow
+from divbands.errors import NotABand, ValidationError, ValueUnderflow
 from divbands.exp_solver import (
     BandFunction,
     ThetaSchedule,
@@ -22,7 +24,7 @@ from divbands.exp_solver import (
 from divbands.model import validate_distribution
 from divbands.oracle import exact_optimal
 from helpers import (DOWN_ONE, assert_band_laws, make_config, reference_bands,
-                     sized_exp_config, two_point)
+                     reference_schedule, sized_exp_config, two_point)
 
 TINY = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
 
@@ -51,22 +53,20 @@ def test_h_lower_matches_direct_product():
     while abs(theta) * TINY.beta**k > 1e-16:
         direct *= mgf_plus(TINY.dist, theta * TINY.beta**k)
         k += 1
-    iv = sched.h_lo[0]
-    assert iv.lo - 1e-12 <= direct <= iv.hi + 1e-12
+    # a lower bound, short of the product by at most the truncation target
+    assert direct - TINY.tail_eps <= sched.h_lower[0] <= direct + 1e-12
 
 
 def test_h_envelopes_ordered_and_bounded():
     sched = ThetaSchedule.build(TINY)
-    for lo_iv, up_iv in zip(sched.h_lo, sched.h_up):
-        assert 0.0 < lo_iv.lo <= lo_iv.hi <= up_iv.hi + 1e-15
-        assert up_iv.hi <= 1.0 + 1e-15
+    for lower, upper in zip(sched.h_lower, sched.h_upper):
+        assert 0.0 < lower <= upper <= 1.0
 
 
 def test_certain_loss_degenerates():
     cfg = make_config("exponential", DOWN_ONE, 0.5, -1.0, 3, 4)
     sched = ThetaSchedule.build(cfg)
-    for iv in sched.h_lo + sched.h_up:
-        assert iv.lo == 1.0 and iv.hi == 1.0
+    assert sched.h_lower == sched.h_upper == (1.0,) * (cfg.depth + 1)
     assert sched.s_star == 0.0
     assert sched.s_tilde_star == 0.0
     assert required_cap(cfg) == 0
@@ -74,8 +74,87 @@ def test_certain_loss_degenerates():
 
 def test_payout_pressure_dominates_barrier_bound():
     sched = ThetaSchedule.build(BANDY)
-    assert np.all(np.asarray(sched.s_tilde) >= np.asarray(sched.s_hi) - 1e-12)
-    assert sched.s_star <= sched.s_tilde_star + 1e-12
+    assert 0.0 < sched.s_star <= sched.s_tilde_star + 1e-12
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b))) if a != b else 0.0
+
+
+def _schedule_or_error(build, probe):
+    try:
+        return build(probe)
+    except ValidationError as exc:
+        return type(exc)
+
+
+# the README config, DYADIC's income and discount (where every theta_N
+# beta^k is exact) and the exponential instances of the benchmark's seed-0
+# jobs, oracle-check's depth-7 re-solves included: (income, beta, gamma, depth)
+EXACT_SCHEDULES = [
+    ({1: 0.6, -1: 0.4}, 0.9, -1.0, 213),
+    ({1: 0.5, -1: 0.5}, 0.5, -0.5, 3),
+    ({-1: 0.3, 1: 0.7}, 0.95, -0.05, 408),
+    ({1: 0.5, 2: 0.1, -1: 0.3, -2: 0.1}, 0.95, -0.05, 409),
+    ({1: 0.55, -2: 0.45}, 0.9, -0.5, 205),
+    ({1: 0.6, -1: 0.4}, 0.9, -1.0, 7),
+    ({1: 0.55, -2: 0.45}, 0.9, -0.5, 7),
+]
+
+
+@pytest.mark.parametrize("mapping,beta,gamma,depth", EXACT_SCHEDULES)
+def test_one_orbit_schedule_equals_reference_exactly(mapping, beta, gamma, depth):
+    probe = SimpleNamespace(dist=validate_distribution(mapping), beta=beta,
+                            gamma=gamma, depth=depth, tail_eps=1e-8)
+    sched, ref = ThetaSchedule.build(probe), reference_schedule(probe)
+    assert (sched.thetas, sched.h_lower, sched.h_upper, sched.s_star,
+            sched.s_tilde_star, sched.cap) == (
+        ref.thetas, ref.h_lower, ref.h_upper, ref.s_star, ref.s_tilde_star, ref.cap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(support=[-1, 1], weights=[0.4, 0.6], beta=0.9, gamma=-1.0, depth=1,
+         tail_eps=1e-8)
+@example(support=[-1, 1], weights=[0.4, 0.6], beta=0.5, gamma=-1.0, depth=1100,
+         tail_eps=1e-8)  # theta_N underflows to -0.0
+@example(support=[-1, 0, 3, 4], weights=[0.21597196527516133, 0.5036957766259479,
+                                         0.030597932543329574, 0.24973432555556122, 1.0],
+         beta=0.99, gamma=-0.3799193592784497, depth=241,
+         tail_eps=1e-12)  # h_upper 4 ulps apart
+@example(support=[-1, 1, 2, 4], weights=[0.026131735825292133, 0.28838180912723554,
+                                         0.6096586545632673, 0.07582780048420502, 1.0],
+         beta=0.9082035351651019, gamma=-0.021044768323295705, depth=4,
+         tail_eps=1e-8)  # s_star 8 ulps apart
+@given(support=st.lists(st.integers(-3, 4), min_size=2, max_size=5, unique=True)
+       .filter(lambda ks: min(ks) < 0),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+       beta=st.floats(0.3, 0.995), gamma=st.floats(-20.0, -1e-4),
+       depth=st.integers(1, 300),
+       tail_eps=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6]))
+def test_one_orbit_schedule_matches_two_loop_reference(support, weights, beta, gamma,
+                                                       depth, tail_eps):
+    # below theta_N the reference's h_upper runs over theta multiplied by
+    # beta k times, not theta_N * beta^k, so each level's factor may round
+    # apart by an ulp; c(theta) <= 1 - p_neg contracts what accumulates to
+    # within 2/p_neg ulps, and s_star divides ln h_upper by theta_n (beta-1)
+    total = sum(weights[:len(support)])
+    dist = validate_distribution({k: w / total for k, w in zip(support, weights)})
+    probe = SimpleNamespace(dist=dist, beta=beta, gamma=gamma, depth=depth,
+                            tail_eps=tail_eps)
+    sched = _schedule_or_error(ThetaSchedule.build, probe)
+    ref = _schedule_or_error(reference_schedule, probe)
+    if isinstance(ref, type):
+        assert sched is ref
+        return
+    assert sched.thetas == ref.thetas
+    assert sched.h_lower == ref.h_lower
+    ulps = 2.0 / dist.p_negative
+    assert max(map(_ulps, sched.h_upper, ref.h_upper)) <= ulps
+    den = abs(sched.thetas[-1]) * (1.0 - beta)
+    assert abs(sched.s_star - ref.s_star) <= (
+        2 * math.ulp(ref.s_star) + (ulps + 1) * math.ulp(1.0) / den)
+    assert _ulps(sched.s_tilde_star, ref.s_tilde_star) <= 2
+    assert sched.cap == ref.cap
 
 
 @pytest.mark.parametrize("cfg", [
@@ -88,8 +167,8 @@ def test_envelope_bounds_every_entry(cfg):
     xs = np.arange(cfg.x_max + 1)
     for n in range(cfg.depth + 1):
         decay = np.exp(sched.thetas[n] * xs)
-        floor = decay * sched.h_lo[n].lo
-        ceil = decay * sched.h_up[n].hi
+        floor = decay * sched.h_lower[n]
+        ceil = decay * sched.h_upper[n]
         assert np.all(table.lo[n] >= floor - 1e-12)
         assert np.all(table.hi[n] <= np.minimum(1.0, ceil) + 1e-12)
         assert np.all(table.lo[n] <= table.hi[n] + 1e-15)
@@ -129,10 +208,10 @@ def test_tail_bracket_contains_converged_value():
 def test_cap_extension_is_exact():
     table, policy = solve_exp(TINY)
     theta0 = TINY.schedule.thetas[0]
-    base = table.value_bracket(0, TINY.x_max)
-    ext = table.value_bracket(0, TINY.x_max + 3)
-    assert ext.lo == pytest.approx(math.exp(3 * theta0) * base.lo, rel=1e-14)
-    assert ext.hi == pytest.approx(math.exp(3 * theta0) * base.hi, rel=1e-14)
+    base_lo, base_hi = table.value_bracket(0, TINY.x_max)
+    ext_lo, ext_hi = table.value_bracket(0, TINY.x_max + 3)
+    assert ext_lo == pytest.approx(math.exp(3 * theta0) * base_lo, rel=1e-14)
+    assert ext_hi == pytest.approx(math.exp(3 * theta0) * base_hi, rel=1e-14)
     over = policy(0, TINY.x_max + 5, 0.0)
     assert over == 5 + policy.action[0, TINY.x_max]
 
@@ -268,4 +347,4 @@ def test_suggest_depth_reaches_width_target():
     cfg = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
     assert cfg.depth == suggest_depth(cfg)
     table, _ = solve_exp(cfg)
-    assert float(np.max(table.widths(0))) <= 10 * cfg.tail_eps
+    assert float(np.max(table.hi[0] - table.lo[0])) <= 10 * cfg.tail_eps

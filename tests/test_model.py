@@ -57,7 +57,6 @@ def test_distribution_moments():
     d = validate_distribution(two_point(0.6, 2))
     assert d.p_negative == pytest.approx(0.4)
     assert d.mean_positive == pytest.approx(0.6)
-    assert d.mean == pytest.approx(0.6 - 0.8)
 
 
 @pytest.mark.parametrize("kw,msg", [

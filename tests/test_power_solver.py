@@ -43,8 +43,7 @@ def test_grid_shape_and_lattice():
     pts = grid.points
     assert pts[0] == 0.0
     assert np.all(np.diff(pts) > 0)
-    assert grid.has_lattice
-    assert grid.s_max == pytest.approx((4 + 1) / 0.5)
+    assert pts[-1] == pytest.approx((4 + 1) / 0.5)
     # dyadic payout sums are grid members bit-for-bit
     assert 1.0 + 0.5 * 2 + 0.25 * 1 in pts
 
@@ -52,7 +51,7 @@ def test_grid_shape_and_lattice():
 def test_grid_handles_certain_loss():
     cfg = make_config("power", DOWN_ONE, 0.5, 0.5, 4, 3)
     grid = SGrid.build(cfg)
-    assert grid.s_max == pytest.approx(4 / 0.5)  # no positive income term
+    assert grid.points[-1] == pytest.approx(4 / 0.5)  # no positive income term
 
 
 def test_depth0_matches_oracle_on_lattice():
@@ -105,7 +104,7 @@ def test_shift_inequality_on_lattice():
             for v in range(1, x + 1):
                 for i in range(0, pts.size, 17):
                     s = pts[i]
-                    if s + scale * v > table.grid.s_max:
+                    if s + scale * v > pts[-1]:
                         continue
                     lhs = table.value_bracket(d, x, s)
                     rhs = table.value_bracket(d, x - v, s + scale * v)
@@ -125,7 +124,7 @@ def test_pay_down_lands_on_hold_state():
                 if a == 0:
                     continue
                 target = pts[i] + scale * a
-                if target > grid.s_max:
+                if target > pts[-1]:
                     continue
                 j = grid.floor_index(target)
                 if pts[j] != target:
