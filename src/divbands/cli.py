@@ -343,56 +343,44 @@ def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
 
 
 def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
-    horizon = args.horizon if args.horizon is not None else config.depth
-    if horizon < 1:
-        raise ValidationError(f"--horizon must be positive, got {horizon}")
+    utility = config.utility
+    if args.y0 is not None and utility in (Utility.EXPONENTIAL, Utility.RISK_NEUTRAL):
+        raise ValidationError(f"--y0 does not apply to {utility.value} utility")
+    # power and log: the pay-everything terminal equals one extra oracle
+    # decision stage, so their tables are solved at depth horizon - 1
+    stages = 1 if utility in (Utility.POWER, Utility.LOGARITHMIC) else 0
+    horizon = args.horizon if args.horizon is not None else config.depth + stages
+    if horizon < 1 + stages:
+        raise ValidationError(
+            f"--horizon must be >= {1 + stages} for {utility.value} utility, got {horizon}")
     x0s = [args.x0] if args.x0 is not None else list(range(config.x_max + 1))
     for x0 in x0s:
         if not 0 <= x0 <= config.x_max:
             raise ValidationError(f"--x0 must be in [0, {config.x_max}], got {x0}")
+    y0 = check_y0(utility, args.y0)
 
-    if args.y0 is not None and config.utility in (Utility.EXPONENTIAL, Utility.RISK_NEUTRAL):
-        raise ValidationError(f"--y0 does not apply to {config.utility.value} utility")
-    checks = []
-    if config.utility is Utility.EXPONENTIAL:
+    two_sided, tol = True, 1e-9
+    if utility is Utility.RISK_NEUTRAL:
+        run, sol = config, solve_neutral(config)
+        bracket = lambda x0: (float(sol.values[x0]) - config.tail_eps,
+                              float(sol.values[x0]))
+        two_sided = False  # finite horizons underestimate; only the upper edge is sharp
+    elif utility is Utility.EXPONENTIAL:
         # unit terminal makes the solver row 0 the exact horizon optimum
         run = dataclasses.replace(config, depth=horizon)
         table, _ = solve_exp(run, terminal="unit")
-        for x0 in x0s:
-            val, _ = exact_optimal(run, x0, horizon)
-            lo, hi = table.value_bracket(0, x0)
-            gap = max(lo - val, val - hi, 0.0)
-            checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
-                           "solver_hi": hi, "gap": gap,
-                           "pass": bool(gap <= 1e-8)})
-    elif config.utility is Utility.RISK_NEUTRAL:
-        sol = solve_neutral(config)
-        for x0 in x0s:
-            val, _ = exact_optimal(config, x0, horizon)
-            v = float(sol.values[x0])
-            # finite horizons underestimate; only the upper edge is sharp
-            gap = max(val - v, 0.0)
-            checks.append({"x0": x0, "oracle": val, "solver_lo": v - config.tail_eps,
-                           "solver_hi": v, "gap": gap, "pass": bool(gap <= 1e-9)})
+        bracket, tol = (lambda x0: table.value_bracket(0, x0)), 1e-8
     else:
-        # pay-everything terminal equals one extra oracle decision stage,
-        # so the table is re-solved at depth horizon - 1
-        if args.horizon is None:
-            horizon = config.depth + 1
-        elif horizon < 2:
-            raise ValidationError(
-                f"--horizon must be >= 2 for this utility, got {horizon}")
         run = dataclasses.replace(config, depth=horizon - 1)
-        y0 = check_y0(config.utility, args.y0)
-        table, _ = solve_log(run) if config.utility is Utility.LOGARITHMIC \
-            else solve_power(run)
-        for x0 in x0s:
-            val, _ = exact_optimal(run, x0, horizon, y0=y0)
-            lo, hi = table.value_bracket(0, x0, y0)
-            gap = max(lo - val, val - hi, 0.0)
-            checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
-                           "solver_hi": hi, "gap": gap,
-                           "pass": bool(gap <= 1e-9)})
+        table, _ = (solve_log if utility is Utility.LOGARITHMIC else solve_power)(run)
+        bracket = lambda x0: table.value_bracket(0, x0, y0)
+    checks = []
+    for x0 in x0s:
+        val, _ = exact_optimal(run, x0, horizon, y0=y0)
+        lo, hi = bracket(x0)
+        gap = max(lo - val if two_sided else 0.0, val - hi, 0.0)
+        checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
+                       "solver_hi": hi, "gap": gap, "pass": bool(gap <= tol)})
 
     ok = all(c["pass"] for c in checks)
     _write_json(outdir / "summary.json", {

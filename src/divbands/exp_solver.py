@@ -40,10 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotABand, ValidationError, ValueUnderflow
-from .model import (LOG_DBL_MIN, IncomeDistribution, ProblemConfig, Utility,
+from .model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
                     expect_income, policy_lookup, tail_income)
-
-TIE_RTOL = 1e-12  # relative tie tolerance for the largest minimiser
 
 NEUTRAL_MAX_ITERATIONS = 1_000_000  # value-iteration cap of solve_neutral
 
@@ -107,7 +105,11 @@ class ThetaSchedule:
             thetas.append(thetas[-1] * beta)
         theta_last = thetas[-1]
         if theta_last >= 0:
-            raise ValidationError(f"h_lower needs theta < 0, got {theta_last}")
+            deepest = sum(t < 0 for t in thetas) - 1  # gamma < 0, so thetas[0] counts
+            raise ValidationError(
+                f"depth {n_depth} is too deep for gamma={gamma}, beta={beta}: "
+                f"theta_n = gamma * beta^n underflows to {theta_last} by then; the "
+                f"largest depth whose theta_n is still below 0 is {deepest}")
 
         scale = dist.mean_positive / (1.0 - beta)
         p_neg = dist.p_negative

@@ -39,6 +39,7 @@ from .errors import (
 )
 
 NORMALIZATION_TOL = 1e-12
+TIE_RTOL = 1e-12  # relative tie tolerance of every solver's largest optimiser
 LOG_DBL_MIN = math.log(sys.float_info.min)  # about -708.4
 
 

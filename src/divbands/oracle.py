@@ -5,6 +5,10 @@ dependent* plans on the full outcome tree, with probabilities and
 accumulated discounted dividends s kept exact and utilities taken in
 80-bit floats only at the leaves.  Solver tolerances can then be
 attributed to tail closures and grids, never to the reference values.
+A history reaches the objective only through the extended state (depth,
+surplus x, dividends s), the wealth-augmented state of Bauerle & Rieder,
+so the walk caches each node under that state, and its optimum is still
+the optimum over every history-dependent plan.
 ``Fraction(beta)`` is dyadic, p / 2^k, so a horizon-H tree carries s as
 the integer s * scale, scale = max(2^(k(H-1)), denominator of y0), and a
 leaf turns y0 + s into a long double by integer division alone.
@@ -73,10 +77,9 @@ def _leaf(utility: Utility, gamma: float, wealth: int, scale: int) -> np.longdou
 class OracleTree:
     """Optimal decisions of one enumeration run, addressable for replay.
 
-    In the default memoized mode decisions are keyed by (depth, surplus,
-    accumulated dividends); with ``memoize=False`` the key carries the
-    full income history instead, so plans may differ across histories that
-    share a state.  Keys hold the dividends s as the exact integer s * scale.
+    Decisions are keyed by (depth, surplus, accumulated dividends), the
+    dividends s held as the exact integer s * scale; the tree is a policy
+    like any other, called as policy(depth, x, s).
     """
 
     utility: Utility
@@ -89,14 +92,11 @@ class OracleTree:
     scale: int
     decisions: dict = field(repr=False)
     value: float = 0.0
-    by_history: bool = False
 
-    def action(self, depth: int, x: int, s: Fraction,
-               history: tuple[int, ...] = ()) -> int:
-        """The recorded decision; ``history`` matters only with by_history."""
+    def action(self, depth: int, x: int, s: Fraction) -> int:
+        """The decision recorded at state (depth, x, s)."""
         paid = Fraction(s) * self.scale
-        n = paid.numerator
-        key = (depth, x, n, history) if self.by_history else (depth, x, n)
+        key = (depth, x, paid.numerator)
         if paid.denominator == 1 and key in self.decisions:
             return self.decisions[key]
         raise UndefinedAction(f"no decision recorded at depth={depth}, "
@@ -109,38 +109,38 @@ class OracleTree:
         limit = self.horizon if max_depth is None else min(max_depth, self.horizon)
         base = int(self.y0 * self.scale)
 
-        def walk(depth: int, x: int, paid: int, history: tuple[int, ...]) -> dict:
+        def walk(depth: int, x: int, paid: int) -> dict:
             s = Fraction(paid, self.scale)
             node: dict = {"depth": depth, "x": x, "s": str(s)}
             if x < 0 or depth >= self.horizon:
                 node["leaf"] = float(_leaf(self.utility, self.gamma, base + paid,
                                            self.scale))
                 return node
-            a = self.action(depth, x, s, history)
+            a = self.action(depth, x, s)
             node["action"] = a
             if depth < limit:
                 paid_next = paid + int(self.beta ** depth * self.scale) * a
                 node["children"] = {
-                    str(z): walk(depth + 1, x - a + z, paid_next, history + (z,))
+                    str(z): walk(depth + 1, x - a + z, paid_next)
                     for z in sorted(self.probs)
                 }
             return node
 
-        return {"value": self.value, "root": walk(0, self.x0, 0, ())}
+        return {"value": self.value, "root": walk(0, self.x0, 0)}
 
 
 def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy,
-          by_history: bool, node_guard: int) -> OracleTree:
+          node_guard: int) -> OracleTree:
     """Backward induction over the outcome tree, carrying paid = s * scale.
 
     With ``policy`` None a solvent node tries every dividend 0..x and the
     best expectation wins (minimized for exponential objectives, maximized
     otherwise), ties going to the later, larger action; else it takes
-    policy(depth, x, s), with s the exact Fraction (and the income history
-    when ``by_history``).  Nodes are memoized by (depth, x, paid) unless
-    ``by_history`` keys them by the income history as well.  Income terms
-    accumulate in ascending z; the leaves below one action share their
-    payout and are evaluated once.  Raises TooLarge past ``node_guard``.
+    policy(depth, x, s), with s the exact Fraction.  Nodes are cached by
+    (depth, x, paid): every history that reaches a state shares its value
+    and its decision.  Income terms accumulate in ascending z; the leaves
+    below one action share their payout and are evaluated once.  Raises
+    TooLarge past ``node_guard``.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
@@ -158,22 +158,20 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     memo: dict = {}
     visits = 0
 
-    def value(depth: int, x: int, paid: int, history: tuple[int, ...]
-              ) -> np.longdouble:
+    def value(depth: int, x: int, paid: int) -> np.longdouble:
         nonlocal visits
         visits += 1
         if visits > node_guard:
             raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
         if x < 0 or depth == horizon:
             return _leaf(utility, gamma, base + paid, scale)
-        key = (depth, x, paid, history) if by_history else (depth, x, paid)
-        if not by_history and key in memo:
+        key = (depth, x, paid)
+        if key in memo:
             return memo[key]
         if policy is None:
             acts = range(x + 1)
         else:
-            s = Fraction(paid, scale)
-            a = policy(depth, x, s, history) if by_history else policy(depth, x, s)
+            a = policy(depth, x, Fraction(paid, scale))
             if not isinstance(a, (int, np.integer)) or a < 0 or a > x:
                 raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
                                       f"is outside {{0..{x}}}")
@@ -194,34 +192,34 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
                         leaf = _leaf(utility, gamma, base + paid_next, scale)
                     acc += q * leaf
                 else:
-                    acc += q * value(depth + 1, x_next, paid_next, history + (z,))
+                    acc += q * value(depth + 1, x_next, paid_next)
             if best is None or acc == best or (acc < best if minimize else acc > best):
                 best = acc
                 best_a = a
         decisions[key] = best_a
-        if not by_history:
-            memo[key] = best
+        memo[key] = best
         return best
 
     try:
-        val = value(0, x0, 0, ())
+        val = value(0, x0, 0)
     finally:
         del value  # break the closure's self-reference, freeing memo now
     return OracleTree(utility=utility, gamma=gamma, beta=beta, y0=y0_frac,
                       x0=x0, horizon=horizon, probs=probs, scale=scale,
-                      decisions=decisions, value=float(val), by_history=by_history)
+                      decisions=decisions, value=float(val))
 
 
 def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
-                  y0: float | None = None, memoize: bool = True,
+                  y0: float | None = None,
                   node_guard: int = NODE_GUARD) -> tuple[float, OracleTree]:
     """Optimum over history-dependent plans on the full outcome tree.
 
-    Backward induction over every (history, action) branch; exponential
-    objectives are minimized (J-convention), all others maximized.  Ties
-    go to the largest action.  Raises TooLarge past ``node_guard`` visits.
+    Backward induction over every (depth, x, s) state and action;
+    exponential objectives are minimized (J-convention), all others
+    maximized.  Ties go to the largest action.  Raises TooLarge past
+    ``node_guard`` visits.
     """
-    tree = _walk(config, x0, horizon, y0, None, not memoize, node_guard)
+    tree = _walk(config, x0, horizon, y0, None, node_guard)
     return tree.value, tree
 
 
@@ -232,15 +230,13 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
 
     ``policy`` is called as policy(depth, x, s) with scalar surplus
     x >= 0 and the exact accumulated payout s as a Fraction: a solver
-    policy, an OracleTree (a tree recorded with ``memoize=False`` is also
-    passed the income history) or any callable returning an integer.
+    policy, an OracleTree or any callable returning an integer.
     Raises UndefinedAction when a reachable state has no action or the
     action leaves {0..x}.
     """
     if not callable(policy):
         raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")
-    return _walk(config, x0, horizon, y0, policy, getattr(policy, "by_history", False),
-                 node_guard).value
+    return _walk(config, x0, horizon, y0, policy, node_guard).value
 
 
 def markov_optimum(config: ProblemConfig, x0: int, horizon: int) -> float:

@@ -30,7 +30,7 @@ next-depth brackets are queried once, at the levels s + beta^d a, on the
 whole block of surplus rows (plus one call for the rows above the cap);
 F_a(u) = E W_{d+1}(u + Z, s + beta^d a) then raises the running best of
 every x = a + u in place.  The policy records the largest action whose lo
-continuation lies within the absolute TIE_TOL of the running best: best is
+continuation lies within relative TIE_RTOL of the running best: best is
 updated before the comparison and actions ascend, so the last action to
 qualify is the largest that ties the final maximum.
 
@@ -47,10 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BarrierViolation, DomainError, ValidationError
-from .model import (ProblemConfig, Utility, expect_income, policy_lookup,
+from .model import (TIE_RTOL, ProblemConfig, Utility, expect_income, policy_lookup,
                     tail_income)
-
-TIE_TOL = 1e-12  # absolute tie tolerance for the largest maximiser
 
 LATTICE_LIMIT = 50_000  # max exact payout-lattice size merged into the grid
 
@@ -274,7 +272,7 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
             f_hi = expect_income(dist, np.concatenate([ruin, rows_hi, over_hi]), n_u)
             np.maximum(best_lo[a:], f_lo, out=best_lo[a:])
             np.maximum(best_hi[a:], f_hi, out=best_hi[a:])
-            act[a:][f_lo >= best_lo[a:] - TIE_TOL] = a
+            act[a:][f_lo >= best_lo[a:] - TIE_RTOL * np.abs(best_lo[a:])] = a
 
     return (PowerValueTable(config=config, grid=grid, lo=lo, hi=hi),
             PowerPolicy(config=config, grid=grid, action=action))

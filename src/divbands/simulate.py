@@ -41,10 +41,6 @@ __all__ = ["SimulationResult", "simulate_paths", "ruin_certainty_check"]
 class SimulationResult:
     """Per-path outcomes plus the derived summary statistics."""
 
-    config: ProblemConfig
-    x0: int
-    max_steps: int
-    y0: float
     discounted_sums: np.ndarray  # per-path sum of beta^t a_t
     ruin_times: np.ndarray       # first step with x < 0, capped at max_steps
     truncated: np.ndarray        # still alive at max_steps
@@ -147,8 +143,7 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
             disc *= beta
         sums[live], times[live], trunc[live] = s, max_steps, True
 
-    return SimulationResult(config=config, x0=x0, max_steps=max_steps, y0=y0,
-                            discounted_sums=sums, ruin_times=times, truncated=trunc,
+    return SimulationResult(discounted_sums=sums, ruin_times=times, truncated=trunc,
                             utilities=utility(config.utility, config.gamma, y0 + sums))
 
 

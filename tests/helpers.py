@@ -8,12 +8,11 @@ import numpy as np
 
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
-from divbands.exp_solver import (BandFunction, TIE_RTOL, mgf_plus, required_cap,
-                                 suggest_depth)
-from divbands.model import (LOG_DBL_MIN, ProblemConfig, Utility, tail_income, utility,
-                            validate_distribution)
+from divbands.exp_solver import BandFunction, mgf_plus, required_cap, suggest_depth
+from divbands.model import (LOG_DBL_MIN, TIE_RTOL, ProblemConfig, Utility, tail_income,
+                            utility, validate_distribution)
 from divbands.oracle import exact_probabilities
-from divbands.power_solver import TIE_TOL, SGrid, _cash, _eval_queries
+from divbands.power_solver import SGrid, _cash, _eval_queries
 from divbands.simulate import BATCH
 
 # certain unit loss every period: ruin next step, every closed form is exact
@@ -284,7 +283,7 @@ def reference_power_backup(config: ProblemConfig):
         for a in range(x_max + 1):  # second pass: largest tying action
             f_lo, _ = cont(a)
             for x in range(a, x_max + 1):
-                action[d, x][f_lo[x - a] >= best_lo[x] - TIE_TOL] = a
+                action[d, x][f_lo[x - a] >= best_lo[x] - TIE_RTOL * np.abs(best_lo[x])] = a
         lo[d, 1:] = best_lo
         hi[d, 1:] = best_hi
     return lo, hi, action
@@ -356,7 +355,9 @@ def reference_walk(config: ProblemConfig, x0: int, horizon: int, y0: float = 0.0
 
     Carries the accumulated payout s as a Fraction and converts y0 + s at
     every leaf.  ``policy`` None optimizes over every action (ties to the
-    largest); otherwise the walk prices policy(depth, x, s[, history]).
+    largest); otherwise the walk prices policy(depth, x, s).  Nodes are
+    cached by (depth, x, s), or with ``by_history`` not cached at all and
+    keyed by the income history too, so every history is walked on its own.
     Returns (value, decisions keyed by (depth, x, s[, history]), visits).
     """
     ld = np.longdouble
@@ -388,8 +389,7 @@ def reference_walk(config: ProblemConfig, x0: int, horizon: int, y0: float = 0.0
         if policy is None:
             acts = range(x + 1)
         else:
-            acts = (int(policy(depth, x, s, history) if by_history
-                        else policy(depth, x, s)),)
+            acts = (int(policy(depth, x, s)),)
         best, best_a = None, 0
         for a in acts:
             s_next = s + beta ** depth * a

@@ -6,10 +6,11 @@ A public top-level function or class of a ``divbands`` module, or an
 (its tests aside) refers to it outside its own definition: by name in its
 own module, by importing it, or as ``module.name``.  A public method,
 property or annotated field of a public class counts as used when that
-code reads an attribute of its name.  The only exceptions are the
-verification entry points and result members the README lists under
-"Library use"; any other name that only tests reach is dead API and
-should be deleted.
+code reads an attribute of its name off anything but an imported module
+(``json.dump`` is no read of ``OracleTree.dump``) or the CLI's parsed
+``args``.  The only exceptions are the verification entry points and
+result members the README lists under "Library use"; any other name that
+only tests reach is dead API and should be deleted.
 """
 
 import ast
@@ -28,6 +29,7 @@ VERIFICATION_API = {
 RESULT_API = {
     ("exp_solver", "BandFunction.evaluate"),
     ("howard", "HowardResult.table"),
+    ("oracle", "OracleTree.dump"),
 }
 
 
@@ -60,9 +62,44 @@ def public_members(tree: ast.Module) -> set[str]:
     return members
 
 
+def dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of plain names, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except (ImportError, ValueError):  # the parent is a plain module
+        return False
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """The dotted names under which a file reaches an imported module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                names |= ({alias.asname} if alias.asname else
+                          {".".join(parts[:i]) for i in range(1, len(parts) + 1)})
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names |= {alias.asname or alias.name for alias in node.names
+                      if is_module(f"{node.module}.{alias.name}")}
+    return names
+
+
 def attribute_reads(tree: ast.Module) -> set[str]:
+    """Attribute names read off anything but a module or the CLI's ``args``."""
+    skip = module_names(tree) | {"args"}
     return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and dotted(node.value) not in skip}
 
 
 def program_trees():

@@ -1,13 +1,22 @@
 """CLI contract: config ingestion, exit codes, file formats, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divbands.cli as cli
 from divbands.errors import ConfigParse, InvariantViolation
-from divbands.model import Utility
+from divbands.model import Utility, validate_distribution
+from divbands.power_solver import xi_star_bound
 
 
 def write_config(tmp_path, body, name="cfg.yaml"):
@@ -161,6 +170,16 @@ def test_exit_two_when_values_would_underflow(tmp_path, capsys):
         assert err.startswith("error: ") and "ln(DBL_MIN) = -708.4" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+def test_exit_two_when_depth_underflows_theta(tmp_path, capsys):
+    # gamma * beta^n underflows to -0.0 past depth 1074 at beta 0.5
+    path = write_config(tmp_path, exp_body(tmp_path, depth=1100))
+    assert cli.main(["solve-exp", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "depth 1100" in err and "1074" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,utility,y0", [
@@ -324,3 +343,75 @@ def test_simulate_summary_contract(tmp_path):
     assert summary["n_paths"] == 200
     assert cli.main(["simulate", str(path), "--x0", "99"]) == 2
     assert cli.main(["simulate", str(path), "--paths", "0"]) == 2
+
+
+# -- exit-code net -----------------------------------------------------------
+
+GAMMAS = {"exponential": (-3.0, -1.0, -0.1), "power": (0.3, 0.5, 0.9),
+          "logarithmic": (0.0,), "risk_neutral": (0.0,)}
+SOLVES = {"exponential": ("solve-exp", "howard", "bands"), "power": ("solve-power",),
+          "logarithmic": ("solve-log",), "risk_neutral": ("solve-neutral", "bands")}
+SOLVES_DEEP = ("exponential", "risk_neutral")
+
+
+@st.composite
+def cli_runs(draw):
+    """(subcommand, config body, extra flags) for a small config.
+
+    x_max lies from one below to two above the ceiling of the barrier
+    bound every utility's cap check starts from, so most configs
+    validate, and half the subcommands are drawn from those that serve
+    the utility.  Exponential and risk-neutral depths reach 1200 at beta
+    0.5, past the 1074 steps after which gamma * beta^n and beta^n
+    underflow; other depths, which cost a power or log solve per step,
+    stay at 1..3.
+    """
+    utility = draw(st.sampled_from(sorted(GAMMAS)))
+    beta = draw(st.sampled_from([0.5, 0.75]))  # caps grow like 1/(1-beta)^2
+    weights = {draw(st.integers(-2, -1)): draw(st.integers(1, 3)),
+               1: draw(st.integers(0, 3)), 2: draw(st.integers(0, 3))}
+    mapping = {k: w / sum(weights.values()) for k, w in weights.items() if w}
+    bound = xi_star_bound(SimpleNamespace(beta=beta, dist=validate_distribution(mapping)))
+    body = {"beta": beta, "gamma": draw(st.sampled_from(GAMMAS[utility])),
+            "utility": utility, "distribution": mapping,
+            "x_max": max(0, math.ceil(bound - 1e-9) + draw(st.integers(-1, 2))),
+            "depth": draw(st.integers(1, 1200) if beta == 0.5 and utility in SOLVES_DEEP
+                          else st.integers(1, 3)),
+            "s_grid_points": draw(st.integers(2, 8))}
+    command = draw(st.sampled_from(SOLVES[utility] + ("oracle-check", "simulate"))
+                   | st.sampled_from(cli.SUBCOMMANDS))
+    flags = []
+    if command == "oracle-check":
+        flags = ["--horizon", str(draw(st.integers(1, 3))),
+                 "--x0", str(draw(st.sampled_from([0, 1, 3, body["x_max"] + 1])))]
+    elif command == "simulate":
+        flags = ["--paths", "8", "--max-steps", "20"]
+    return command, body, flags
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@example(run=("bands", {"beta": 0.5, "gamma": -1.0, "utility": "exponential",
+                        "distribution": {1: 0.7, -1: 0.3}, "x_max": 3,
+                        "depth": 1100}, []))
+@example(run=("howard", {"beta": 0.5, "gamma": -1.0, "utility": "exponential",
+                         "distribution": {1: 0.7, -1: 0.3}, "x_max": 3,
+                         "depth": 1074}, []))
+@example(run=("solve-power", {"beta": 0.5, "gamma": 0.5, "utility": "power",
+                              "distribution": {1: 0.5, -1: 0.5}, "x_max": 1,
+                              "depth": 1100, "s_grid_points": 4}, []))
+@example(run=("oracle-check", {"beta": 0.5, "gamma": 0.0, "utility": "logarithmic",
+                               "distribution": {2: 0.5, -1: 0.5}, "x_max": 4,
+                               "depth": 2, "s_grid_points": 8}, ["--horizon", "1"]))
+@example(run=("simulate", {"beta": 0.9, "gamma": 0.0, "utility": "risk_neutral",
+                           "distribution": {1: 0.6, -2: 0.4}, "x_max": 54,
+                           "depth": 1}, ["--paths", "8", "--max-steps", "20"]))
+@given(run=cli_runs())
+def test_every_run_exits_cleanly(run):
+    command, body, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), {**body, "output_dir": str(Path(tmp) / "out")})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path), *flags])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -33,8 +33,9 @@ TINY_POWER = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3)
 # exact rational tree, longdouble leaves
 FROZEN_POWER_X1_H3 = 1.136905131730971
 
-# frozen from exact_optimal(cfg, x0=2, horizon=3, memoize=False) on
-# beta 0.5, {+1: 0.7, -1: 0.3}, x_max 4, gamma -1 (exp) and 0.5 (power)
+# frozen from the retired by-history walk, which keyed every node by its
+# income history, at x0=2, horizon=3 on beta 0.5, {+1: 0.7, -1: 0.3},
+# x_max 4, gamma -1 (exp) and 0.5 (power); the cached walk must match them
 FROZEN_BY_HISTORY = {"exponential": (-1.0, 0.08916308667328926),
                      "power": (0.5, 1.5688762966666814)}
 
@@ -66,8 +67,8 @@ def test_frozen_power_value():
 
 def test_history_reduction_power():
     # identical optima whether states are keyed by (k, x, s) or by history
-    lean, _ = exact_optimal(TINY_POWER, 2, 3, memoize=True)
-    full, _ = exact_optimal(TINY_POWER, 2, 3, memoize=False)
+    lean, _ = exact_optimal(TINY_POWER, 2, 3)
+    full, _, _ = reference_walk(TINY_POWER, 2, 3, by_history=True)
     assert lean == full
 
 
@@ -100,11 +101,16 @@ def test_policy_value_of_optimal_tree_is_optimal():
 
 @pytest.mark.parametrize("utility", sorted(FROZEN_BY_HISTORY))
 def test_by_history_tree_replays_its_optimum(utility):
-    # a memoize=False tree is called with the income history as well
+    # the by-history reference decides every history alike at a shared
+    # state, as the cached tree does, and replaying the tree on every
+    # history gives back the optimum
     gamma, frozen = FROZEN_BY_HISTORY[utility]
     cfg = make_config(utility, {1: 0.7, -1: 0.3}, 0.5, gamma, 4, 3)
-    opt, tree = exact_optimal(cfg, 2, 3, memoize=False)
-    assert tree.by_history
+    opt, tree = exact_optimal(cfg, 2, 3)
+    ref, ref_dec, _ = reference_walk(cfg, 2, 3, by_history=True)
+    assert opt == ref
+    assert all(tree.action(*key[:3]) == a for key, a in ref_dec.items())
+    assert reference_walk(cfg, 2, 3, policy=tree, by_history=True)[0] == opt
     assert exact_policy_value(cfg, tree, 2, 3) == opt
     assert opt == pytest.approx(frozen, rel=1e-13)
 
@@ -156,19 +162,22 @@ def test_walk_matches_fraction_reference(utility, gamma, y0, beta):
     # x_max only has to pass validation; the trees never reach it
     cfg = make_config(utility, {2: 0.2, 1: 0.4, -1: 0.4}, beta, gamma, 400, 3)
     for horizon in range(5):
-        for memoize in (True, False):
-            x0 = 2 if memoize else 1
-            ref_val, ref_dec, visits = reference_walk(cfg, x0, horizon, y0,
-                                                      by_history=not memoize)
-            val, tree = exact_optimal(cfg, x0, horizon, y0=y0, memoize=memoize)
-            assert val == ref_val
-            assert len(tree.decisions) == len(ref_dec)
-            for key, a in ref_dec.items():
-                assert tree.action(*key) == a
-            exact_optimal(cfg, x0, horizon, y0=y0, memoize=memoize, node_guard=visits)
-            with pytest.raises(TooLarge):
-                exact_optimal(cfg, x0, horizon, y0=y0, memoize=memoize,
-                              node_guard=visits - 1)
+        ref_val, ref_dec, visits = reference_walk(cfg, 2, horizon, y0)
+        val, tree = exact_optimal(cfg, 2, horizon, y0=y0)
+        assert val == ref_val
+        assert len(tree.decisions) == len(ref_dec)
+        for key, a in ref_dec.items():
+            assert tree.action(*key) == a
+        exact_optimal(cfg, 2, horizon, y0=y0, node_guard=visits)
+        with pytest.raises(TooLarge):
+            exact_optimal(cfg, 2, horizon, y0=y0, node_guard=visits - 1)
+        # every history on its own: the same value, bit for bit, and at each
+        # state the decision the cached walk recorded
+        hist_val, hist_dec, _ = reference_walk(cfg, 1, horizon, y0, by_history=True)
+        val, tree = exact_optimal(cfg, 1, horizon, y0=y0)
+        assert val == hist_val
+        for key, a in hist_dec.items():
+            assert tree.action(*key[:3]) == a
 
 
 def test_policy_value_matches_fraction_reference():
@@ -177,7 +186,7 @@ def test_policy_value_matches_fraction_reference():
         ref, _, _ = reference_walk(TINY_POWER, x0, 3, policy=policy)
         assert exact_policy_value(TINY_POWER, policy, x0, 3) == ref
     cfg = make_config("logarithmic", {1: 0.7, -1: 0.3}, 0.9, 0.0, 100, 3)
-    _, tree = exact_optimal(cfg, 2, 3, y0=0.3, memoize=False)
+    _, tree = exact_optimal(cfg, 2, 3, y0=0.3)
     ref, _, _ = reference_walk(cfg, 2, 3, 0.3, policy=tree, by_history=True)
     assert exact_policy_value(cfg, tree, 2, 3, y0=0.3) == ref == tree.value
 
@@ -210,13 +219,12 @@ def test_walk_frees_its_memo():
     assert held < 64 * 1024
 
 
-@pytest.mark.parametrize("memoize", [True, False])
 @pytest.mark.parametrize("utility,gamma", [("exponential", -1.0), ("power", 0.5)])
-def test_exact_ties_go_to_the_largest_action(monkeypatch, utility, gamma, memoize):
+def test_exact_ties_go_to_the_largest_action(monkeypatch, utility, gamma):
     # with every leaf worth 1 and dyadic weights, each action's expectation
     # is exactly 1, so every node ties across all of its actions
     monkeypatch.setattr(oracle, "_leaf", lambda *args: np.longdouble(1.0))
     cfg = make_config(utility, {1: 0.5, -1: 0.5}, 0.5, gamma, 4, 3)
-    val, tree = exact_optimal(cfg, 3, 3, memoize=memoize)
+    val, tree = exact_optimal(cfg, 3, 3)
     assert val == 1.0 and len(tree.decisions) > 1
     assert all(a == key[1] for key, a in tree.decisions.items())

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divbands import power_solver
 from divbands.errors import BarrierViolation, DomainError
 from divbands.model import Utility, check_y0, validate_distribution
 from divbands.oracle import exact_optimal
@@ -182,8 +183,8 @@ def small_configs(draw, utility, beta):
 
     Dyadic beta puts the payout lattice in the grid when it is small
     enough, so queries hit gridpoints exactly.  With gamma = 1e-13 every
-    positive cash value lies within TIE_TOL of 1, so most decisions are
-    ties and the tie rule sets the action.
+    positive cash value lies within relative TIE_RTOL of 1, so most
+    decisions are ties and the tie rule sets the action.
     """
     gamma = draw(st.sampled_from([1e-13, 0.3, 0.5, 0.8])) if utility == "power" else 0.0
     low, top = draw(st.integers(-3, -1)), draw(st.integers(2, 3))
@@ -212,6 +213,24 @@ def test_one_pass_backup_matches_two_pass_reference(utility, beta, data):
     assert table.lo.tobytes() == ref_lo[:, 1:].tobytes()  # ref keeps a ruin row
     assert table.hi.tobytes() == ref_hi[:, 1:].tobytes()
     np.testing.assert_array_equal(policy.action, ref_action)
+
+
+@pytest.mark.parametrize("utility,gamma", [("power", 0.5), ("logarithmic", 0.0)])
+def test_near_tie_goes_to_the_largest_action(monkeypatch, utility, gamma):
+    # action a continues at 100 (1 - 1e-13 a): within relative 1e-12 of
+    # the best, 100, yet more than 1e-12 below it, so only a relative tie
+    # rule gives every surplus x its largest action, a = x
+    cfg = make_config(utility, {1: 0.5, -1: 0.5}, 0.5, gamma, 4, 2,
+                      s_grid_points=8)
+
+    def near_tie(dist, ext, n):
+        a = cfg.x_max + 1 - n
+        return np.full((n,) + ext.shape[1:], 100.0 * (1.0 - 1e-13 * a))
+
+    monkeypatch.setattr(power_solver, "expect_income", near_tie)
+    _, policy = (solve_power if utility == "power" else solve_log)(cfg)
+    xs = np.arange(cfg.x_max + 1)[:, None]
+    assert np.all(policy.action == xs)
 
 
 def test_refinement_tightens_headline():

@@ -170,7 +170,6 @@ def test_ruin_certainty_check_rejects_callables():
 def test_ruin_certainty_violation_raises(monkeypatch):
     _, policy = solve_exp(TINY)
     fake = SimulationResult(
-        config=TINY, x0=2, max_steps=10, y0=0.0,
         discounted_sums=np.zeros(100), ruin_times=np.full(100, 10),
         truncated=np.ones(100, dtype=bool), utilities=np.full(100, -1.0))
     monkeypatch.setattr(divbands.simulate, "simulate_paths",
