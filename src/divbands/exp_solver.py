@@ -191,27 +191,18 @@ def suggest_depth(config_like, x_max: int | None = None) -> int:
 # backward induction
 
 
-def _extended_next(row: np.ndarray, theta_next: float, x_max: int,
-                   support_min: int, support_max: int) -> np.ndarray:
-    """Next-depth values on x' in [support_min, x_max + support_max].
+def _expect_next(dist: IncomeDistribution, row: np.ndarray, theta_next: float,
+                 x_max: int) -> np.ndarray:
+    """G(v) = E J_next(v + Z) for v = 0..x_max.
 
-    ``row`` is a table row indexed by surplus 0..x_max.  Ruined states
-    are worth exactly 1; states above the cap are priced by the pay-down
-    extension.
+    ``row`` is a next-depth table row indexed by surplus 0..x_max.
+    Ruined states are worth exactly 1; states above the cap are priced by
+    the pay-down extension.
     """
     over = [math.exp(theta_next * o) * row[x_max]
-            for o in range(1, max(support_max, 0) + 1)]
-    return np.concatenate([np.ones(-min(support_min, -1)), row, over])
-
-
-def _g_rows(dist: IncomeDistribution, theta_next: float,
-            next_lo: np.ndarray, next_hi: np.ndarray,
-            x_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """G(v) = E J_next(v + Z) for v = 0..x_max, both bracket ends."""
-    smin, smax = dist.support_min, dist.support_max
-    ext_lo = _extended_next(next_lo, theta_next, x_max, smin, smax)
-    ext_hi = _extended_next(next_hi, theta_next, x_max, smin, smax)
-    return expect_income(dist, ext_lo, x_max + 1), expect_income(dist, ext_hi, x_max + 1)
+            for o in range(1, max(dist.support_max, 0) + 1)]
+    ext = np.concatenate([np.ones(-min(dist.support_min, -1)), row, over])
+    return expect_income(dist, ext, x_max + 1)
 
 
 def exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray
@@ -291,6 +282,48 @@ class ExpPolicy:
         return extra + row[kept]
 
 
+def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
+            terminal: str = "tail") -> tuple[ExpValueTable, ExpPolicy]:
+    """The one backward induction over the theta-schedule.
+
+    Each depth forms G once and backs it up with ``exp_backup``, which
+    gives the largest minimiser against the table being built.  Without
+    a rule the table stores that backup (optimise); with an (N, x_max+1)
+    rule it stores e^{theta_n a} G(x - a) for the rule's a (evaluate), and
+    the tail's hi is 1, since the pay-all upper envelope only bounds the
+    optimal rule.
+    """
+    schedule = config.schedule  # validated at construction: x_max >= its cap
+    n_depth, x_max = config.depth, config.x_max
+    xs = np.arange(x_max + 1)
+    lo = np.ones((n_depth + 1, x_max + 1))
+    hi = np.ones((n_depth + 1, x_max + 1))
+    if terminal == "tail":
+        decay = np.exp(schedule.thetas[n_depth] * xs)
+        lo[n_depth] = decay * schedule.h_lower[n_depth]
+        if rule is None:
+            hi[n_depth] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
+    action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
+
+    for n in range(n_depth - 1, -1, -1):
+        # the pay-down extension prices states above the cap, except that
+        # the unit terminal row is 1 everywhere, so it extends flat
+        theta_next = schedule.thetas[n + 1]
+        if terminal == "unit" and n + 1 == n_depth:
+            theta_next = 0.0
+        g_lo = _expect_next(config.dist, lo[n + 1], theta_next, x_max)
+        g_hi = _expect_next(config.dist, hi[n + 1], theta_next, x_max)
+        best_lo, best_hi, action[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)
+        if rule is None:
+            lo[n], hi[n] = best_lo, best_hi
+        else:
+            pays = np.exp(schedule.thetas[n] * rule[n])
+            lo[n] = pays * g_lo[xs - rule[n]]
+            hi[n] = pays * g_hi[xs - rule[n]]
+    return (ExpValueTable(config=config, lo=lo, hi=hi),
+            ExpPolicy(config=config, action=action))
+
+
 def solve_exp(config: ProblemConfig, *, terminal: str = "tail"
               ) -> tuple[ExpValueTable, ExpPolicy]:
     """Backward induction over the theta-schedule with certified brackets.
@@ -300,33 +333,13 @@ def solve_exp(config: ProblemConfig, *, terminal: str = "tail"
     "unit" sets the terminal row to exactly 1, which turns the table into
     the optimal value of the N-step problem where payouts simply stop
     (useful for exact cross-validation against brute-force enumeration).
+    ``howard.policy_value_exp`` evaluates a fixed rule in the same loop.
     """
     if config.utility is not Utility.EXPONENTIAL:
         raise ValidationError("solve_exp requires the exponential utility")
     if terminal not in ("tail", "unit"):
         raise ValidationError(f"unknown terminal mode {terminal!r}")
-    schedule = config.schedule  # validated at construction: x_max >= its cap
-    n_depth, x_max = config.depth, config.x_max
-    xs = np.arange(x_max + 1)
-    lo = np.ones((n_depth + 1, x_max + 1))
-    hi = np.ones((n_depth + 1, x_max + 1))
-    if terminal == "tail":
-        decay = np.exp(schedule.thetas[n_depth] * xs)
-        lo[n_depth] = decay * schedule.h_lower[n_depth]
-        hi[n_depth] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
-    action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
-
-    for n in range(n_depth - 1, -1, -1):
-        # the pay-down extension prices states above the cap, except that
-        # the unit terminal row is 1 everywhere, so it extends flat
-        theta_next = schedule.thetas[n + 1]
-        if terminal == "unit" and n + 1 == n_depth:
-            theta_next = 0.0
-        g_lo, g_hi = _g_rows(config.dist, theta_next,
-                             lo[n + 1], hi[n + 1], x_max)
-        lo[n], hi[n], action[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)
-    return (ExpValueTable(config=config, lo=lo, hi=hi),
-            ExpPolicy(config=config, action=action))
+    return _induct(config, terminal=terminal)
 
 
 # ---------------------------------------------------------------------------

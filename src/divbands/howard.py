@@ -1,10 +1,12 @@
 """Policy iteration for the exponential case.
 
-Evaluate a fixed decision rule by the same backward induction the value
-solver uses, take the largest minimiser against the evaluated table, and
-repeat until the rule stops changing.  Values are bracketed throughout:
-a fixed rule's tail is closed with [e^{theta x} h_lower, 1], since the
-pay-all upper envelope only bounds the optimal rule, not an arbitrary one.
+Each round is one pass of the value solver's backward induction: it
+evaluates a fixed decision rule and, at each depth, takes the largest
+minimiser against the table being evaluated; ``improve`` only vets that
+rule.  Rounds repeat until the rule stops changing.  Values are
+bracketed throughout: a fixed rule's tail is closed with
+[e^{theta x} h_lower, 1], since the pay-all upper envelope only bounds
+the optimal rule, not an arbitrary one.
 
 Rules must pay down to a bounded surplus (otherwise ruin is no longer
 certain and the evaluation prices a different problem); the gate is the
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllegalAction, InadmissiblePolicy, MaxIterations, ValidationError
-from .exp_solver import (ExpPolicy, ExpValueTable, ThetaSchedule, _g_rows,
-                         exp_backup)
+from .exp_solver import ExpPolicy, ExpValueTable, ThetaSchedule, _induct
 from .model import ProblemConfig, Utility
 
 __all__ = [
@@ -78,59 +79,38 @@ def _check_admissible(schedule: ThetaSchedule, rule: np.ndarray) -> None:
             f"{required[x]} to keep post-payout surplus within {bound:.4g}")
 
 
-def policy_value_exp(config: ProblemConfig, f) -> ExpValueTable:
-    """Bracketed value of a fixed rule by backward induction.
+def policy_value_exp(config: ProblemConfig, f) -> tuple[ExpValueTable, ExpPolicy]:
+    """Bracketed value of a fixed rule, and the greedy rule against it.
 
     ``f`` may be an (N, x_max+1) array or a policy (depth, x, s) ->
     actions such as an ExpPolicy.  Above the cap the rule is extended by
     paying the overflow, which makes the table's extension identity exact
-    for any rule, not only the optimal one.
+    for any rule, not only the optimal one.  The returned policy is the
+    largest minimiser of a -> e^{theta_n a} G_f(x-a) on the lo channel
+    (ties within relative TIE_RTOL = 1e-12 go to the larger payout), found
+    in the same backward pass as the values.
     """
     if config.utility is not Utility.EXPONENTIAL:
         raise ValidationError("policy_value_exp requires the exponential utility")
-    schedule = config.schedule
     rule = _as_rule(config, f)
-    _check_admissible(schedule, rule)
-
-    n_depth, x_max = config.depth, config.x_max
-    xs = np.arange(x_max + 1)
-    lo = np.ones((n_depth + 1, x_max + 1))
-    hi = np.ones((n_depth + 1, x_max + 1))
-    lo[n_depth] = np.exp(schedule.thetas[n_depth] * xs) * schedule.h_lower[n_depth]
-    for n in range(n_depth - 1, -1, -1):
-        g_lo, g_hi = _g_rows(config.dist, schedule.thetas[n + 1],
-                             lo[n + 1], hi[n + 1], x_max)
-        acts = rule[n]
-        pays = np.exp(schedule.thetas[n] * acts)
-        lo[n] = pays * g_lo[xs - acts]
-        hi[n] = pays * g_hi[xs - acts]
-    return ExpValueTable(config=config, lo=lo, hi=hi)
+    _check_admissible(config.schedule, rule)
+    return _induct(config, rule)
 
 
-def improve(config: ProblemConfig, j_f: ExpValueTable) -> np.ndarray:
-    """Largest minimiser against an evaluated rule's table.
+def improve(config: ProblemConfig, rule: np.ndarray) -> np.ndarray:
+    """Vet a greedy rule from ``policy_value_exp`` as an improvement step.
 
-    For each depth n and surplus x, minimizes a -> e^{theta_n a} G_f(x-a)
-    on the lo channel with ties (values within relative TIE_RTOL = 1e-12
-    of the minimum) broken toward the larger payout.  The returned rule
-    pays down to zero pressure (improving twice from the post-payout
-    surplus changes nothing) and respects the payout-pressure bound; both
-    are rechecked here because they certify the iteration's ruin argument.
+    The rule must pay down to zero pressure (improving twice from the
+    post-payout surplus changes nothing) and respect the payout-pressure
+    bound; both certify the iteration's ruin argument.  Returns the rule.
     """
-    schedule = config.schedule
-    n_depth, x_max = config.depth, config.x_max
-    rule = np.zeros((n_depth, x_max + 1), dtype=np.int64)
-    for n in range(n_depth - 1, -1, -1):
-        g_lo, g_hi = _g_rows(config.dist, schedule.thetas[n + 1],
-                             j_f.lo[n + 1], j_f.hi[n + 1], x_max)
-        rule[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)[2]
-    follow = np.take_along_axis(rule, np.arange(x_max + 1) - rule, axis=1)
+    follow = np.take_along_axis(rule, np.arange(config.x_max + 1) - rule, axis=1)
     if np.any(follow != 0):
         n, x = np.argwhere(follow != 0)[0]
         raise InadmissiblePolicy(
             f"improved rule pays again after paying: depth {n}, x={x}, "
             f"a={rule[n, x]}, follow-up {follow[n, x]}")
-    _check_admissible(schedule, rule)
+    _check_admissible(config.schedule, rule)
     return rule
 
 
@@ -165,7 +145,7 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
     gap = math.inf
     history: list[HowardIteration] = []
     for it in range(1, max_iterations + 1):
-        table = policy_value_exp(config, rule)
+        table, greedy = policy_value_exp(config, rule)
         history.append(HowardIteration(rule=rule, j_hi=table.hi))
         if prev_hi is not None:
             worst = float(np.max(table.hi - prev_hi - (table.hi - table.lo)))
@@ -174,7 +154,7 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
                     f"policy iteration increased a value by {worst:.3e}")
             gap = float(np.max(np.abs(table.hi - prev_hi)))
         prev_hi = table.hi
-        improved = improve(config, table)
+        improved = improve(config, greedy.action)
         if np.array_equal(improved, rule):
             return HowardResult(table=table,
                                 policy=ExpPolicy(config=config, action=rule),

@@ -184,8 +184,8 @@ class ProblemConfig:
     def schedule(self):
         """The theta-schedule of an exponential config, built once.
 
-        Validation builds it; ``solve_exp`` and every ``policy_value_exp``
-        call reuse it.
+        Validation builds it; the exponential backward induction reuses
+        it, for ``solve_exp`` and every ``policy_value_exp`` call alike.
         """
         # imported lazily: the solvers import this module at load time
         from .exp_solver import ThetaSchedule

@@ -277,7 +277,7 @@ def test_a06_policy_iteration_agrees(claim_batch):
         assert np.all(np.abs(conv.table.hi[0] - table.hi[0]) <= slack)
         assert np.all(np.abs(conv.table.lo[0] - table.lo[0]) <= slack)
         for k in range(len(conv.history) - 1):
-            nxt = policy_value_exp(cfg, conv.history[k + 1].rule)
+            nxt, _ = policy_value_exp(cfg, conv.history[k + 1].rule)
             width = nxt.hi - nxt.lo
             assert np.all(conv.history[k + 1].j_hi
                           <= conv.history[k].j_hi + width + 1e-12)

@@ -203,6 +203,17 @@ def test_exit_two_on_bad_starting_wealth(tmp_path, capsys, command, utility, y0)
     assert "Traceback" not in err
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "tie artifact, not a broken invariant: with theta_N near -1.6e-13 the "
+    "action values differ by about |theta_n| relative, so the relative "
+    "TIE_RTOL ties some surpluses of a row and not others and bands exits 3; "
+    "scaled exponential values (ROADMAP item 1) remove it"))
+def test_deep_schedule_bands_exit_zero(tmp_path):
+    body = exp_body(tmp_path, beta=0.9, gamma=-1.0, distribution={-1: 0.25, 2: 0.75},
+                    x_max=138, depth=280)
+    assert cli.main(["bands", str(write_config(tmp_path, body))]) == 0
+
+
 def test_exit_three_on_invariant_violation(tmp_path, monkeypatch):
     def boom(config, outdir, args):
         raise InvariantViolation("forced for the exit-code test")

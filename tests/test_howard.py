@@ -14,7 +14,8 @@ from divbands.errors import (
 from divbands.exp_solver import solve_exp
 from divbands.howard import howard_solve, improve, pay_all_rule, policy_value_exp
 from divbands.oracle import exact_policy_value
-from helpers import DOWN_ONE, make_config, sized_exp_config, two_point
+from helpers import (DOWN_ONE, make_config, reference_exp_backup, sized_exp_config,
+                     two_point)
 
 # pay-all is not optimal here, so the iteration has real work to do
 CLAIM = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
@@ -50,8 +51,32 @@ def test_history_is_nonincreasing(converged):
 
 def test_converged_rule_is_a_fixed_point(converged):
     rule = converged.policy.action
-    improved = improve(CLAIM, policy_value_exp(CLAIM, rule))
+    _, greedy = policy_value_exp(CLAIM, rule)
+    improved = improve(CLAIM, greedy.action)
     assert np.array_equal(improved, rule)
+
+
+def test_greedy_rule_minimises_against_the_evaluated_table():
+    # away from the fixed point: the rule returned with pay-all's table
+    # must be the largest minimiser against that same table, depth by depth
+    rule = pay_all_rule(CLAIM)
+    table, greedy = policy_value_exp(CLAIM, rule)
+    thetas, x_max = CLAIM.schedule.thetas, CLAIM.x_max
+
+    def expectation(row, theta_next):
+        def j_next(y):  # ruin is worth 1; above the cap, pay the overflow
+            if y < 0:
+                return 1.0
+            return row[min(y, x_max)] * math.exp(theta_next * max(y - x_max, 0))
+        return np.array([sum(q * j_next(v + k) for k, q in CLAIM.dist.items())
+                         for v in range(x_max + 1)])
+
+    for n in range(CLAIM.depth):
+        g_lo = expectation(table.lo[n + 1], thetas[n + 1])
+        g_hi = expectation(table.hi[n + 1], thetas[n + 1])
+        _, _, action = reference_exp_backup(thetas[n], g_lo, g_hi)
+        assert np.array_equal(greedy.action[n], action), n
+    assert np.any(greedy.action != rule)
 
 
 def test_certain_loss_starts_optimal():
@@ -91,15 +116,15 @@ def test_requires_exponential_utility():
 
 def test_callable_rule_equals_array_rule():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
-    by_array = policy_value_exp(cfg, pay_all_rule(cfg))
-    by_call = policy_value_exp(cfg, lambda n, x, s: x)
+    by_array, _ = policy_value_exp(cfg, pay_all_rule(cfg))
+    by_call, _ = policy_value_exp(cfg, lambda n, x, s: x)
     assert np.array_equal(by_array.lo, by_call.lo)
     assert np.array_equal(by_array.hi, by_call.hi)
 
 
 def test_pay_all_bracket_contains_truncated_expectation():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
-    table = policy_value_exp(cfg, pay_all_rule(cfg))
+    table, _ = policy_value_exp(cfg, pay_all_rule(cfg))
     for x0 in range(cfg.x_max + 1):
         val = exact_policy_value(cfg, lambda n, x, s: x, x0, cfg.depth)
         # hi closes the tail with 1, which makes it exactly the truncated

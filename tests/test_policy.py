@@ -118,7 +118,7 @@ def test_every_consumer_takes_the_solver_policy(policy):
 def test_exp_policy_is_priced_alike_by_oracle_and_howard():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
     _, policy = solve_exp(cfg)
-    table = policy_value_exp(cfg, policy)
+    table, _ = policy_value_exp(cfg, policy)
     assert table.config is cfg  # its schedule is cfg.schedule, built at validation
     for x0 in range(cfg.x_max + 1):
         # the hi channel closes the tail with 1: the truncated expectation
