@@ -25,14 +25,16 @@ reachable point when beta is dyadic and the lattice is in the grid, pass
 through untouched; on such grids the lo channel is the exact value of the
 (N+1)-step problem and the policy invariants below hold with equality.
 
-Each depth is one pass over the actions a = 0..x_max.  For action a the
-next-depth brackets are queried once, at the levels s + beta^d a, on the
-whole block of surplus rows (plus one call for the rows above the cap);
-F_a(u) = E W_{d+1}(u + Z, s + beta^d a) then raises the running best of
-every x = a + u in place.  The policy records the largest action whose lo
-continuation lies within relative TIE_RTOL of the running best: best is
-updated before the comparison and actions ascend, so the last action to
-qualify is the largest that ties the final maximum.
+Each depth is one pass over the actions a = 0..x_max.  For action a,
+F_a(u) = E W_{d+1}(u + Z, s + beta^d a) over u = 0..x_max - a reads the
+next-depth surplus rows up to x_max - a + z+ only, z+ = max(support_max, 0),
+and only those are queried, at the levels s + beta^d a: rows
+0..min(x_max, x_max - a + z+) in one call and, while a < z+, the overflow
+rows x_max + 1..x_max + z+ - a above the cap in a second.  F_a then raises
+the running best of every x = a + u in place.  The policy records the
+largest action whose lo continuation lies within relative TIE_RTOL of the
+running best: best is updated before the comparison and actions ascend, so
+the last action to qualify is the largest that ties the final maximum.
 
 Barrier structure: at any depth and any s, paying nothing is optimal only
 below beta EZ+/(1-beta)^2; ``barrier_diagnostics`` re-derives the barriers
@@ -172,8 +174,9 @@ def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
     hi_r = np.where(has_right, row_hi[..., right], np.inf)
     hi = np.minimum(np.minimum(hi_r, hi_l), env_hi)
 
-    lo = np.where(exact, row_lo[..., idx_c], lo)
-    hi = np.where(exact, row_hi[..., idx_c], hi)
+    if exact.any():
+        lo = np.where(exact, row_lo[..., idx_c], lo)
+        hi = np.where(exact, row_hi[..., idx_c], hi)
     return lo, hi
 
 
@@ -244,7 +247,8 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist
     c_tail = tail_income(dist, beta)
     xs = np.arange(x_max + 1)[:, None]
-    overflow = np.arange(1, max(dist.support_max, 0) + 1)[:, None]
+    z_plus = max(dist.support_max, 0)
+    overflow = np.arange(1, z_plus + 1)[:, None]
     n_ruin = -min(dist.support_min, -1)  # next-step rows x' < 0
 
     lo = np.full((n_depth + 1, x_max + 1, m), -np.inf)
@@ -259,17 +263,19 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
         next_lo, next_hi = lo[d + 1], hi[d + 1]
         best_lo, best_hi, act = lo[d], hi[d], action[d]
         for a in range(x_max + 1):
+            n_u = x_max + 1 - a  # x = a + u reads rows u + Z < n_u + z_plus only
+            top = min(n_u + z_plus, x_max + 1)
             q = pts + bd * a
             ruin = np.broadcast_to(cash(q), (n_ruin, m))
-            rows_lo, rows_hi = _eval_queries(pts, next_lo, next_hi, q,
-                                             xs, bnext, c_tail, cash)
-            # overflow: pay o now at next-step rate
-            over_lo, over_hi = _eval_queries(pts, next_lo[x_max], next_hi[x_max],
-                                             q + bnext * overflow, x_max, bnext,
-                                             c_tail, cash)
-            n_u = x_max + 1 - a
-            f_lo = expect_income(dist, np.concatenate([ruin, rows_lo, over_lo]), n_u)
-            f_hi = expect_income(dist, np.concatenate([ruin, rows_hi, over_hi]), n_u)
+            parts = [(ruin, ruin), _eval_queries(pts, next_lo[:top], next_hi[:top], q,
+                                                 xs[:top], bnext, c_tail, cash)]
+            if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
+                parts.append(_eval_queries(pts, next_lo[x_max], next_hi[x_max],
+                                           q + bnext * overflow[:z_plus - a],
+                                           x_max, bnext, c_tail, cash))
+            ext_lo, ext_hi = (np.concatenate(p) for p in zip(*parts))
+            f_lo = expect_income(dist, ext_lo, n_u)
+            f_hi = expect_income(dist, ext_hi, n_u)
             np.maximum(best_lo[a:], f_lo, out=best_lo[a:])
             np.maximum(best_hi[a:], f_hi, out=best_hi[a:])
             act[a:][f_lo >= best_lo[a:] - TIE_RTOL * np.abs(best_lo[a:])] = a

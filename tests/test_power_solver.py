@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from divbands import power_solver
 from divbands.errors import BarrierViolation, DomainError
-from divbands.model import Utility, check_y0, validate_distribution
+from divbands.model import Utility, check_y0, expect_income, validate_distribution
 from divbands.oracle import exact_optimal
 from divbands.power_solver import (
     SGrid,
@@ -179,15 +179,17 @@ def test_shift_check_matches_per_pair_loop():
 
 @st.composite
 def small_configs(draw, utility, beta):
-    """Power or log on a few states; incomes reach +2 or +3 (overflow rows).
+    """Power or log on a few states; the top income is 0 to 3.
 
-    Dyadic beta puts the payout lattice in the grid when it is small
-    enough, so queries hit gridpoints exactly.  With gamma = 1e-13 every
-    positive cash value lies within relative TIE_RTOL of 1, so most
-    decisions are ties and the tie rule sets the action.
+    The backup forms overflow rows above the cap for the payouts a below
+    the top only: for none at top 0, for a = 0 alone at top 1.  Dyadic beta
+    puts the payout lattice in the grid when it is small enough, so queries
+    hit gridpoints exactly.  With gamma = 1e-13 every positive cash value
+    lies within relative TIE_RTOL of 1, so most decisions are ties and the
+    tie rule sets the action.
     """
     gamma = draw(st.sampled_from([1e-13, 0.3, 0.5, 0.8])) if utility == "power" else 0.0
-    low, top = draw(st.integers(-3, -1)), draw(st.integers(2, 3))
+    low, top = draw(st.integers(-3, -1)), draw(st.integers(0, 3))
     weights = {k: draw(st.integers(0, 3)) for k in range(low + 1, top)}
     weights[low], weights[top] = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     total = sum(weights.values())
@@ -213,6 +215,42 @@ def test_one_pass_backup_matches_two_pass_reference(utility, beta, data):
     assert table.lo.tobytes() == ref_lo[:, 1:].tobytes()  # ref keeps a ruin row
     assert table.hi.tobytes() == ref_hi[:, 1:].tobytes()
     np.testing.assert_array_equal(policy.action, ref_action)
+
+
+@pytest.mark.parametrize("utility", ["power", "logarithmic"])
+@pytest.mark.parametrize("mapping", [{0: 0.5, -1: 0.5}, {1: 0.4, -2: 0.6},
+                                     {3: 0.3, 1: 0.2, -1: 0.5}])
+def test_backup_forms_only_the_rows_it_reads(monkeypatch, utility, mapping):
+    # payout a leaves u = 0..n-1 and E ext[v + Z] reads surplus rows from
+    # min(support_min, -1) up to n - 1 + z+, z+ = max(support_max, 0): the
+    # rows formed for every call are exactly those
+    cfg = make_config(utility, mapping, 0.5, 0.5 if utility == "power" else 0.0,
+                      math.ceil(xi_star_bound(SimpleNamespace(
+                          beta=0.5, dist=validate_distribution(mapping)))) + 4,
+                      2, s_grid_points=16)
+    off = -min(cfg.dist.support_min, -1)
+    z_plus = max(cfg.dist.support_max, 0)
+    assert cfg.x_max > z_plus  # the last actions get no overflow rows
+    calls, query_calls = [], 0
+    eval_queries = power_solver._eval_queries
+
+    def counted(dist, ext, n):
+        calls.append((len(ext), n))
+        return expect_income(dist, ext, n)
+
+    def counted_queries(*args):
+        nonlocal query_calls
+        query_calls += 1
+        return eval_queries(*args)
+
+    monkeypatch.setattr(power_solver, "expect_income", counted)
+    monkeypatch.setattr(power_solver, "_eval_queries", counted_queries)
+    (solve_power if utility == "power" else solve_log)(cfg)
+    assert sorted(calls) == sorted((off + n + z_plus, n)
+                                   for n in range(1, cfg.x_max + 2)
+                                   for _ in range(2 * cfg.depth))
+    # one block call per action, one overflow call per action a < z+
+    assert query_calls == cfg.depth * (cfg.x_max + 1 + z_plus)
 
 
 @pytest.mark.parametrize("utility,gamma", [("power", 0.5), ("logarithmic", 0.0)])
