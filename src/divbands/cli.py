@@ -10,8 +10,15 @@ the s-grid): array columns go through ``tolist()`` with repr for floats
 per-block constants are formatted once; the bytes equal a per-cell
 rendering.  JSON keys are sorted, newlines are always "\\n", and the
 solvers are fixed-order numpy code, so re-running a command reproduces
-its files byte for byte.  ``--threads`` is accepted on every subcommand
-but reserved: it has no effect today.
+its files byte for byte.
+
+``--threads N`` splits the two costs that parallelize over this process
+and up to N - 1 forked children (``divbands.parallel``), N clamped to
+the usable CPUs: a CSV of at least ``SPLIT_CELLS`` cells (the values and
+policy tables of large ``solve-exp``, ``howard``, ``solve-power`` and
+``solve-log`` runs) is formatted in contiguous runs of blocks, and
+``simulate`` runs its batches of paths in contiguous runs.  The files
+are byte-identical for every N; N = 1 forks nothing.
 
 Exit codes: 0 on success, 2 for rejected inputs (bad config, bad flag
 values, unknown subcommand), 3 when a certified invariant fails.
@@ -22,7 +29,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from itertools import repeat
 from pathlib import Path
 
@@ -35,6 +45,7 @@ from .howard import howard_solve
 from .model import (ProblemConfig, Utility, certainty_equivalent, check_y0,
                     validate_distribution)
 from .oracle import exact_optimal
+from .parallel import fork_parts, split_runs
 from .power_solver import barrier_diagnostics, solve_log, solve_power
 from .simulate import simulate_paths
 
@@ -43,6 +54,16 @@ CONFIG_KEYS = {
     "x_max", "depth", "tail_eps", "s_grid_points", "seed", "output_dir",
 }
 REQUIRED_KEYS = {"beta", "gamma", "utility", "x_max", "depth"}
+
+# Smallest CSV, in rows x columns, whose emission is split over processes.
+# A two-way split costs about 4 ms on a 2-vCPU Xeon VM (a fork and reap of
+# the 35 MB process takes 2.2-3.2 ms, median of 30; a temp file and the
+# append add the rest), while formatting costs 120 ns (integer-only
+# policy.csv) to 350 ns (values.csv, with float columns) per cell.  Split
+# in two, values.csv broke even at about 40,000 cells (solve-exp) and
+# 65,000 (howard), policy.csv at about 110,000; below the gate, files are
+# cheaper to write here alone.
+SPLIT_CELLS = 100_000
 
 SUBCOMMANDS = (
     "solve-exp", "solve-power", "solve-log", "solve-neutral",
@@ -147,30 +168,63 @@ def _cells(column):
     return repr(float(column)) if isinstance(column, float) else str(column)
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write the header, then each block of rows as soon as it is formatted.
+def _rows(block) -> int:
+    """Rows of a block, read off its first list or array column."""
+    for column in block:
+        if isinstance(column, list) or isinstance(column, np.ndarray) and column.ndim:
+            return len(column)
+    return 1
+
+
+def _write_blocks(fh, name: str, blocks) -> None:
+    """Format each block of rows and write it as soon as it is formatted."""
+    for block in blocks:
+        cols = [_cells(v) for v in block]
+        sizes = {len(c) for c in cols if not isinstance(c, str)} or {1}
+        if len(sizes) > 1:
+            raise ValueError(f"ragged block in {name}: column sizes {sorted(sizes)}")
+        rows = sizes.pop()
+        if rows:
+            cols = [repeat(c, rows) if isinstance(c, str) else c for c in cols]
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], blocks, threads: int) -> None:
+    """Write the header, then the blocks of rows in order.
 
     A block has one entry per column (see ``_cells``); a scalar repeats
-    down the block, so a block of scalars only is one row.
+    down the block, so a block of scalars only is one row.  A file of at
+    least ``SPLIT_CELLS`` cells is cut into up to ``threads`` contiguous
+    runs of blocks (``parallel.split_runs``): this process writes run 0
+    straight to the file while forked children format the others into
+    unlinked temp files beside it, which are then appended in order.
     """
-    with open(path, "w", newline="") as fh:
+    blocks = list(blocks)
+    cells = len(header) * sum(map(_rows, blocks))
+    runs = split_runs(threads if cells >= SPLIT_CELLS else 1, blocks)
+    with open(path, "w", newline="") as fh, ExitStack() as temps:
+        outs = [fh] + [temps.enter_context(tempfile.TemporaryFile(
+            "w+", dir=path.parent, newline="")) for _ in runs[1:]]
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            cols = [_cells(v) for v in block]
-            sizes = {len(c) for c in cols if not isinstance(c, str)} or {1}
-            if len(sizes) > 1:
-                raise ValueError(f"ragged block in {path.name}: column sizes {sorted(sizes)}")
-            rows = sizes.pop()
-            if rows:
-                cols = [repeat(c, rows) if isinstance(c, str) else c for c in cols]
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+        def part(i: int) -> None:
+            _write_blocks(outs[i], path.name, runs[i])
+            outs[i].flush()
+
+        for i in fork_parts(len(runs), part):
+            outs[i].seek(0)
+            outs[i].truncate()
+            part(i)
+        for out in outs[1:]:
+            out.seek(0)
+            shutil.copyfileobj(out, fh)
 
 
 def _write_bands(outdir: Path, policy) -> list[str]:
     """Write bands.csv for an exponential policy; returns each depth's cuts."""
     cuts = [b.cut_string() for b in extract_bands(policy)]
     _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
-               [(np.arange(len(cuts)), policy.xi, cuts)])
+               [(np.arange(len(cuts)), policy.xi, cuts)], 1)
     return cuts
 
 
@@ -178,7 +232,7 @@ def _write_neutral_band(outdir: Path, sol) -> BandFunction:
     """Write the one-row bands.csv of a risk-neutral solution; returns its band."""
     band = sol.band()
     _write_csv(outdir / "bands.csv", ["xi", "band_cuts"],
-               [(band.c[0], band.cut_string())])
+               [(band.c[0], band.cut_string())], 1)
     return band
 
 
@@ -214,9 +268,9 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
                ["n", "theta", "x", "j_lo", "j_hi", "action", "xi", "band_cuts"],
                ((n, sched.thetas[n], xs, table.lo[n], table.hi[n],
                  policy.action[n], policy.xi[n], cuts[n])
-                for n in range(config.depth)))
+                for n in range(config.depth)), args.threads)
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, xs, policy.action[n]) for n in range(config.depth)))
+               ((n, xs, policy.action[n]) for n in range(config.depth)), args.threads)
 
     gamma = config.gamma
     values = []
@@ -247,9 +301,11 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
     xs = _cells(np.arange(config.x_max + 1))
     _write_csv(outdir / "values.csv", ["iteration", "n", "x", "action", "j_hi"],
                ((i, n, xs, it.rule[n], it.j_hi[n])
-                for i, it in enumerate(result.history) for n in range(config.depth)))
+                for i, it in enumerate(result.history) for n in range(config.depth)),
+               args.threads)
     _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, xs, result.policy.action[n]) for n in range(config.depth)))
+               ((n, xs, result.policy.action[n]) for n in range(config.depth)),
+               args.threads)
     _write_bands(outdir, result.policy)
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
@@ -260,7 +316,7 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
 
 
 def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
-                   s0: float) -> None:
+                   s0: float, threads: int) -> None:
     report = barrier_diagnostics(policy)
     ss = _cells(table.grid.points)
     xi = [_cells(row) for row in report.xi]
@@ -268,11 +324,11 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
     _write_csv(outdir / "values.csv",
                ["d", "x", "s", "w_lo", "w_hi", "action", "xi_of_s"],
                ((d, x, ss, table.lo[d, x], table.hi[d, x],
-                 policy.action[d, x], xi[d]) for d, x in dxs))
+                 policy.action[d, x], xi[d]) for d, x in dxs), threads)
     _write_csv(outdir / "policy.csv", ["d", "x", "s", "action"],
-               ((d, x, ss, policy.action[d, x]) for d, x in dxs))
+               ((d, x, ss, policy.action[d, x]) for d, x in dxs), threads)
     _write_csv(outdir / "bands.csv", ["d", "s", "xi_of_s"],
-               ((d, ss, xi[d]) for d in range(config.depth)))
+               ((d, ss, xi[d]) for d in range(config.depth)), threads)
 
     gamma = config.gamma
     values = []
@@ -291,22 +347,22 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
 
 def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
     table, policy = solve_power(config)
-    _power_outputs(config, outdir, table, policy, 0.0)
+    _power_outputs(config, outdir, table, policy, 0.0, args.threads)
     return 0
 
 
 def _cmd_solve_log(config: ProblemConfig, outdir: Path, args) -> int:
     y0 = check_y0(config.utility, args.y0)
     table, policy = solve_log(config)
-    _power_outputs(config, outdir, table, policy, y0)
+    _power_outputs(config, outdir, table, policy, y0, args.threads)
     return 0
 
 
 def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
     sol = solve_neutral(config)
     xs = _cells(np.arange(config.x_max + 1))
-    _write_csv(outdir / "values.csv", ["x", "value"], [(xs, sol.values)])
-    _write_csv(outdir / "policy.csv", ["x", "action"], [(xs, sol.action)])
+    _write_csv(outdir / "values.csv", ["x", "value"], [(xs, sol.values)], 1)
+    _write_csv(outdir / "policy.csv", ["x", "action"], [(xs, sol.action)], 1)
     band = _write_neutral_band(outdir, sol)
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
@@ -418,7 +474,7 @@ def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
     y0 = check_y0(config.utility, args.y0)  # reject a bad --y0 before solving
     policy = _solve_policy_for(config)
     result = simulate_paths(config, policy, x0, args.paths,
-                            max_steps=args.max_steps, y0=y0)
+                            max_steps=args.max_steps, y0=y0, workers=args.threads)
     _write_json(outdir / "summary.json", result.summary())
     return 0
 
@@ -446,7 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="YAML run configuration")
         p.add_argument("--threads", type=int, default=1,
-                       help="reserved; accepted but has no effect")
+                       help="processes for CSV emission and simulation batches "
+                            "(clamped to the usable CPUs; outputs are identical "
+                            "for every value)")
         if name == "solve-log":
             p.add_argument("--y0", type=float, default=None,
                            help="initial wealth entering the logarithm (default 1.0)")

@@ -3,8 +3,8 @@
 Paths stream through the surplus recursion in fixed-size batches of
 2^14, each batch drawing from its own Philox substream obtained by
 jumping the seeded generator, so path i always sees the same randomness
-no matter how many paths run, in how many batches, or on how many
-threads.  One uniform is drawn per path per step, ruined paths included
+no matter how many paths run, in how many batches, or in how many
+processes.  One uniform is drawn per path per step, ruined paths included
 (their draws are burned), keeping the stream layout independent of the
 ruin pattern; a batch stops early once every path in it is ruined.
 Only the live paths are stepped: each batch keeps their surplus and
@@ -25,12 +25,14 @@ flagged, its unpaid tail bounded by beta^max_steps x_max/(1-beta).
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PolicyUndefined, InvariantViolation, ValidationError
 from .model import ProblemConfig, check_y0, utility
+from .parallel import fork_parts, split_runs
 
 BATCH = 1 << 14  # paths per Philox substream
 
@@ -93,14 +95,34 @@ def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shared_outputs(n_paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeroed per-path sums, ruin times and truncation flags, as views on
+    one anonymous shared mmap, so a forked child's writes reach the caller."""
+    buf = mmap.mmap(-1, 17 * n_paths)  # 8 + 8 + 1 bytes per path
+    sums = np.frombuffer(buf, dtype=np.float64, count=n_paths)
+    times = np.frombuffer(buf, dtype=np.int64, count=n_paths, offset=8 * n_paths)
+    trunc = np.frombuffer(buf, dtype=bool, count=n_paths, offset=16 * n_paths)
+    return sums, times, trunc
+
+
 def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
-                   max_steps: int = 10_000, y0: float | None = None) -> SimulationResult:
+                   max_steps: int = 10_000, y0: float | None = None,
+                   workers: int = 1) -> SimulationResult:
     """Simulate the surplus process under a policy; reproducible per seed.
 
     Returns per-path discounted payout sums, ruin times (capped at
     max_steps, with surviving paths flagged truncated) and utilities of
     y0 plus the payout sum (default y0: ``model.check_y0``).  The stream
     is keyed by ``config.seed``.
+
+    ``workers`` > 1 splits the batches into contiguous runs, one per
+    process (``parallel.split_runs`` clamps the count to the usable
+    cores and the batches); the result is the same bytes for every
+    value.  The default stays 1 because a run in a forked child keeps
+    none of the policy's side effects: a policy that counts or records
+    its calls sees only the calls made in the calling process.  An
+    exception raised in a child's run is raised again, with its serial
+    type and message, by running that run here.
     """
     if not callable(policy):
         raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
@@ -114,35 +136,37 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     cum = np.cumsum(np.array(config.dist.probs))
 
     # a path ruined from the start keeps sum 0, time 0 and no flag
-    sums = np.zeros(n_paths)
-    times = np.zeros(n_paths, dtype=np.int64)
-    trunc = np.zeros(n_paths, dtype=bool)
-
+    sums, times, trunc = _shared_outputs(n_paths)
     base = np.random.Philox(key=config.seed)
-    buf = np.empty(BATCH)
-    for b in range(0, n_paths, BATCH):
-        rng = np.random.Generator(base.jumped(b // BATCH))
-        live = np.arange(b, min(b + BATCH, n_paths) if x0 >= 0 else b)
-        x = np.full(live.size, x0, dtype=np.int64)
-        s = np.zeros(live.size)
-        disc = 1.0
-        for t in range(max_steps):
-            if live.size == 0:
-                break
-            a = _step_actions(policy, t, x, s)
-            s = s + disc * a
-            draws = rng.random(out=buf)[live - b]
-            z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
-                                   len(support) - 1)]
-            x = x - a + z
-            ruined = x < 0
-            if ruined.any():
-                sums[live[ruined]] = s[ruined]
-                times[live[ruined]] = t + 1
-                live, x, s = live[~ruined], x[~ruined], s[~ruined]
-            disc *= beta
-        sums[live], times[live], trunc[live] = s, max_steps, True
+    runs = split_runs(workers, range(0, n_paths, BATCH))
 
+    def part(i: int) -> None:
+        buf = np.empty(BATCH)
+        for b in runs[i]:
+            rng = np.random.Generator(base.jumped(b // BATCH))
+            live = np.arange(b, min(b + BATCH, n_paths) if x0 >= 0 else b)
+            x = np.full(live.size, x0, dtype=np.int64)
+            s = np.zeros(live.size)
+            disc = 1.0
+            for t in range(max_steps):
+                if live.size == 0:
+                    break
+                a = _step_actions(policy, t, x, s)
+                s = s + disc * a
+                draws = rng.random(out=buf)[live - b]
+                z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
+                                       len(support) - 1)]
+                x = x - a + z
+                ruined = x < 0
+                if ruined.any():
+                    sums[live[ruined]] = s[ruined]
+                    times[live[ruined]] = t + 1
+                    live, x, s = live[~ruined], x[~ruined], s[~ruined]
+                disc *= beta
+            sums[live], times[live], trunc[live] = s, max_steps, True
+
+    for i in fork_parts(len(runs), part):
+        part(i)
     return SimulationResult(discounted_sums=sums, ruin_times=times, truncated=trunc,
                             utilities=utility(config.utility, config.gamma, y0 + sums))
 

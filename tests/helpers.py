@@ -1,11 +1,14 @@
 """Shared instance builders for the test suite."""
 
 import math
+import os
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
+import divbands.cli as cli
+import divbands.parallel as parallel
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
 from divbands.exp_solver import BandFunction, mgf_plus, required_cap, suggest_depth
@@ -17,6 +20,23 @@ from divbands.simulate import BATCH
 
 # certain unit loss every period: ruin next step, every closed form is exact
 DOWN_ONE = {-1: 1.0}
+
+# CPUs a split may use while ``split_everything`` is in force
+SPLIT_CPUS = 4
+
+
+def split_everything(monkeypatch) -> None:
+    """Make every multi-block CSV and every multi-batch simulation split.
+
+    The emission size gate drops to 0 and the process reports
+    ``SPLIT_CPUS`` usable CPUs, so ``--threads`` 2 and 4 split into 2 and
+    4 runs on any host.  Pinning is switched off, so the test process
+    keeps its real CPU mask.
+    """
+    monkeypatch.setattr(cli, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(SPLIT_CPUS)),
+                        raising=False)
+    monkeypatch.setattr(parallel, "_set_cpus", lambda cpus: None)
 
 
 def two_point(p: float, n: int) -> dict[int, float]:

@@ -18,16 +18,26 @@ import pytest
 import yaml
 
 import divbands.cli as cli
+from helpers import split_everything
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 
 
-def run_case(case: str, outdir: Path, workdir: Path) -> None:
+def run_case(case: str, outdir: Path, workdir: Path, threads: int = 1) -> None:
     body = yaml.safe_load((GOLDEN / case / "config.yaml").read_text())
     cfg = workdir / f"{case}.yaml"
     cfg.write_text(yaml.safe_dump(dict(body, output_dir=str(outdir))))
-    assert cli.main([case.split(".")[0], str(cfg)]) == 0
+    assert cli.main([case.split(".")[0], str(cfg), "--threads", str(threads)]) == 0
+
+
+def assert_golden(case: str, outdir: Path) -> None:
+    expected = sorted(p.name for p in (GOLDEN / case).iterdir()
+                      if p.name != "config.yaml")
+    assert sorted(p.name for p in outdir.iterdir()) == expected
+    for name in expected:
+        got = (outdir / name).read_bytes()
+        assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
 
 
 def test_cases_cover_every_table_writer():
@@ -38,19 +48,23 @@ def test_cases_cover_every_table_writer():
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden_bytes(tmp_path, case):
     run_case(case, tmp_path / "out", tmp_path)
-    expected = sorted(p.name for p in (GOLDEN / case).iterdir()
-                      if p.name != "config.yaml")
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == expected
-    for name in expected:
-        got = (tmp_path / "out" / name).read_bytes()
-        assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+    assert_golden(case, tmp_path / "out")
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+@pytest.mark.parametrize("case", CASES)
+def test_split_outputs_match_golden_bytes(tmp_path, monkeypatch, case, threads):
+    # every multi-block file is cut into `threads` runs, formatted by children
+    split_everything(monkeypatch)
+    run_case(case, tmp_path / "out", tmp_path, threads)
+    assert_golden(case, tmp_path / "out")
 
 
 # -- the writer ---------------------------------------------------------------
 
 def written(tmp_path, blocks, header=("a", "b")):
     path = tmp_path / "t.csv"
-    cli._write_csv(path, list(header), blocks)
+    cli._write_csv(path, list(header), blocks, 1)
     return path.read_bytes().decode()
 
 
