@@ -191,18 +191,17 @@ def suggest_depth(config_like, x_max: int | None = None) -> int:
 # backward induction
 
 
-def _expect_next(dist: IncomeDistribution, row: np.ndarray, theta_next: float,
+def _expect_next(dist: IncomeDistribution, rows: np.ndarray, theta_next: float,
                  x_max: int) -> np.ndarray:
-    """G(v) = E J_next(v + Z) for v = 0..x_max.
+    """G(v) = E J_next(v + Z) for v = 0..x_max, lo and hi side by side.
 
-    ``row`` is a next-depth table row indexed by surplus 0..x_max.
-    Ruined states are worth exactly 1; states above the cap are priced by
-    the pay-down extension.
+    ``rows`` holds the next-depth lo and hi rows as its two columns,
+    indexed by surplus 0..x_max.  Ruined states are worth exactly 1;
+    states above the cap are priced by the pay-down extension.
     """
-    over = [math.exp(theta_next * o) * row[x_max]
-            for o in range(1, max(dist.support_max, 0) + 1)]
-    ext = np.concatenate([np.ones(-min(dist.support_min, -1)), row, over])
-    return expect_income(dist, ext, x_max + 1)
+    pay = np.array([math.exp(theta_next * o)
+                    for o in range(1, max(dist.support_max, 0) + 1)])
+    return expect_income(dist, 1.0, rows, pay[:, None] * rows[x_max], x_max + 1)
 
 
 def exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray
@@ -286,12 +285,12 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
             terminal: str = "tail") -> tuple[ExpValueTable, ExpPolicy]:
     """The one backward induction over the theta-schedule.
 
-    Each depth forms G once and backs it up with ``exp_backup``, which
-    gives the largest minimiser against the table being built.  Without
-    a rule the table stores that backup (optimise); with an (N, x_max+1)
-    rule it stores e^{theta_n a} G(x - a) for the rule's a (evaluate), and
-    the tail's hi is 1, since the pay-all upper envelope only bounds the
-    optimal rule.
+    Each depth forms G once, lo and hi in one expectation, and backs it
+    up with ``exp_backup``, which gives the largest minimiser against the
+    table being built.  Without a rule the table stores that backup
+    (optimise); with an (N, x_max+1) rule it stores e^{theta_n a} G(x - a)
+    for the rule's a (evaluate), and the tail's hi is 1, since the pay-all
+    upper envelope only bounds the optimal rule.
     """
     schedule = config.schedule  # validated at construction: x_max >= its cap
     n_depth, x_max = config.depth, config.x_max
@@ -311,8 +310,8 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
         theta_next = schedule.thetas[n + 1]
         if terminal == "unit" and n + 1 == n_depth:
             theta_next = 0.0
-        g_lo = _expect_next(config.dist, lo[n + 1], theta_next, x_max)
-        g_hi = _expect_next(config.dist, hi[n + 1], theta_next, x_max)
+        g_lo, g_hi = _expect_next(config.dist, np.stack([lo[n + 1], hi[n + 1]], axis=1),
+                                  theta_next, x_max).T
         best_lo, best_hi, action[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)
         if rule is None:
             lo[n], hi[n] = best_lo, best_hi
@@ -460,8 +459,7 @@ class NeutralSolution:
 def _neutral_g(dist: IncomeDistribution, values: np.ndarray, x_max: int) -> np.ndarray:
     """E V(v + Z) with V = 0 after ruin and linear pay-down above the cap."""
     over = values[x_max] + np.arange(1, max(dist.support_max, 0) + 1)
-    ext = np.concatenate([np.zeros(-min(dist.support_min, -1)), values, over])
-    return expect_income(dist, ext, x_max + 1)
+    return expect_income(dist, 0.0, values, over, x_max + 1)
 
 
 def solve_neutral(config: ProblemConfig) -> NeutralSolution:

@@ -99,15 +99,19 @@ def tail_income(dist: IncomeDistribution, beta: float) -> float:
     return dist.mean_positive * beta / (1.0 - beta)
 
 
-def expect_income(dist: IncomeDistribution, ext: np.ndarray, n: int) -> np.ndarray:
-    """E ext[v + Z] for v = 0..n-1.
+def expect_income(dist: IncomeDistribution, ruin, rows: np.ndarray, over: np.ndarray,
+                  n: int) -> np.ndarray:
+    """E V(v + Z) for v = 0..n-1, V the next-step row along its first axis.
 
-    ``ext`` holds next-step values on its first axis, ext[0] at surplus
-    min(support_min, -1); any further axes ride along.  Income terms
-    accumulate in ascending k so results are reproducible bit for bit.
+    By surplus, V is ``ruin`` below 0 (a scalar or one row), then ``rows``
+    from 0, then ``over``; further axes ride along, an empty ``over`` too.
+    Income terms accumulate in ascending k, reproducible bit for bit.
     """
     off = -min(dist.support_min, -1)
-    out = np.zeros((n,) + ext.shape[1:])
+    top = off + len(rows)
+    ext = np.empty((top + len(over),) + rows.shape[1:])
+    ext[:off], ext[off:top], ext[top:] = ruin, rows, over
+    out = np.zeros((n,) + rows.shape[1:])
     for k, q in dist.items():
         out += q * ext[off + k : off + k + n]
     return out

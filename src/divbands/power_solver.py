@@ -20,9 +20,10 @@ Off-grid evaluations never assume smoothness that is not proven: a query
 between gridpoints is bracketed by the lower neighbor (monotonicity), the
 upper neighbor corrected by the concave increment cash(b) - cash(a) (a
 modulus valid for the true value), and the envelope above, taking the best
-of each side.  Queries that hit a gridpoint exactly, which is every
-reachable point when beta is dyadic and the lattice is in the grid, pass
-through untouched; on such grids the lo channel is the exact value of the
+of each side; a missing candidate is NaN and the best of the rest is
+taken.  Queries that hit a gridpoint exactly, which is every reachable
+point when beta is dyadic and the lattice is in the grid, pass through
+untouched; on such grids the lo channel is the exact value of the
 (N+1)-step problem and the policy invariants below hold with equality.
 
 Each depth is one pass over the actions a = 0..x_max.  For action a,
@@ -43,7 +44,7 @@ from a solved policy and fails loudly if that bound ever breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -142,41 +143,35 @@ def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
                   cash) -> tuple[np.ndarray, np.ndarray]:
     """Certified bracket of W(row surplus, q) for off-grid query points q.
 
-    Exact grid hits pass the stored bracket through.  Otherwise the lower
-    bound is the best of the left neighbor, the right neighbor minus the
-    concave increment cash(s_right) - cash(q), and the pay-all envelope;
-    the upper bound mirrors that from above.  ``env_x`` and ``b_env`` are
+    The lower bound is the best of the left neighbor, the right neighbor
+    minus the concave increment cash(s_right) - cash(q), and the pay-all
+    envelope; the upper bound mirrors that from above.  A missing
+    candidate (no right neighbor past the last gridpoint, -inf - (-inf) in
+    a log row at s = 0) is NaN, skipped by ``np.fmax``/``np.fmin``.  Exact
+    grid hits pass the stored bracket through.  ``env_x`` and ``b_env`` are
     the surplus and beta^depth of the row being evaluated.  The rows may
     be one row with any shape of q, or a block of rows (surplus on the
     leading axis, ``env_x`` a column) queried at one 1-D q.
     """
     m = len(pts)
     idx = np.searchsorted(pts, q)
-    idx_c = np.minimum(idx, m - 1)
-    exact = pts[idx_c] == q
+    right = np.minimum(idx, m - 1)
+    exact = pts[right] == q
     left = np.maximum(idx - 1, 0)
-    has_right = idx < m
-    right = np.where(has_right, idx, m - 1)
+    # subtracted, not added, so that -0.0 stays -0.0 where the neighbor exists
+    no_right = np.where(idx < m, 0.0, np.nan)
     cash_q = cash(q)
-    cash_l = cash(pts[left])
-    cash_r = cash(pts[right])
     env_lo = cash(q + b_env * env_x)
     env_hi = cash(q + b_env * (env_x + c_tail))
-
     with np.errstate(invalid="ignore"):
-        lo_r = np.where(has_right, row_lo[..., right] - (cash_r - cash_q), -np.inf)
-    lo_r = np.where(np.isnan(lo_r), -np.inf, lo_r)  # log row at q=0, exact anyway
-    lo = np.maximum(np.maximum(row_lo[..., left], lo_r), env_lo)
-
-    with np.errstate(invalid="ignore"):
-        hi_l = row_hi[..., left] + (cash_q - cash_l)
-    hi_l = np.where(np.isfinite(hi_l), hi_l, np.inf)  # log row at s=0
-    hi_r = np.where(has_right, row_hi[..., right], np.inf)
-    hi = np.minimum(np.minimum(hi_r, hi_l), env_hi)
+        lo_r = row_lo[..., right] - no_right - (cash(pts[right]) - cash_q)
+        lo = np.fmax(np.fmax(row_lo[..., left], lo_r), env_lo)
+        hi_l = row_hi[..., left] + (cash_q - cash(pts[left]))
+        hi = np.fmin(np.fmin(row_hi[..., right] - no_right, hi_l), env_hi)
 
     if exact.any():
-        lo = np.where(exact, row_lo[..., idx_c], lo)
-        hi = np.where(exact, row_hi[..., idx_c], hi)
+        lo = np.where(exact, row_lo[..., right], lo)
+        hi = np.where(exact, row_hi[..., right], hi)
     return lo, hi
 
 
@@ -249,7 +244,7 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     xs = np.arange(x_max + 1)[:, None]
     z_plus = max(dist.support_max, 0)
     overflow = np.arange(1, z_plus + 1)[:, None]
-    n_ruin = -min(dist.support_min, -1)  # next-step rows x' < 0
+    no_overflow = np.empty((0, m))
 
     lo = np.full((n_depth + 1, x_max + 1, m), -np.inf)
     hi = np.full((n_depth + 1, x_max + 1, m), -np.inf)
@@ -266,16 +261,16 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
             n_u = x_max + 1 - a  # x = a + u reads rows u + Z < n_u + z_plus only
             top = min(n_u + z_plus, x_max + 1)
             q = pts + bd * a
-            ruin = np.broadcast_to(cash(q), (n_ruin, m))
-            parts = [(ruin, ruin), _eval_queries(pts, next_lo[:top], next_hi[:top], q,
-                                                 xs[:top], bnext, c_tail, cash)]
+            rows_lo, rows_hi = _eval_queries(pts, next_lo[:top], next_hi[:top], q,
+                                             xs[:top], bnext, c_tail, cash)
+            over_lo = over_hi = no_overflow
             if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
-                parts.append(_eval_queries(pts, next_lo[x_max], next_hi[x_max],
-                                           q + bnext * overflow[:z_plus - a],
-                                           x_max, bnext, c_tail, cash))
-            ext_lo, ext_hi = (np.concatenate(p) for p in zip(*parts))
-            f_lo = expect_income(dist, ext_lo, n_u)
-            f_hi = expect_income(dist, ext_hi, n_u)
+                over_lo, over_hi = _eval_queries(pts, next_lo[x_max], next_hi[x_max],
+                                                 q + bnext * overflow[:z_plus - a],
+                                                 x_max, bnext, c_tail, cash)
+            ruin = cash(q)
+            f_lo = expect_income(dist, ruin, rows_lo, over_lo, n_u)
+            f_hi = expect_income(dist, ruin, rows_hi, over_hi, n_u)
             np.maximum(best_lo[a:], f_lo, out=best_lo[a:])
             np.maximum(best_hi[a:], f_hi, out=best_hi[a:])
             act[a:][f_lo >= best_lo[a:] - TIE_RTOL * np.abs(best_lo[a:])] = a
@@ -309,7 +304,7 @@ class BarrierReport:
 
     bound: float
     xi: np.ndarray  # (depth, gridpoint): largest x paying nothing
-    shift_pairs_checked: int = field(default=0)
+    shift_pairs_checked: int
 
 
 def barrier_diagnostics(policy: PowerPolicy) -> BarrierReport:

@@ -15,7 +15,7 @@ from divbands.exp_solver import BandFunction, mgf_plus, required_cap, suggest_de
 from divbands.model import (LOG_DBL_MIN, TIE_RTOL, ProblemConfig, Utility, tail_income,
                             utility, validate_distribution)
 from divbands.oracle import exact_probabilities
-from divbands.power_solver import SGrid, _cash, _eval_queries
+from divbands.power_solver import SGrid, _cash
 from divbands.simulate import BATCH
 
 # certain unit loss every period: ruin next step, every closed form is exact
@@ -243,6 +243,43 @@ def reference_shift_pairs(policy) -> int:
     return checked
 
 
+def reference_eval_queries(pts, row_lo, row_hi, q, env_x, b_env, c_tail, cash):
+    """The masked bracket rule ``power_solver._eval_queries`` replaced.
+
+    Same arguments and results; missing candidates are masked to -inf or
+    +inf with ``np.where`` and the log rows' NaN and infinite increments are
+    fixed up before ``np.maximum``/``np.minimum`` take the best.
+    """
+    m = len(pts)
+    idx = np.searchsorted(pts, q)
+    idx_c = np.minimum(idx, m - 1)
+    exact = pts[idx_c] == q
+    left = np.maximum(idx - 1, 0)
+    has_right = idx < m
+    right = np.where(has_right, idx, m - 1)
+    cash_q = cash(q)
+    cash_l = cash(pts[left])
+    cash_r = cash(pts[right])
+    env_lo = cash(q + b_env * env_x)
+    env_hi = cash(q + b_env * (env_x + c_tail))
+
+    with np.errstate(invalid="ignore"):
+        lo_r = np.where(has_right, row_lo[..., right] - (cash_r - cash_q), -np.inf)
+    lo_r = np.where(np.isnan(lo_r), -np.inf, lo_r)  # log row at q=0, exact anyway
+    lo = np.maximum(np.maximum(row_lo[..., left], lo_r), env_lo)
+
+    with np.errstate(invalid="ignore"):
+        hi_l = row_hi[..., left] + (cash_q - cash_l)
+    hi_l = np.where(np.isfinite(hi_l), hi_l, np.inf)  # log row at s=0
+    hi_r = np.where(has_right, row_hi[..., right], np.inf)
+    hi = np.minimum(np.minimum(hi_r, hi_l), env_hi)
+
+    if exact.any():
+        lo = np.where(exact, row_lo[..., idx_c], lo)
+        hi = np.where(exact, row_hi[..., idx_c], hi)
+    return lo, hi
+
+
 def reference_power_backup(config: ProblemConfig):
     """Two-pass, per-row power/log induction the one-pass backup replaced.
 
@@ -265,10 +302,10 @@ def reference_power_backup(config: ProblemConfig):
             ruin_lo = cash(q)
             rows_lo, rows_hi = {}, {}
             for xp in range(x_max + 1):
-                rows_lo[xp], rows_hi[xp] = _eval_queries(
+                rows_lo[xp], rows_hi[xp] = reference_eval_queries(
                     pts, next_lo[xp + 1], next_hi[xp + 1], q, xp, bnext, c_tail, cash)
             for o in range(1, smax + 1):
-                rows_lo[x_max + o], rows_hi[x_max + o] = _eval_queries(
+                rows_lo[x_max + o], rows_hi[x_max + o] = reference_eval_queries(
                     pts, next_lo[x_max + 1], next_hi[x_max + 1], q + bnext * o,
                     x_max, bnext, c_tail, cash)
             f_lo, f_hi = {}, {}

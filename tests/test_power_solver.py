@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from divbands import power_solver
 from divbands.errors import BarrierViolation, DomainError
@@ -21,7 +22,7 @@ from divbands.power_solver import (
     solve_power,
     xi_star_bound,
 )
-from helpers import (DOWN_ONE, make_config, reference_power_backup,
+from helpers import (DOWN_ONE, make_config, reference_eval_queries, reference_power_backup,
                      reference_shift_pairs, two_point)
 
 # dyadic discount: every reachable payout total lands exactly on the grid
@@ -217,6 +218,53 @@ def test_one_pass_backup_matches_two_pass_reference(utility, beta, data):
     np.testing.assert_array_equal(policy.action, ref_action)
 
 
+@st.composite
+def bracket_queries(draw, utility):
+    """Arguments of the bracket rule: one row or a block of rows, and queries.
+
+    Queries sit at 0, on gridpoints, between them and past the last one.
+    Row values include -0.0; log rows may be -inf at s = 0, as the solver's
+    are there (power values are never -inf).
+    """
+    m = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.sampled_from([0.25, 0.3, 1.0]), min_size=m - 1, max_size=m - 1))
+    pts = np.cumsum([0.0] + gaps)
+
+    def query():
+        j = draw(st.integers(0, m - 2))
+        where = draw(st.sampled_from(["zero", "on", "between", "past"]))
+        if where == "between":
+            return pts[j] + draw(st.sampled_from([0.1, 0.5, 0.9])) * (pts[j + 1] - pts[j])
+        return {"zero": 0.0, "on": pts[j + 1], "past": pts[-1] + 0.7 * (j + 1)}[where]
+
+    q = np.array([query() for _ in range(draw(st.integers(1, 6)))])
+    block = draw(st.booleans())
+    n_rows = draw(st.integers(1, 3))
+    value = st.sampled_from([-0.0, 0.0, 0.5, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+    rows = [draw(arrays(float, (n_rows, m) if block else m, elements=value))
+            for _ in range(2)]
+    if utility == "logarithmic" and draw(st.booleans()):
+        rows[0][..., 0] = rows[1][..., 0] = -np.inf
+    if block:
+        env_x = np.arange(n_rows)[:, None] + draw(st.integers(0, 3))
+    else:  # one row: at q, or at several shifts of q as for the overflow rows
+        env_x = draw(st.integers(0, 3))
+        q = q + 0.5 * np.arange(n_rows)[:, None] if draw(st.booleans()) else q
+    return (pts, rows[0], rows[1], q, env_x, draw(st.sampled_from([1.0, 0.5, 0.729])),
+            draw(st.sampled_from([0.0, 1.5])), power_solver._cash(Utility.parse(utility), 0.5))
+
+
+@pytest.mark.parametrize("utility", ["power", "logarithmic"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bracket_rule_matches_masked_reference(utility, data):
+    # missing candidates are NaN skipped by fmax/fmin where the reference
+    # masks them to -inf/+inf and fixes up the log row's NaN increments
+    args = data.draw(bracket_queries(utility))
+    for got, want in zip(power_solver._eval_queries(*args), reference_eval_queries(*args)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("utility", ["power", "logarithmic"])
 @pytest.mark.parametrize("mapping", [{0: 0.5, -1: 0.5}, {1: 0.4, -2: 0.6},
                                      {3: 0.3, 1: 0.2, -1: 0.5}])
@@ -231,12 +279,28 @@ def test_backup_forms_only_the_rows_it_reads(monkeypatch, utility, mapping):
     off = -min(cfg.dist.support_min, -1)
     z_plus = max(cfg.dist.support_max, 0)
     assert cfg.x_max > z_plus  # the last actions get no overflow rows
+
+    # the layout itself: V is ruin below 0, then rows, then over, against
+    # a per-v loop; a scalar and a per-row ruin, with a trailing axis
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((5, 3))
+    for ruin, over in ((-2.0, np.empty((0, 3))),
+                       (rng.standard_normal(3), rng.standard_normal((2, 3)))):
+        def value(x):
+            return ruin if x < 0 else rows[x] if x < len(rows) else over[x - len(rows)]
+
+        n = len(rows) + len(over) - z_plus
+        want = np.array([np.broadcast_to(sum(q * value(v + k) for k, q in cfg.dist.items()),
+                                         (3,)) for v in range(n)])
+        got = expect_income(cfg.dist, ruin, rows, over, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     calls, query_calls = [], 0
     eval_queries = power_solver._eval_queries
 
-    def counted(dist, ext, n):
-        calls.append((len(ext), n))
-        return expect_income(dist, ext, n)
+    def counted(dist, ruin, rows, over, n):
+        calls.append((off + len(rows) + len(over), n))
+        return expect_income(dist, ruin, rows, over, n)
 
     def counted_queries(*args):
         nonlocal query_calls
@@ -261,9 +325,9 @@ def test_near_tie_goes_to_the_largest_action(monkeypatch, utility, gamma):
     cfg = make_config(utility, {1: 0.5, -1: 0.5}, 0.5, gamma, 4, 2,
                       s_grid_points=8)
 
-    def near_tie(dist, ext, n):
+    def near_tie(dist, ruin, rows, over, n):
         a = cfg.x_max + 1 - n
-        return np.full((n,) + ext.shape[1:], 100.0 * (1.0 - 1e-13 * a))
+        return np.full((n,) + rows.shape[1:], 100.0 * (1.0 - 1e-13 * a))
 
     monkeypatch.setattr(power_solver, "expect_income", near_tie)
     _, policy = (solve_power if utility == "power" else solve_log)(cfg)
