@@ -151,8 +151,9 @@ class ProblemConfig:
     ``depth`` is the induction horizon N; ``tail_eps`` controls how far
     infinite products/series are followed before their certified tail
     bracket is attached; ``s_grid_points`` sizes the accumulated-dividend
-    grid of the power/log solver.  Construction checks that the surplus
-    cap ``x_max`` clears the certified barrier bound of the chosen
+    grid of the power/log solver; ``seed``, the Philox key of the
+    simulation stream, lies in [0, 2^128).  Construction checks that the
+    surplus cap ``x_max`` clears the certified barrier bound of the chosen
     utility, so trajectories pushed back under the cap lose nothing, and
     (exponential utility) that the value at the cap is a normal double.
     """
@@ -182,6 +183,8 @@ class ProblemConfig:
             raise ValidationError(f"tail_eps must be positive, got {self.tail_eps}")
         if self.s_grid_points < 2:
             raise ValidationError(f"s_grid_points must be at least 2, got {self.s_grid_points}")
+        if not 0 <= self.seed < 2 ** 128:  # the range of a Philox key
+            raise ValidationError(f"seed must be in [0, 2^128), got {self.seed}")
         self._check_cap()
 
     @functools.cached_property

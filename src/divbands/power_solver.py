@@ -31,7 +31,8 @@ F_a(u) = E W_{d+1}(u + Z, s + beta^d a) over u = 0..x_max - a reads the
 next-depth surplus rows up to x_max - a + z+ only, z+ = max(support_max, 0),
 and only those are queried, at the levels s + beta^d a: rows
 0..min(x_max, x_max - a + z+) in one call and, while a < z+, the overflow
-rows x_max + 1..x_max + z+ - a above the cap in a second.  F_a then raises
+rows x_max + 1..x_max + z+ - a above the cap in a second (a = 0 queries
+the gridpoints themselves, so its rows are read as stored).  F_a then raises
 the running best of every x = a + u in place.  The policy records the
 largest action whose lo continuation lies within relative TIE_RTOL of the
 running best: best is updated before the comparison and actions ascend, so
@@ -261,8 +262,11 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
             n_u = x_max + 1 - a  # x = a + u reads rows u + Z < n_u + z_plus only
             top = min(n_u + z_plus, x_max + 1)
             q = pts + bd * a
-            rows_lo, rows_hi = _eval_queries(pts, next_lo[:top], next_hi[:top], q,
-                                             xs[:top], bnext, c_tail, cash)
+            if a == 0:  # q is the grid itself: every query an exact hit
+                rows_lo, rows_hi = next_lo[:top], next_hi[:top]
+            else:
+                rows_lo, rows_hi = _eval_queries(pts, next_lo[:top], next_hi[:top], q,
+                                                 xs[:top], bnext, c_tail, cash)
             over_lo = over_hi = no_overflow
             if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
                 over_lo, over_hi = _eval_queries(pts, next_lo[x_max], next_hi[x_max],

@@ -4,9 +4,14 @@ Paths stream through the surplus recursion in fixed-size batches of
 2^14, each batch drawing from its own Philox substream obtained by
 jumping the seeded generator, so path i always sees the same randomness
 no matter how many paths run, in how many batches, or in how many
-processes.  One uniform is drawn per path per step, ruined paths included
-(their draws are burned), keeping the stream layout independent of the
+processes.  Each step owns one word of the stream per path of the batch,
+ruined paths included, keeping the stream layout independent of the
 ruin pattern; a batch stops early once every path in it is ruined.
+Philox is counter-based, so a step reads only the 4-word blocks from its
+first live path to its last and ``advance``s over the rest: the dead
+words outside that span are skipped, not drawn.  Each live word maps to
+its income by integer thresholds (``_income_thresholds``), exactly as
+``Generator.random`` followed by an inverse-CDF search would map it.
 Only the live paths are stepped: each batch keeps their surplus and
 payout in compact arrays, in path order, and a path's outcome is written
 out the step it is ruined, when it leaves those arrays.
@@ -95,6 +100,27 @@ def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return a
 
 
+def _income_thresholds(probs) -> np.ndarray:
+    """Integer thresholds T_j = ceil(cum_j 2^53), j < K-1, on the 53-bit words.
+
+    ``Generator.random`` turns a raw word w into m 2^-53 with m = w >> 11,
+    and inverse-CDF sampling takes income min(searchsorted(cum, m 2^-53,
+    'right'), K-1), the number of j < K-1 with cum_j <= m 2^-53.  Scaling
+    by 2^53 is exact, so that is the number of T_j <= m: the same income,
+    from the word, without forming the double.
+    """
+    return np.ceil(np.cumsum(np.array(probs))[:-1] * 2.0 ** 53).astype(np.uint64)
+
+
+def _income_index(words: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Support index of each raw word: the count of thresholds T_j <= w >> 11."""
+    m = words >> 11
+    k = np.zeros(m.size, dtype=np.intp)
+    for t in thresholds:
+        k += m >= t
+    return k
+
+
 def _shared_outputs(n_paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zeroed per-path sums, ruin times and truncation flags, as views on
     one anonymous shared mmap, so a forked child's writes reach the caller."""
@@ -133,7 +159,7 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     y0 = check_y0(config.utility, y0)
     beta = config.beta
     support = np.array(config.dist.support, dtype=np.int64)
-    cum = np.cumsum(np.array(config.dist.probs))
+    thresholds = _income_thresholds(config.dist.probs)
 
     # a path ruined from the start keeps sum 0, time 0 and no flag
     sums, times, trunc = _shared_outputs(n_paths)
@@ -141,9 +167,9 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     runs = split_runs(workers, range(0, n_paths, BATCH))
 
     def part(i: int) -> None:
-        buf = np.empty(BATCH)
         for b in runs[i]:
-            rng = np.random.Generator(base.jumped(b // BATCH))
+            bits = base.jumped(b // BATCH)
+            skip = 0  # blocks between the last word read and this step's first
             live = np.arange(b, min(b + BATCH, n_paths) if x0 >= 0 else b)
             x = np.full(live.size, x0, dtype=np.int64)
             s = np.zeros(live.size)
@@ -153,9 +179,13 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
                     break
                 a = _step_actions(policy, t, x, s)
                 s = s + disc * a
-                draws = rng.random(out=buf)[live - b]
-                z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
-                                       len(support) - 1)]
+                # the blocks holding words live[0] - b .. live[-1] - b of the
+                # step's BATCH; Python ints, as advance rejects numpy integers
+                first, last = int(live[0] - b) // 4, int(live[-1] - b) // 4
+                bits.advance(skip + first)
+                words = bits.random_raw(4 * (last + 1 - first))[live - (b + 4 * first)]
+                skip = BATCH // 4 - 1 - last
+                z = support[_income_index(words, thresholds)]
                 x = x - a + z
                 ruined = x < 0
                 if ruined.any():

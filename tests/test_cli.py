@@ -158,6 +158,16 @@ def test_exit_two_on_rejected_input(tmp_path):
     assert cli.main(["solve-exp", str(write_config(tmp_path, bad, "bad.yaml"))]) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+@pytest.mark.parametrize("command", ["simulate", "solve-exp"])
+def test_exit_two_on_seed_outside_philox_keys(tmp_path, capsys, command, seed):
+    path = write_config(tmp_path, exp_body(tmp_path, seed=seed))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be in [0, 2^128)" in err
+    assert "Traceback" not in err
+
+
 def test_exit_two_when_values_would_underflow(tmp_path, capsys):
     # e^{gamma x_max} h_lower underflows at the cap; then h_lower itself
     # underflows to 0 while the schedule is built (beta near 1, extreme gamma)

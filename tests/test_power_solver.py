@@ -313,8 +313,9 @@ def test_backup_forms_only_the_rows_it_reads(monkeypatch, utility, mapping):
     assert sorted(calls) == sorted((off + n + z_plus, n)
                                    for n in range(1, cfg.x_max + 2)
                                    for _ in range(2 * cfg.depth))
-    # one block call per action, one overflow call per action a < z+
-    assert query_calls == cfg.depth * (cfg.x_max + 1 + z_plus)
+    # one block call per action a > 0 (a = 0 reads the rows at the
+    # gridpoints themselves), one overflow call per action a < z+
+    assert query_calls == cfg.depth * (cfg.x_max + z_plus)
 
 
 @pytest.mark.parametrize("utility,gamma", [("power", 0.5), ("logarithmic", 0.0)])

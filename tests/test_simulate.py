@@ -16,6 +16,8 @@ from divbands.power_solver import solve_log, solve_power
 from divbands.simulate import (
     BATCH,
     SimulationResult,
+    _income_index,
+    _income_thresholds,
     ruin_certainty_check,
     simulate_paths,
 )
@@ -178,24 +180,38 @@ def test_ruin_certainty_violation_raises(monkeypatch):
         ruin_certainty_check(TINY, policy, 2, 100, max_steps=10)
 
 
+# cumsum 0.15, 0.44999..., 0.9, 1 - 2^-53: rounded thresholds, and a last
+# one below 1, so the top word needs the reference's clamp to K - 1
+FOUR = {2: 0.1, 1: 0.45, -1: 0.3, -3: 0.15}
+
+
 @functools.cache
 def stepping_cases():
     """(config, policy) per case of the live-path reference check."""
     power = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3, s_grid_points=64)
+    three = sized_exp_config({1: 0.5, 0: 0.2, -1: 0.3}, 0.5, -1.0)
+    four = sized_exp_config(FOUR, 0.5, -1.0)
+    five = sized_exp_config({3: 0.1, 1: 0.4, 0: 0.2, -1: 0.2, -2: 0.1}, 0.5, -1.0)
     return {
         "exp": (TINY, solve_exp(TINY)[1]),
         "power": (power, solve_power(power)[1]),  # depends on s
         # one scalar for all live paths: the smallest live surplus
         "scalar": (TINY, lambda t, x, s: int(x.min())),
+        "three": (three, solve_exp(three)[1]),
+        "four": (four, solve_exp(four)[1]),
+        "five": (five, lambda t, x, s: int(x.min())),
     }
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @example(case="exp", x0=0, n_paths=BATCH + 1, max_steps=2000, seed=0)
+@example(case="four", x0=0, n_paths=BATCH + 1, max_steps=200, seed=3)
 @example(case="power", x0=4, n_paths=BATCH + 1, max_steps=3, seed=1)
 @example(case="scalar", x0=3, n_paths=300, max_steps=4, seed=2)
-@given(case=st.sampled_from(["exp", "power", "scalar"]), x0=st.integers(0, 5),
-       n_paths=st.sampled_from([1, 50, BATCH + 1]),
+@example(case="three", x0=1, n_paths=2, max_steps=200, seed=0)
+@example(case="five", x0=5, n_paths=3, max_steps=200, seed=1)
+@given(case=st.sampled_from(["exp", "power", "scalar", "three", "four", "five"]),
+       x0=st.integers(0, 5), n_paths=st.sampled_from([1, 2, 3, 50, BATCH + 1]),
        max_steps=st.sampled_from([1, 4, 200]), seed=st.integers(0, 3))
 def test_live_paths_match_all_paths_reference(case, x0, n_paths, max_steps, seed):
     cfg, policy = stepping_cases()[case]
@@ -221,3 +237,48 @@ def test_out_of_range_action_names_the_first_offender():
     with pytest.raises(PolicyUndefined) as got:
         simulate_paths(cfg, bad, 3, 500, max_steps=50)
     assert str(got.value) == str(want.value)
+
+
+def test_numpy_philox_facts_the_draw_path_rests_on():
+    # the simulator reads only the live blocks of a step and maps raw
+    # words to incomes itself; both rest on these two properties of numpy
+    full = np.random.Philox(key=7).random_raw(4 * 12)
+    bits = np.random.Philox(key=7)
+    bits.advance(3)  # from a block boundary: skips exactly 12 words
+    assert np.array_equal(bits.random_raw(8), full[12:20])
+    bits.random_raw(1)  # mid-block: the 3 buffered words are discarded
+    bits.advance(2)
+    assert np.array_equal(bits.random_raw(4), full[32:36])
+
+    n = 4099
+    doubles = np.random.Generator(np.random.Philox(key=7)).random(n)
+    words = np.random.Philox(key=7).random_raw(n)
+    assert doubles.tobytes() == ((words >> 11) * 2.0 ** -53).tobytes()
+
+
+@st.composite
+def incomes_and_words(draw):
+    """Probabilities of 1..6 incomes and raw words: random ones, and the
+    words whose 53-bit part sits at T_j - 1, T_j, T_j + 1, 0 and 2^53 - 1."""
+    weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=6))
+    probs = tuple(w / math.fsum(weights) for w in weights)
+    edges = [m for t in _income_thresholds(probs).tolist() for m in (t - 1, t, t + 1)]
+    tops = [m for m in edges + [0, 2 ** 53 - 1] if 0 <= m < 2 ** 53]
+    low = draw(st.integers(0, 2 ** 11 - 1))
+    words = [m << 11 | low for m in tops]
+    words += draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=20))
+    return probs, np.array(words, dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(probs_words=((0.15, 0.3, 0.45, 0.1),
+                      np.array([0, 2 ** 64 - 1], dtype=np.uint64)))
+@example(probs_words=((0.1,) * 10, np.array([2 ** 64 - 1], dtype=np.uint64)))
+@given(probs_words=incomes_and_words())
+def test_threshold_count_matches_float_search(probs_words):
+    probs, words = probs_words
+    cum = np.cumsum(np.array(probs))
+    want = np.minimum(np.searchsorted(cum, (words >> 11) * 2.0 ** -53, side="right"),
+                      len(probs) - 1)
+    got = _income_index(words, _income_thresholds(probs))
+    assert np.array_equal(got, want)
