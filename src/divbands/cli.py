@@ -1,16 +1,17 @@
 """Command line front end.
 
-Every subcommand reads one YAML config and writes fixed-name files under
-the config's ``output_dir``: values.csv, policy.csv, bands.csv and
-summary.json (each command writes the subset that makes sense for it).
-Emission is deterministic.  CSVs are formatted a column at a time and
-streamed one block of rows at a time (a depth, or one (d, x) row over
-the s-grid): array columns go through ``tolist()`` with repr for floats
-(shortest round-trip form) and str for integers, while labels and
-per-block constants are formatted once; the bytes equal a per-cell
-rendering.  JSON keys are sorted, newlines are always "\\n", and the
-solvers are fixed-order numpy code, so re-running a command reproduces
-its files byte for byte.
+Every subcommand reads one YAML config, whose absent optional keys take
+``ProblemConfig``'s defaults, and writes fixed-name files under its
+``output_dir``: values.csv, policy.csv, bands.csv and summary.json (each
+command writes the subset that makes sense for it).  Emission is
+deterministic.  CSVs are formatted a column at a time and streamed one
+block of rows at a time (a depth, or one (d, x) row over the s-grid):
+array columns go through ``tolist()`` with repr for floats (shortest
+round-trip form) and str for integers, while labels and per-block
+constants are formatted once; the bytes equal a per-cell rendering.
+JSON keys are sorted, newlines are always "\\n", and the solvers are
+fixed-order numpy code, so re-running a command reproduces its files
+byte for byte.
 
 ``--threads N`` splits the two costs that parallelize over this process
 and up to N - 1 forked children (``divbands.parallel``), N clamped to
@@ -49,12 +50,6 @@ from .parallel import fork_parts, split_runs
 from .power_solver import barrier_diagnostics, solve_log, solve_power
 from .simulate import simulate_paths
 
-CONFIG_KEYS = {
-    "beta", "gamma", "utility", "distribution", "distribution_preset",
-    "x_max", "depth", "tail_eps", "s_grid_points", "seed", "output_dir",
-}
-REQUIRED_KEYS = {"beta", "gamma", "utility", "x_max", "depth"}
-
 # Smallest CSV, in rows x columns, whose emission is split over processes.
 # A two-way split costs about 4 ms on a 2-vCPU Xeon VM (a fork and reap of
 # the 35 MB process takes 2.2-3.2 ms, median of 30; a temp file and the
@@ -64,11 +59,6 @@ REQUIRED_KEYS = {"beta", "gamma", "utility", "x_max", "depth"}
 # 65,000 (howard), policy.csv at about 110,000; below the gate, files are
 # cheaper to write here alone.
 SPLIT_CELLS = 100_000
-
-SUBCOMMANDS = (
-    "solve-exp", "solve-power", "solve-log", "solve-neutral",
-    "howard", "oracle-check", "simulate", "bands",
-)
 
 
 # -- config ingestion -------------------------------------------------------
@@ -84,6 +74,16 @@ def _as_float(raw, key: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigParse(f"{key} must be a number, got {raw!r}")
     return float(raw)
+
+
+# Numeric config keys and their parsers; an absent key takes ProblemConfig's default.
+_NUMERIC_KEYS = {
+    "beta": _as_float, "gamma": _as_float, "x_max": _as_int, "depth": _as_int,
+    "tail_eps": _as_float, "s_grid_points": _as_int, "seed": _as_int,
+}
+CONFIG_KEYS = {*_NUMERIC_KEYS, "utility", "distribution", "distribution_preset",
+               "output_dir"}
+REQUIRED_KEYS = {"beta", "gamma", "utility", "x_max", "depth"}
 
 
 def _parse_distribution(raw) -> dict[int, float]:
@@ -140,17 +140,10 @@ def load_config(path: str | Path) -> tuple[ProblemConfig, Path]:
     if not isinstance(utility, str):
         raise ConfigParse(f"utility must be a string, got {utility!r}")
 
-    config = ProblemConfig(
-        beta=_as_float(raw["beta"], "beta"),
-        gamma=_as_float(raw["gamma"], "gamma"),
-        utility=Utility.parse(utility),
-        dist=validate_distribution(mapping),
-        x_max=_as_int(raw["x_max"], "x_max"),
-        depth=_as_int(raw["depth"], "depth"),
-        tail_eps=_as_float(raw.get("tail_eps", 1e-8), "tail_eps"),
-        s_grid_points=_as_int(raw.get("s_grid_points", 512), "s_grid_points"),
-        seed=_as_int(raw.get("seed", 0), "seed"),
-    )
+    numbers = {key: parse(raw[key], key) for key, parse in _NUMERIC_KEYS.items()
+               if key in raw}
+    config = ProblemConfig(utility=Utility.parse(utility),
+                           dist=validate_distribution(mapping), **numbers)
     outdir = raw.get("output_dir", "out")
     if not isinstance(outdir, str):
         raise ConfigParse(f"output_dir must be a string, got {outdir!r}")
@@ -228,6 +221,14 @@ def _write_bands(outdir: Path, policy) -> list[str]:
     return cuts
 
 
+def _write_exp_rule(outdir: Path, policy, xs: list[str], threads: int) -> list[str]:
+    """Write bands.csv, then policy.csv, of an exponential policy; returns the cuts."""
+    cuts = _write_bands(outdir, policy)
+    _write_csv(outdir / "policy.csv", ["n", "x", "action"],
+               ((n, xs, row) for n, row in enumerate(policy.action)), threads)
+    return cuts
+
+
 def _write_neutral_band(outdir: Path, sol) -> BandFunction:
     """Write the one-row bands.csv of a risk-neutral solution; returns its band."""
     band = sol.band()
@@ -243,34 +244,23 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _config_echo(config: ProblemConfig) -> dict:
-    return {
-        "beta": config.beta,
-        "gamma": config.gamma,
-        "utility": config.utility.value,
-        "distribution": {str(k): p for k, p in config.dist.items()},
-        "x_max": config.x_max,
-        "depth": config.depth,
-        "tail_eps": config.tail_eps,
-        "s_grid_points": config.s_grid_points,
-        "seed": config.seed,
-    }
+    return {**{key: getattr(config, key) for key in _NUMERIC_KEYS},
+            "utility": config.utility.value,
+            "distribution": {str(k): p for k, p in config.dist.items()}}
 
 
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     table, policy = solve_exp(config)
-    cuts = _write_bands(outdir, policy)
     sched = config.schedule
-
     xs = _cells(np.arange(config.x_max + 1))
+    cuts = _write_exp_rule(outdir, policy, xs, args.threads)
     _write_csv(outdir / "values.csv",
                ["n", "theta", "x", "j_lo", "j_hi", "action", "xi", "band_cuts"],
                ((n, sched.thetas[n], xs, table.lo[n], table.hi[n],
                  policy.action[n], policy.xi[n], cuts[n])
                 for n in range(config.depth)), args.threads)
-    _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, xs, policy.action[n]) for n in range(config.depth)), args.threads)
 
     gamma = config.gamma
     values = []
@@ -303,10 +293,7 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
                ((i, n, xs, it.rule[n], it.j_hi[n])
                 for i, it in enumerate(result.history) for n in range(config.depth)),
                args.threads)
-    _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, xs, result.policy.action[n]) for n in range(config.depth)),
-               args.threads)
-    _write_bands(outdir, result.policy)
+    _write_exp_rule(outdir, result.policy, xs, args.threads)
     _write_json(outdir / "summary.json", {
         "config": _config_echo(config),
         "iterations": result.iterations,
@@ -315,8 +302,10 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
     return 0
 
 
-def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
-                   s0: float, threads: int) -> None:
+def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
+    """solve-power and solve-log; reads the solver off the module, so wrappers apply."""
+    s0 = check_y0(config.utility, getattr(args, "y0", None))
+    table, policy = (solve_log if args.command == "solve-log" else solve_power)(config)
     report = barrier_diagnostics(policy)
     ss = _cells(table.grid.points)
     xi = [_cells(row) for row in report.xi]
@@ -324,11 +313,11 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
     _write_csv(outdir / "values.csv",
                ["d", "x", "s", "w_lo", "w_hi", "action", "xi_of_s"],
                ((d, x, ss, table.lo[d, x], table.hi[d, x],
-                 policy.action[d, x], xi[d]) for d, x in dxs), threads)
+                 policy.action[d, x], xi[d]) for d, x in dxs), args.threads)
     _write_csv(outdir / "policy.csv", ["d", "x", "s", "action"],
-               ((d, x, ss, policy.action[d, x]) for d, x in dxs), threads)
+               ((d, x, ss, policy.action[d, x]) for d, x in dxs), args.threads)
     _write_csv(outdir / "bands.csv", ["d", "s", "xi_of_s"],
-               ((d, ss, xi[d]) for d in range(config.depth)), threads)
+               ((d, ss, xi[d]) for d in range(config.depth)), args.threads)
 
     gamma = config.gamma
     values = []
@@ -343,18 +332,6 @@ def _power_outputs(config: ProblemConfig, outdir: Path, table, policy,
         "initial_payout_level": s0,
         "values": values,
     })
-
-
-def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
-    table, policy = solve_power(config)
-    _power_outputs(config, outdir, table, policy, 0.0, args.threads)
-    return 0
-
-
-def _cmd_solve_log(config: ProblemConfig, outdir: Path, args) -> int:
-    y0 = check_y0(config.utility, args.y0)
-    table, policy = solve_log(config)
-    _power_outputs(config, outdir, table, policy, y0, args.threads)
     return 0
 
 
@@ -398,6 +375,12 @@ def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
         "power/log barriers live in the solve-power and solve-log outputs")
 
 
+def _check_x0(x0: int, config: ProblemConfig) -> int:
+    if not 0 <= x0 <= config.x_max:
+        raise ValidationError(f"--x0 must be in [0, {config.x_max}], got {x0}")
+    return x0
+
+
 def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
     utility = config.utility
     if args.y0 is not None and utility in (Utility.EXPONENTIAL, Utility.RISK_NEUTRAL):
@@ -409,10 +392,8 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
     if horizon < 1 + stages:
         raise ValidationError(
             f"--horizon must be >= {1 + stages} for {utility.value} utility, got {horizon}")
-    x0s = [args.x0] if args.x0 is not None else list(range(config.x_max + 1))
-    for x0 in x0s:
-        if not 0 <= x0 <= config.x_max:
-            raise ValidationError(f"--x0 must be in [0, {config.x_max}], got {x0}")
+    x0s = ([_check_x0(args.x0, config)] if args.x0 is not None
+           else list(range(config.x_max + 1)))
     y0 = check_y0(utility, args.y0)
 
     two_sided, tol = True, 1e-9
@@ -464,9 +445,7 @@ def _solve_policy_for(config: ProblemConfig):
 
 
 def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
-    x0 = args.x0 if args.x0 is not None else config.x_max
-    if not 0 <= x0 <= config.x_max:
-        raise ValidationError(f"--x0 must be in [0, {config.x_max}], got {x0}")
+    x0 = _check_x0(args.x0 if args.x0 is not None else config.x_max, config)
     if args.paths < 1:
         raise ValidationError(f"--paths must be positive, got {args.paths}")
     if args.max_steps < 1:
@@ -484,13 +463,14 @@ def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
 _HANDLERS = {
     "solve-exp": _cmd_solve_exp,
     "solve-power": _cmd_solve_power,
-    "solve-log": _cmd_solve_log,
+    "solve-log": _cmd_solve_power,
     "solve-neutral": _cmd_solve_neutral,
     "howard": _cmd_howard,
     "oracle-check": _cmd_oracle_check,
     "simulate": _cmd_simulate,
     "bands": _cmd_bands,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

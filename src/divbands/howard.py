@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllegalAction, InadmissiblePolicy, MaxIterations, ValidationError
+from .errors import (IllegalAction, InadmissiblePolicy, InvariantViolation, MaxIterations,
+                     ValidationError)
 from .exp_solver import ExpPolicy, ExpValueTable, ThetaSchedule, _induct
 from .model import ProblemConfig, Utility
 
@@ -67,14 +68,15 @@ def _as_rule(config: ProblemConfig, f) -> np.ndarray:
     return rule
 
 
-def _check_admissible(schedule: ThetaSchedule, rule: np.ndarray) -> None:
+def _check_admissible(schedule: ThetaSchedule, rule: np.ndarray,
+                      error: type[Exception] = InadmissiblePolicy) -> None:
     bound = schedule.s_tilde_star
     xs = np.arange(rule.shape[1], dtype=float)
     required = np.ceil(xs - bound - 1e-9).astype(np.int64)
     bad = rule < np.maximum(required, 0)
     if np.any(bad):
         n, x = np.argwhere(bad)[0]
-        raise InadmissiblePolicy(
+        raise error(
             f"rule pays {rule[n, x]} at depth {n}, x={x}; needs >= "
             f"{required[x]} to keep post-payout surplus within {bound:.4g}")
 
@@ -102,15 +104,17 @@ def improve(config: ProblemConfig, rule: np.ndarray) -> np.ndarray:
 
     The rule must pay down to zero pressure (improving twice from the
     post-payout surplus changes nothing) and respect the payout-pressure
-    bound; both certify the iteration's ruin argument.  Returns the rule.
+    bound; both certify the iteration's ruin argument.  The rule is the
+    program's own, so a failed check raises InvariantViolation.  Returns
+    the rule.
     """
     follow = np.take_along_axis(rule, np.arange(config.x_max + 1) - rule, axis=1)
     if np.any(follow != 0):
         n, x = np.argwhere(follow != 0)[0]
-        raise InadmissiblePolicy(
+        raise InvariantViolation(
             f"improved rule pays again after paying: depth {n}, x={x}, "
             f"a={rule[n, x]}, follow-up {follow[n, x]}")
-    _check_admissible(config.schedule, rule)
+    _check_admissible(config.schedule, rule, InvariantViolation)
     return rule
 
 
@@ -150,7 +154,7 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
         if prev_hi is not None:
             worst = float(np.max(table.hi - prev_hi - (table.hi - table.lo)))
             if worst > 1e-12:
-                raise ValidationError(
+                raise InvariantViolation(
                     f"policy iteration increased a value by {worst:.3e}")
             gap = float(np.max(np.abs(table.hi - prev_hi)))
         prev_hi = table.hi

@@ -171,6 +171,9 @@ class ProblemConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValidationError(f"beta must be in (0,1), got {self.beta}")
+        for key in ("gamma", "tail_eps"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key} must be finite, got {getattr(self, key)}")
         if self.utility is Utility.EXPONENTIAL and not self.gamma < 0:
             raise ValidationError(f"exponential utility needs gamma < 0, got {self.gamma}")
         if self.utility is Utility.POWER and not 0.0 < self.gamma < 1.0:

@@ -72,14 +72,15 @@ class SimulationResult:
         return float(np.sum(~self.truncated) / self.n_paths)
 
     def summary(self) -> dict:
-        """The reporting dict; mean ruin time averages ruined paths only."""
+        """The reporting dict, JSON-safe: mean ruin time averages ruined paths
+        only, and std_err, undefined below two paths, is then None."""
         ruined = ~self.truncated
         mean_ruin = (float(np.sum(self.ruin_times[ruined]) / np.sum(ruined))
                      if ruined.any() else None)
         return {
             "n_paths": self.n_paths,
             "mean_utility": self.mean_utility,
-            "std_err": self.std_err,
+            "std_err": self.std_err if self.n_paths > 1 else None,
             "ruin_fraction": self.ruin_fraction,
             "mean_ruin_time": mean_ruin,
             "truncated_fraction": float(np.sum(self.truncated) / self.n_paths),

@@ -1,6 +1,7 @@
 """CLI contract: config ingestion, exit codes, file formats, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import divbands.cli as cli
 from divbands.errors import ConfigParse, InvariantViolation
-from divbands.model import Utility, validate_distribution
+from divbands.model import ProblemConfig, Utility, validate_distribution
 from divbands.power_solver import xi_star_bound
 
 
@@ -69,12 +70,25 @@ def read_summary(tmp_path):
 # -- load_config -------------------------------------------------------------
 
 def test_load_config_defaults_and_echo(tmp_path):
-    cfg, outdir = cli.load_config(write_config(tmp_path, exp_body(tmp_path)))
+    path = write_config(tmp_path, exp_body(tmp_path))
+    cfg, outdir = cli.load_config(path)
     assert cfg.utility is Utility.EXPONENTIAL
     assert cfg.tail_eps == 1e-8
     assert cfg.s_grid_points == 512
     assert cfg.seed == 0
     assert outdir == tmp_path / "out"
+    # the optional keys are absent, so the summary echoes the dataclass defaults
+    assert cli.main(["solve-exp", str(path)]) == 0
+    echo = read_summary(tmp_path)["config"]
+    for key in ("tail_eps", "s_grid_points", "seed"):
+        assert echo[key] == ProblemConfig.__dataclass_fields__[key].default
+
+
+def test_config_keys_match_problem_config():
+    # the CLI-only keys aside, the config schema is ProblemConfig's fields
+    cli_only = {"distribution", "distribution_preset", "output_dir"}
+    fields = {f.name for f in dataclasses.fields(ProblemConfig)}
+    assert (cli.CONFIG_KEYS - cli_only) | {"dist"} == fields
 
 
 def test_load_config_preset_expansion(tmp_path):
@@ -192,6 +206,20 @@ def test_exit_two_when_depth_underflows_theta(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,utility,flags,message", [
+    ("solve-power", "logarithmic", [], "solve_power requires the power utility"),
+    ("solve-log", "power", [], "solve_log requires the logarithmic utility"),
+    # the y0 check runs before the solver is picked
+    ("solve-log", "power", ["--y0", "nan"], "power utility needs a finite y0 >= 0, got nan"),
+])
+def test_exit_two_on_wrong_power_solver(tmp_path, capsys, command, utility, flags, message):
+    gamma = 0.0 if utility == "logarithmic" else 0.5
+    path = write_config(tmp_path, power_body(tmp_path, utility=utility,
+                                             gamma=gamma, s_grid_points=64))
+    assert cli.main([command, str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command,utility,y0", [
     ("oracle-check", "logarithmic", "nan"),
     ("solve-log", "logarithmic", "inf"),
@@ -222,6 +250,16 @@ def test_deep_schedule_bands_exit_zero(tmp_path):
     body = exp_body(tmp_path, beta=0.9, gamma=-1.0, distribution={-1: 0.25, 2: 0.75},
                     x_max=138, depth=280)
     assert cli.main(["bands", str(write_config(tmp_path, body))]) == 0
+
+
+def test_howard_never_blames_the_input_for_its_own_rule(tmp_path, capsys):
+    # the README distribution at depth 250: policy iteration's own greedy
+    # rule pays again after paying, which is a broken invariant (exit 3),
+    # not a rejected input; scaled exponential values should make it exit 0
+    body = exp_body(tmp_path, beta=0.9, gamma=-1.0, distribution={1: 0.6, -1: 0.4},
+                    x_max=44, depth=250)
+    assert cli.main(["howard", str(write_config(tmp_path, body))]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_three_on_invariant_violation(tmp_path, monkeypatch):
@@ -362,6 +400,10 @@ def test_simulate_summary_contract(tmp_path):
                             "ruin_fraction", "mean_ruin_time",
                             "truncated_fraction"}
     assert summary["n_paths"] == 200
+    assert summary["std_err"] > 0
+    assert cli.main(["simulate", str(path), "--paths", "1",
+                     "--max-steps", "100"]) == 0
+    assert read_summary(tmp_path)["std_err"] is None  # undefined for one path
     assert cli.main(["simulate", str(path), "--x0", "99"]) == 2
     assert cli.main(["simulate", str(path), "--paths", "0"]) == 2
 
@@ -426,6 +468,18 @@ def cli_runs(draw):
 @example(run=("simulate", {"beta": 0.9, "gamma": 0.0, "utility": "risk_neutral",
                            "distribution": {1: 0.6, -2: 0.4}, "x_max": 54,
                            "depth": 1}, ["--paths", "8", "--max-steps", "20"]))
+@example(run=("solve-log", {"beta": 0.5, "gamma": math.nan, "utility": "logarithmic",
+                            "distribution": {1: 0.5, -1: 0.5}, "x_max": 4,
+                            "depth": 1, "s_grid_points": 8}, []))
+@example(run=("solve-neutral", {"beta": 0.5, "gamma": math.nan, "utility": "risk_neutral",
+                                "distribution": {1: 0.6, -1: 0.4}, "x_max": 2,
+                                "depth": 1}, []))
+@example(run=("solve-exp", {"beta": 0.5, "gamma": -1.0, "utility": "exponential",
+                            "distribution": {1: 0.7, -1: 0.3}, "x_max": 3,
+                            "depth": 3, "tail_eps": math.inf}, []))
+@example(run=("simulate", {"beta": 0.5, "gamma": -1.0, "utility": "exponential",
+                           "distribution": {1: 0.7, -1: 0.3}, "x_max": 3,
+                           "depth": 3}, ["--paths", "1", "--max-steps", "20"]))
 @given(run=cli_runs())
 def test_every_run_exits_cleanly(run):
     command, body, flags = run
@@ -434,5 +488,12 @@ def test_every_run_exits_cleanly(run):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main([command, str(path), *flags])
+        summary = Path(tmp) / "out" / "summary.json"
+        if summary.exists():  # RFC 8259 JSON: no NaN or Infinity tokens
+            json.loads(summary.read_text(), parse_constant=_reject_constant)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _reject_constant(token):
+    raise ValueError(f"summary.json holds the non-JSON token {token}")

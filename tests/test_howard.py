@@ -8,10 +8,12 @@ import pytest
 from divbands.errors import (
     IllegalAction,
     InadmissiblePolicy,
+    InvariantViolation,
     MaxIterations,
     ValidationError,
 )
-from divbands.exp_solver import solve_exp
+import divbands.howard as howard
+from divbands.exp_solver import ExpPolicy, solve_exp
 from divbands.howard import howard_solve, improve, pay_all_rule, policy_value_exp
 from divbands.oracle import exact_policy_value
 from helpers import (DOWN_ONE, make_config, reference_exp_backup, sized_exp_config,
@@ -92,6 +94,26 @@ def test_zero_rule_is_inadmissible():
     holds = np.zeros((cfg.depth, cfg.x_max + 1), dtype=np.int64)
     with pytest.raises(InadmissiblePolicy):
         policy_value_exp(cfg, holds)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda xs: np.minimum(xs, 1),   # pays 1 at x = 2, then 1 again at x = 1
+    lambda xs: np.zeros_like(xs),   # never pays: fails the pay-down bound
+])
+def test_bad_improved_rule_is_an_invariant_violation(monkeypatch, bad):
+    # a greedy rule is the program's own, so its failures are exit 3, not
+    # a rejected input like the user rule of test_zero_rule_is_inadmissible
+    cfg = make_config("exponential", DOWN_ONE, 0.5, -1.0, 4, 3)
+    real = policy_value_exp
+
+    def broken(config, f):
+        table, _ = real(config, f)
+        rule = np.tile(bad(np.arange(config.x_max + 1)), (config.depth, 1))
+        return table, ExpPolicy(config=config, action=rule)
+
+    monkeypatch.setattr(howard, "policy_value_exp", broken)
+    with pytest.raises(InvariantViolation):
+        howard_solve(cfg)
 
 
 def test_overpaying_rule_is_rejected():

@@ -66,6 +66,8 @@ def test_distribution_moments():
     (dict(x_max=-1), "x_max"),
     (dict(depth=0), "depth"),
     (dict(tail_eps=0.0), "tail_eps"),
+    (dict(tail_eps=math.inf), "tail_eps must be finite"),
+    (dict(gamma=-math.inf), "gamma must be finite"),
     (dict(s_grid_points=1), "s_grid_points"),
 ])
 def test_config_field_validation(kw, msg):
@@ -76,6 +78,13 @@ def test_config_field_validation(kw, msg):
     with pytest.raises(ValidationError, match=msg):
         make_config("exponential", {1: 0.5, -1: 0.5}, base["beta"],
                     base["gamma"], base["x_max"], base["depth"], **extra)
+
+
+@pytest.mark.parametrize("utility", list(Utility))
+def test_gamma_must_be_finite_for_every_utility(utility):
+    # summary.json echoes gamma, and JSON has no NaN
+    with pytest.raises(ValidationError, match="gamma must be finite"):
+        make_config(utility.value, {1: 0.5, -1: 0.5}, 0.5, math.nan, 4, 3)
 
 
 def test_power_gamma_range():
