@@ -66,9 +66,9 @@ def test_distribution_moments():
     (dict(x_max=-1), "x_max"),
     (dict(depth=0), "depth"),
     (dict(tail_eps=0.0), "tail_eps"),
+    (dict(s_grid_points=1), "s_grid_points"),
     (dict(tail_eps=math.inf), "tail_eps must be finite"),
     (dict(gamma=-math.inf), "gamma must be finite"),
-    (dict(s_grid_points=1), "s_grid_points"),
 ])
 def test_config_field_validation(kw, msg):
     base = dict(beta=0.5, gamma=-1.0, x_max=4, depth=3)
