@@ -518,7 +518,10 @@ def run(argv: list[str]) -> int:
     if args.threads < 1:
         raise ValidationError(f"--threads must be positive, got {args.threads}")
     config, outdir = load_config(args.config)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output_dir {outdir}: {exc.strerror or exc}")
     return _HANDLERS[args.command](config, outdir, args)
 
 
@@ -527,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(sys.argv[1:] if argv is None else argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

@@ -175,14 +175,14 @@ def required_cap(config: ProblemConfig) -> int:
     return ThetaSchedule.build(config).cap
 
 
-def suggest_depth(config_like, x_max: int | None = None) -> int:
+def suggest_depth(config_like) -> int:
     """Depth putting the a-priori depth-0 bracket width near tail_eps.
 
     The terminal bracket has width of order |theta_N| * (x_max + tail
-    income scale); backups never widen it.  Accepts a ProblemConfig.
+    income scale); backups never widen it.  Accepts a ProblemConfig, or
+    any object with its fields.
     """
-    cap = config_like.x_max if x_max is None else x_max
-    scale = cap + 1.0 + tail_income(config_like.dist, config_like.beta)
+    scale = config_like.x_max + 1.0 + tail_income(config_like.dist, config_like.beta)
     n = math.log(config_like.tail_eps / (abs(config_like.gamma) * scale)) / math.log(config_like.beta)
     return max(1, math.ceil(n))
 
@@ -191,35 +191,20 @@ def suggest_depth(config_like, x_max: int | None = None) -> int:
 # backward induction
 
 
-def _expect_next(dist: IncomeDistribution, rows: np.ndarray, theta_next: float,
-                 x_max: int) -> np.ndarray:
-    """G(v) = E J_next(v + Z) for v = 0..x_max, lo and hi side by side.
-
-    ``rows`` holds the next-depth lo and hi rows as its two columns,
-    indexed by surplus 0..x_max.  Ruined states are worth exactly 1;
-    states above the cap are priced by the pay-down extension.
-    """
-    pay = np.array([math.exp(theta_next * o)
-                    for o in range(1, max(dist.support_max, 0) + 1)])
-    return expect_income(dist, 1.0, rows, pay[:, None] * rows[x_max], x_max + 1)
-
-
-def exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def exp_backup(theta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min over a in {0..x} of e^{theta a} G(x-a) for every x, both channels.
 
-    With v = x - a the value is e^{theta x} PM(x), PM the prefix minimum of
-    H(v) = e^{-theta v} G(v).  The action is the largest lo-minimiser x - v*,
-    v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL); PM does not
-    increase, so one searchsorted finds every v*.
+    ``g`` holds G's lo and hi rows as its two columns, indexed by surplus
+    v = x - a; returns (best, action), best shaped like g.  The value is
+    e^{theta x} PM(x), PM the prefix minimum of H(v) = e^{-theta v} G(v),
+    one scan for both columns.  The action is the largest lo-minimiser
+    x - v*, v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL) in
+    column 0 alone; PM does not increase, so one searchsorted finds every v*.
     """
-    v = np.arange(g_lo.size)
-    weight = np.exp(-theta * v)
-    pm_lo = np.minimum.accumulate(weight * g_lo)
-    pm_hi = np.minimum.accumulate(weight * g_hi)
-    v_star = np.searchsorted(-pm_lo, -pm_lo * (1.0 + TIE_RTOL))
-    decay = np.exp(theta * v)
-    return decay * pm_lo, decay * pm_hi, v - v_star
+    v = np.arange(len(g))
+    pm = np.minimum.accumulate(np.exp(-theta * v)[:, None] * g, axis=0)
+    v_star = np.searchsorted(-pm[:, 0], -pm[:, 0] * (1.0 + TIE_RTOL))
+    return np.exp(theta * v)[:, None] * pm, v - v_star
 
 
 def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +224,9 @@ def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ExpValueTable:
     """Certified brackets lo <= J <= hi over (depth n, surplus x).
 
-    Arrays have shape (N+1, x_max+1), indexed by surplus x.  A ruined
-    state is worth exactly 1 and is not stored.
+    Arrays have shape (N+1, x_max+1), indexed by surplus x; ``_induct``
+    fills them as views of its one lo/hi array.  A ruined state is worth
+    exactly 1 and is not stored.
     """
 
     config: ProblemConfig
@@ -285,41 +271,39 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
             terminal: str = "tail") -> tuple[ExpValueTable, ExpPolicy]:
     """The one backward induction over the theta-schedule.
 
-    Each depth forms G once, lo and hi in one expectation, and backs it
-    up with ``exp_backup``, which gives the largest minimiser against the
-    table being built.  Without a rule the table stores that backup
-    (optimise); with an (N, x_max+1) rule it stores e^{theta_n a} G(x - a)
-    for the rule's a (evaluate), and the tail's hi is 1, since the pay-all
-    upper envelope only bounds the optimal rule.
+    The bracket is one array j of shape (N+1, x_max+1, 2), lo in column 0
+    and hi in column 1, which the table's ``lo`` and ``hi`` view.  Each
+    depth forms G(v) = E J_{n+1}(v + Z) for both columns in one
+    expectation: a ruined state is worth exactly 1, and a state above the
+    cap pays its overflow o down, e^{theta_{n+1} o} J_{n+1}(x_max), except
+    that the unit terminal row is 1 everywhere, so it extends flat.  One
+    ``exp_backup`` then gives the largest minimiser against the table
+    being built.  Without a rule the table stores that backup (optimise);
+    with an (N, x_max+1) rule it stores e^{theta_n a} G(x - a) for the
+    rule's a (evaluate), and the tail's hi is 1, since the pay-all upper
+    envelope only bounds the optimal rule.
     """
     schedule = config.schedule  # validated at construction: x_max >= its cap
-    n_depth, x_max = config.depth, config.x_max
+    dist, n_depth, x_max = config.dist, config.depth, config.x_max
     xs = np.arange(x_max + 1)
-    lo = np.ones((n_depth + 1, x_max + 1))
-    hi = np.ones((n_depth + 1, x_max + 1))
+    j = np.ones((n_depth + 1, x_max + 1, 2))
     if terminal == "tail":
         decay = np.exp(schedule.thetas[n_depth] * xs)
-        lo[n_depth] = decay * schedule.h_lower[n_depth]
+        j[n_depth, :, 0] = decay * schedule.h_lower[n_depth]
         if rule is None:
-            hi[n_depth] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
+            j[n_depth, :, 1] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
     action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
+    overflow = range(1, max(dist.support_max, 0) + 1)
 
     for n in range(n_depth - 1, -1, -1):
-        # the pay-down extension prices states above the cap, except that
-        # the unit terminal row is 1 everywhere, so it extends flat
-        theta_next = schedule.thetas[n + 1]
-        if terminal == "unit" and n + 1 == n_depth:
-            theta_next = 0.0
-        g_lo, g_hi = _expect_next(config.dist, np.stack([lo[n + 1], hi[n + 1]], axis=1),
-                                  theta_next, x_max).T
-        best_lo, best_hi, action[n] = exp_backup(schedule.thetas[n], g_lo, g_hi)
-        if rule is None:
-            lo[n], hi[n] = best_lo, best_hi
-        else:
-            pays = np.exp(schedule.thetas[n] * rule[n])
-            lo[n] = pays * g_lo[xs - rule[n]]
-            hi[n] = pays * g_hi[xs - rule[n]]
-    return (ExpValueTable(config=config, lo=lo, hi=hi),
+        theta_next = 0.0 if terminal == "unit" and n + 1 == n_depth else schedule.thetas[n + 1]
+        pay = np.array([math.exp(theta_next * o) for o in overflow])
+        g = expect_income(dist, 1.0, j[n + 1], pay[:, None] * j[n + 1, x_max], x_max + 1)
+        best, action[n] = exp_backup(schedule.thetas[n], g)
+        if rule is not None:
+            best = np.exp(schedule.thetas[n] * rule[n])[:, None] * g[xs - rule[n]]
+        j[n] = best
+    return (ExpValueTable(config=config, lo=j[..., 0], hi=j[..., 1]),
             ExpPolicy(config=config, action=action))
 
 

@@ -150,14 +150,15 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
     history: list[HowardIteration] = []
     for it in range(1, max_iterations + 1):
         table, greedy = policy_value_exp(config, rule)
-        history.append(HowardIteration(rule=rule, j_hi=table.hi))
+        # a copy: a view of table.hi would keep the whole lo/hi array alive
+        history.append(HowardIteration(rule=rule, j_hi=table.hi.copy()))
         if prev_hi is not None:
             worst = float(np.max(table.hi - prev_hi - (table.hi - table.lo)))
             if worst > 1e-12:
                 raise InvariantViolation(
                     f"policy iteration increased a value by {worst:.3e}")
             gap = float(np.max(np.abs(table.hi - prev_hi)))
-        prev_hi = table.hi
+        prev_hi = history[-1].j_hi
         improved = improve(config, greedy.action)
         if np.array_equal(improved, rule):
             return HowardResult(table=table,

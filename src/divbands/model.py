@@ -133,12 +133,10 @@ def validate_distribution(raw: Mapping[int, float]) -> IncomeDistribution:
         if q < 0:
             raise NegativeMass(f"probability of income {k} is negative ({q})")
     total = math.fsum(q for _, q in items)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN mass fails here too
         raise NotNormalized(f"probabilities sum to {total!r}, not 1")
     support = tuple(k for k, q in items if q > 0)
     probs = tuple(q / total for k, q in items if q > 0)
-    if not support:
-        raise ValidationError("income distribution has no positive mass")
     if not any(k < 0 for k in support):
         raise NoRuinRisk("no mass on negative incomes; ruin would be impossible")
     return IncomeDistribution(support=support, probs=probs)

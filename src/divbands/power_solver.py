@@ -113,8 +113,6 @@ class SGrid:
 
 
 def _payout_lattice(beta: float, depth: int, pay_max: int) -> np.ndarray | None:
-    if pay_max < 0:
-        return None
     size = (pay_max + 1) ** (depth + 1)
     if size > LATTICE_LIMIT:
         return None

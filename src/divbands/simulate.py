@@ -29,6 +29,7 @@ flagged, its unpaid tail bounded by beta^max_steps x_max/(1-beta).
 
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 from dataclasses import dataclass
@@ -125,7 +126,13 @@ def _income_index(words: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 def _shared_outputs(n_paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zeroed per-path sums, ruin times and truncation flags, as views on
     one anonymous shared mmap, so a forked child's writes reach the caller."""
-    buf = mmap.mmap(-1, 17 * n_paths)  # 8 + 8 + 1 bytes per path
+    try:
+        buf = mmap.mmap(-1, 17 * n_paths)  # 8 + 8 + 1 bytes per path
+    except (OSError, OverflowError) as exc:  # OverflowError: beyond ssize_t
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {17 * n_paths} bytes of outputs "
+                          f"for {n_paths} paths") from exc
     sums = np.frombuffer(buf, dtype=np.float64, count=n_paths)
     times = np.frombuffer(buf, dtype=np.int64, count=n_paths, offset=8 * n_paths)
     trunc = np.frombuffer(buf, dtype=bool, count=n_paths, offset=16 * n_paths)

@@ -11,9 +11,10 @@ import divbands.cli as cli
 import divbands.parallel as parallel
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
-from divbands.exp_solver import BandFunction, mgf_plus, required_cap, suggest_depth
-from divbands.model import (LOG_DBL_MIN, TIE_RTOL, ProblemConfig, Utility, tail_income,
-                            utility, validate_distribution)
+from divbands.exp_solver import (BandFunction, ExpPolicy, ExpValueTable, mgf_plus,
+                                 required_cap, suggest_depth)
+from divbands.model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
+                            expect_income, tail_income, utility, validate_distribution)
 from divbands.oracle import exact_probabilities
 from divbands.power_solver import SGrid, _cash
 from divbands.simulate import BATCH
@@ -64,7 +65,8 @@ def sized_exp_config(mapping: dict[int, float], beta: float, gamma: float,
     probe = SimpleNamespace(dist=dist, beta=beta, gamma=gamma, depth=16,
                             tail_eps=kw.get("tail_eps", ProblemConfig.tail_eps))
     if depth is None:
-        depth = suggest_depth(probe, x_max=required_cap(probe))
+        probe.x_max = required_cap(probe)
+        depth = suggest_depth(probe)
     probe.depth = depth
     return ProblemConfig(beta=beta, gamma=gamma, utility=Utility.EXPONENTIAL,
                          dist=dist, x_max=required_cap(probe), depth=depth, **kw)
@@ -168,6 +170,85 @@ def reference_exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray):
         ties = np.nonzero(vals_lo <= lo[x] * (1.0 + TIE_RTOL))[0]
         action[x] = ties[-1]
     return lo, hi, action
+
+
+# The exponential induction as it was with lo and hi in two tables: one
+# stack per depth into the expectation, and one prefix scan per channel.
+# Kept verbatim (names aside), so the one-array loop can be held to it bit
+# for bit.
+
+def two_table_expect_next(dist: IncomeDistribution, rows: np.ndarray, theta_next: float,
+                          x_max: int) -> np.ndarray:
+    """G(v) = E J_next(v + Z) for v = 0..x_max, lo and hi side by side.
+
+    ``rows`` holds the next-depth lo and hi rows as its two columns,
+    indexed by surplus 0..x_max.  Ruined states are worth exactly 1;
+    states above the cap are priced by the pay-down extension.
+    """
+    pay = np.array([math.exp(theta_next * o)
+                    for o in range(1, max(dist.support_max, 0) + 1)])
+    return expect_income(dist, 1.0, rows, pay[:, None] * rows[x_max], x_max + 1)
+
+
+def two_table_exp_backup(theta: float, g_lo: np.ndarray, g_hi: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min over a in {0..x} of e^{theta a} G(x-a) for every x, both channels.
+
+    With v = x - a the value is e^{theta x} PM(x), PM the prefix minimum of
+    H(v) = e^{-theta v} G(v).  The action is the largest lo-minimiser x - v*,
+    v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL); PM does not
+    increase, so one searchsorted finds every v*.
+    """
+    v = np.arange(g_lo.size)
+    weight = np.exp(-theta * v)
+    pm_lo = np.minimum.accumulate(weight * g_lo)
+    pm_hi = np.minimum.accumulate(weight * g_hi)
+    v_star = np.searchsorted(-pm_lo, -pm_lo * (1.0 + TIE_RTOL))
+    decay = np.exp(theta * v)
+    return decay * pm_lo, decay * pm_hi, v - v_star
+
+
+def two_table_induct(config: ProblemConfig, rule: np.ndarray | None = None,
+                     terminal: str = "tail") -> tuple[ExpValueTable, ExpPolicy]:
+    """The one backward induction over the theta-schedule.
+
+    Each depth forms G once, lo and hi in one expectation, and backs it
+    up with ``exp_backup``, which gives the largest minimiser against the
+    table being built.  Without a rule the table stores that backup
+    (optimise); with an (N, x_max+1) rule it stores e^{theta_n a} G(x - a)
+    for the rule's a (evaluate), and the tail's hi is 1, since the pay-all
+    upper envelope only bounds the optimal rule.
+    """
+    schedule = config.schedule  # validated at construction: x_max >= its cap
+    n_depth, x_max = config.depth, config.x_max
+    xs = np.arange(x_max + 1)
+    lo = np.ones((n_depth + 1, x_max + 1))
+    hi = np.ones((n_depth + 1, x_max + 1))
+    if terminal == "tail":
+        decay = np.exp(schedule.thetas[n_depth] * xs)
+        lo[n_depth] = decay * schedule.h_lower[n_depth]
+        if rule is None:
+            hi[n_depth] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
+    action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
+
+    for n in range(n_depth - 1, -1, -1):
+        # the pay-down extension prices states above the cap, except that
+        # the unit terminal row is 1 everywhere, so it extends flat
+        theta_next = schedule.thetas[n + 1]
+        if terminal == "unit" and n + 1 == n_depth:
+            theta_next = 0.0
+        g_lo, g_hi = two_table_expect_next(config.dist,
+                                           np.stack([lo[n + 1], hi[n + 1]], axis=1),
+                                           theta_next, x_max).T
+        best_lo, best_hi, action[n] = two_table_exp_backup(schedule.thetas[n], g_lo, g_hi)
+        if rule is None:
+            lo[n], hi[n] = best_lo, best_hi
+        else:
+            pays = np.exp(schedule.thetas[n] * rule[n])
+            lo[n] = pays * g_lo[xs - rule[n]]
+            hi[n] = pays * g_hi[xs - rule[n]]
+    return (ExpValueTable(config=config, lo=lo, hi=hi),
+            ExpPolicy(config=config, action=action))
 
 
 def reference_neutral_backup(bg: np.ndarray):

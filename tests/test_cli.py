@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divbands.cli as cli
+import divbands.simulate as simulate
 from divbands.errors import ConfigParse, InvariantViolation
 from divbands.model import ProblemConfig, Utility, validate_distribution
 from divbands.power_solver import xi_star_bound
@@ -196,6 +198,55 @@ def test_exit_two_when_values_would_underflow(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_exit_two_when_output_dir_cannot_be_created(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_config(tmp_path, exp_body(tmp_path, output_dir=str(blocker / "sub")))
+    assert cli.main(["solve-exp", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output_dir {blocker / 'sub'}: ")
+    assert "Traceback" not in err
+
+
+# the sizes a real run would ask for are only named: a host that
+# overcommits memory would start such a run and then kill it
+@pytest.mark.parametrize("command,body,solver", [
+    ("solve-exp", exp_body, "solve_exp"),
+    ("solve-power", power_body, "solve_power"),
+])
+def test_exit_two_when_a_solve_runs_out_of_memory(tmp_path, capsys, monkeypatch,
+                                                  command, body, solver):
+    def starve(*args, **kw):
+        raise MemoryError("Unable to allocate 75.3 GiB for an array")
+    monkeypatch.setattr(cli, solver, starve)
+    assert cli.main([command, str(write_config(tmp_path, body(tmp_path)))]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 75.3 GiB for an array\n"
+
+
+def test_exit_two_when_simulation_outputs_cannot_be_mapped(tmp_path, capsys, monkeypatch):
+    def refuse(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(simulate.mmap, "mmap", refuse)
+    path = write_config(tmp_path, exp_body(tmp_path))
+    assert cli.main(["simulate", str(path), "--paths", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: cannot map 1700000000000 bytes "
+                          "of outputs for 100000000000 paths")
+    assert "Traceback" not in err
+
+
+def test_shared_outputs_keeps_other_mapping_errors(monkeypatch):
+    with pytest.raises(MemoryError):  # beyond ssize_t: refused before any mapping
+        simulate._shared_outputs(10 ** 20)
+
+    def forbid(fileno, length):
+        raise OSError(errno.EACCES, "Permission denied")
+    monkeypatch.setattr(simulate.mmap, "mmap", forbid)
+    with pytest.raises(PermissionError):
+        simulate._shared_outputs(10)
+
+
 def test_exit_two_when_depth_underflows_theta(tmp_path, capsys):
     # gamma * beta^n underflows to -0.0 past depth 1074 at beta 0.5
     path = write_config(tmp_path, exp_body(tmp_path, depth=1100))
@@ -339,6 +390,20 @@ def test_oracle_check_exponential(tmp_path):
     assert cli.main(["oracle-check", str(path), "--x0", "99"]) == 2
 
 
+def test_oracle_check_fails_outside_the_bracket(tmp_path, capsys, monkeypatch):
+    # J lies in (0, 1], so an oracle value of 2 is above every bracket
+    monkeypatch.setattr(cli, "exact_optimal", lambda run, x0, horizon, y0=0.0: (2.0, None))
+    path = write_config(tmp_path, exp_body(tmp_path))
+    assert cli.main(["oracle-check", str(path)]) == 3
+    summary = read_summary(tmp_path)
+    assert summary["pass"] is False
+    assert not any(c["pass"] for c in summary["checks"])
+    worst = max(c["gap"] for c in summary["checks"])
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violated: oracle disagrees with solver, "
+                          f"worst gap {worst:.3e}")
+
+
 def test_oracle_check_power_and_neutral(tmp_path):
     power = write_config(tmp_path, power_body(tmp_path), "power.yaml")
     assert cli.main(["oracle-check", str(power)]) == 0
@@ -406,6 +471,23 @@ def test_simulate_summary_contract(tmp_path):
     assert read_summary(tmp_path)["std_err"] is None  # undefined for one path
     assert cli.main(["simulate", str(path), "--x0", "99"]) == 2
     assert cli.main(["simulate", str(path), "--paths", "0"]) == 2
+    assert cli.main(["simulate", str(path), "--max-steps", "0"]) == 2
+
+
+@pytest.mark.parametrize("utility,gamma,mean", [
+    ("power", 0.5, 7.424104657329916),
+    ("logarithmic", 0.0, 4.0273185871503525),
+])
+def test_simulate_wealth_rules(tmp_path, utility, gamma, mean):
+    # power and log rules read the payout level s, which simulate tracks
+    body = power_body(tmp_path, utility=utility, beta=0.9, gamma=gamma,
+                      distribution={1: 0.6, -1: 0.4}, x_max=54, depth=3,
+                      s_grid_points=64)
+    path = write_config(tmp_path, body)
+    assert cli.main(["simulate", str(path), "--paths", "2000"]) == 0
+    summary = read_summary(tmp_path)
+    assert summary["n_paths"] == 2000 and summary["ruin_fraction"] == 1.0
+    assert summary["mean_utility"] == pytest.approx(mean, rel=1e-9)
 
 
 # -- exit-code net -----------------------------------------------------------

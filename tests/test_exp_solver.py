@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divbands.errors import NotABand, ValidationError, ValueUnderflow
@@ -21,10 +21,11 @@ from divbands.exp_solver import (
     solve_neutral,
     suggest_depth,
 )
-from divbands.model import validate_distribution
+from divbands.howard import pay_all_rule, policy_value_exp
+from divbands.model import ProblemConfig, Utility, validate_distribution
 from divbands.oracle import exact_optimal
 from helpers import (DOWN_ONE, assert_band_laws, make_config, reference_bands,
-                     reference_schedule, sized_exp_config, two_point)
+                     reference_schedule, sized_exp_config, two_point, two_table_induct)
 
 TINY = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
 
@@ -155,6 +156,39 @@ def test_one_orbit_schedule_matches_two_loop_reference(support, weights, beta, g
         2 * math.ulp(ref.s_star) + (ulps + 1) * math.ulp(1.0) / den)
     assert _ulps(sched.s_tilde_star, ref.s_tilde_star) <= 2
     assert sched.cap == ref.cap
+
+
+def _table_bytes(table, policy):
+    return table.lo.tobytes(), table.hi.tobytes(), policy.action.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(support=st.lists(st.integers(-3, 4), min_size=2, max_size=4, unique=True)
+       .filter(lambda ks: min(ks) < 0),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+       beta=st.floats(0.3, 0.9), gamma=st.floats(-3.0, -1e-3),
+       depth=st.integers(1, 40), extra=st.integers(0, 12),
+       rule=st.sampled_from(["pay-all", "optimal", "greedy"]))
+def test_one_array_induction_matches_two_tables(support, weights, beta, gamma, depth,
+                                                extra, rule):
+    # lo and hi in one array see the same elementwise operations as in two
+    # tables, so every table and rule is the same to the bit
+    total = sum(weights[:len(support)])
+    dist = validate_distribution({k: w / total for k, w in zip(support, weights)})
+    probe = SimpleNamespace(dist=dist, beta=beta, gamma=gamma, depth=depth,
+                            tail_eps=1e-8)
+    try:
+        cfg = ProblemConfig(beta=beta, gamma=gamma, utility=Utility.EXPONENTIAL,
+                            dist=dist, x_max=required_cap(probe) + extra, depth=depth)
+    except ValueUnderflow:
+        assume(False)
+    for terminal in ("tail", "unit"):
+        assert (_table_bytes(*solve_exp(cfg, terminal=terminal))
+                == _table_bytes(*two_table_induct(cfg, terminal=terminal)))
+    fixed = {"pay-all": pay_all_rule(cfg), "optimal": solve_exp(cfg)[1].action,
+             "greedy": policy_value_exp(cfg, pay_all_rule(cfg))[1].action}[rule]
+    assert (_table_bytes(*policy_value_exp(cfg, fixed))
+            == _table_bytes(*two_table_induct(cfg, fixed)))
 
 
 @pytest.mark.parametrize("cfg", [

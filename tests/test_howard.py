@@ -13,11 +13,11 @@ from divbands.errors import (
     ValidationError,
 )
 import divbands.howard as howard
-from divbands.exp_solver import ExpPolicy, solve_exp
+from divbands.exp_solver import ExpPolicy, ExpValueTable, solve_exp
 from divbands.howard import howard_solve, improve, pay_all_rule, policy_value_exp
 from divbands.oracle import exact_policy_value
 from helpers import (DOWN_ONE, make_config, reference_exp_backup, sized_exp_config,
-                     two_point)
+                     two_point, two_table_induct)
 
 # pay-all is not optimal here, so the iteration has real work to do
 CLAIM = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
@@ -49,6 +49,31 @@ def test_history_is_nonincreasing(converged):
     assert np.all(hist[-1].j_hi <= hist[0].j_hi + 1e-9)
     assert math.isfinite(converged.final_gap)
     assert converged.final_gap >= 0.0
+
+
+def test_history_holds_copies_of_each_evaluation(converged):
+    # a view of table.hi would keep each round's whole lo/hi array alive
+    assert not np.shares_memory(converged.history[-1].j_hi, converged.table.hi)
+    for it in converged.history:
+        assert it.j_hi.tobytes() == two_table_induct(CLAIM, it.rule)[0].hi.tobytes()
+
+
+def test_rising_value_is_an_invariant_violation(monkeypatch):
+    # the second evaluation's bracket lies wholly above the first one's hi,
+    # which policy iteration can never produce
+    real, calls = policy_value_exp, []
+
+    def rising(config, f):
+        table, greedy = real(config, f)
+        calls.append(f)
+        if len(calls) > 1:
+            table = ExpValueTable(config=config, lo=table.lo + 1.0, hi=table.hi + 1.0)
+        return table, greedy
+
+    monkeypatch.setattr(howard, "policy_value_exp", rising)
+    with pytest.raises(InvariantViolation, match="increased a value"):
+        howard_solve(CLAIM)
+    assert len(calls) == 2
 
 
 def test_converged_rule_is_a_fixed_point(converged):

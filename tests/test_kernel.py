@@ -44,7 +44,8 @@ def exp_rows(draw):
 @EXAMPLES
 def test_exp_backup_matches_reference(row):
     theta, g_lo, g_hi = row
-    lo, hi, action = exp_backup(theta, g_lo, g_hi)
+    best, action = exp_backup(theta, np.stack([g_lo, g_hi], axis=1))
+    lo, hi = best.T
     ref_lo, ref_hi, ref_action = reference_exp_backup(theta, g_lo, g_hi)
     np.testing.assert_allclose(lo, ref_lo, rtol=1e-13, atol=0)
     np.testing.assert_allclose(hi, ref_hi, rtol=1e-13, atol=0)

@@ -46,6 +46,10 @@ def test_distribution_rejections():
         validate_distribution({0: 0.5, 1: 0.5})
     with pytest.raises(ValidationError):
         validate_distribution({})
+    # NaN compares false with everything: no mass may slip through as NaN
+    for nan_mass in ({1: math.nan}, {-1: 1.0, 1: math.nan}, {-1: math.nan, 1: 1.0}):
+        with pytest.raises(NotNormalized, match="sum to nan"):
+            validate_distribution(nan_mass)
 
 
 def test_distribution_drops_zero_mass():

@@ -90,6 +90,15 @@ def test_envelope_bounds_every_entry():
             assert np.all(table.hi[d, x] <= ceil + 1e-12)
 
 
+def test_value_bracket_above_the_cap_pays_the_overflow():
+    table, _ = solve_power(DYADIC)
+    cap, beta = DYADIC.x_max, DYADIC.beta
+    for d in range(DYADIC.depth + 1):
+        for x, s in ((cap + 1, 0.0), (cap + 3, 0.3)):
+            assert table.value_bracket(d, x, s) == table.value_bracket(
+                d, cap, s + beta ** d * (x - cap))
+
+
 def test_values_monotone_in_s():
     table, _ = solve_power(DYADIC)
     assert np.all(np.diff(table.lo, axis=2) >= -1e-12)
