@@ -22,7 +22,8 @@ policy tables of large ``solve-exp``, ``howard``, ``solve-power`` and
 are byte-identical for every N; N = 1 forks nothing.
 
 Exit codes: 0 on success, 2 for rejected inputs (bad config, bad flag
-values, unknown subcommand), 3 when a certified invariant fails.
+values, unknown subcommand, sizes beyond memory or numpy's index range),
+3 when a certified invariant fails.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ from .simulate import simulate_paths
 # 65,000 (howard), policy.csv at about 110,000; below the gate, files are
 # cheaper to write here alone.
 SPLIT_CELLS = 100_000
+
+# How numpy's ValueError begins when a shape (a size, a dimension, or their
+# product in bytes) is beyond its index range; it is raised before allocating.
+INDEX_OVERFLOW = ("Maximum allowed size exceeded", "Maximum allowed dimension exceeded",
+                  "array is too big")
 
 
 # -- config ingestion -------------------------------------------------------
@@ -393,7 +399,7 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
         raise ValidationError(
             f"--horizon must be >= {1 + stages} for {utility.value} utility, got {horizon}")
     x0s = ([_check_x0(args.x0, config)] if args.x0 is not None
-           else list(range(config.x_max + 1)))
+           else range(config.x_max + 1))
     y0 = check_y0(utility, args.y0)
 
     two_sided, tol = True, 1e-9
@@ -533,6 +539,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        if not str(exc).startswith(INDEX_OVERFLOW):
+            raise  # any other ValueError is a fault of the program, not of its input
+        print(f"error: too large to index: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

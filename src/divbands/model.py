@@ -99,6 +99,17 @@ def tail_income(dist: IncomeDistribution, beta: float) -> float:
     return dist.mean_positive * beta / (1.0 - beta)
 
 
+def xi_star_bound(config_like) -> float:
+    """Uniform bound on the no-payout barrier: beta EZ+ / (1-beta)^2.
+
+    Valid for every depth and every accumulated payout level; the surplus
+    cap must sit at or above its ceiling.  Reads fields only, so it is
+    safe to call while a ProblemConfig is still being validated.
+    """
+    beta = config_like.beta
+    return beta * config_like.dist.mean_positive / (1.0 - beta) ** 2
+
+
 def expect_income(dist: IncomeDistribution, ruin, rows: np.ndarray, over: np.ndarray,
                   n: int) -> np.ndarray:
     """E V(v + Z) for v = 0..n-1, V the next-step row along its first axis.
@@ -204,8 +215,6 @@ class ProblemConfig:
         if self.utility is Utility.EXPONENTIAL:
             need = self.schedule.cap
         else:
-            from .power_solver import xi_star_bound
-
             need = math.ceil(xi_star_bound(self) - 1e-9)
         if self.x_max < need:
             raise CapTooSmall(
@@ -239,19 +248,31 @@ def policy_lookup(action: np.ndarray, t: int, x, cap: int):
     return action[min(t, len(action) - 1)], extra, x - extra
 
 
-def utility(u: Utility, gamma: float, w):
-    """Utility of sure payouts w, elementwise (w >= 0; w > 0 for logarithmic)."""
+def cash(u: Utility, gamma: float, w):
+    """What a sure wealth w is worth, elementwise, with no domain check.
+
+    e^(gamma w) for exponential (the J factor the solvers and the oracle
+    minimise), w^gamma for power, ln w for logarithmic (ln 0 = -inf) and w
+    for risk-neutral.  A long double w gives a long double (oracle leaves).
+    """
     if u is Utility.EXPONENTIAL:
-        return np.exp(gamma * w) / gamma
+        return np.exp(gamma * w)
     if u is Utility.POWER:
-        if np.any(w < 0):
-            raise DomainError(f"power utility needs w >= 0, got {np.min(w)}")
         return np.power(w, gamma)
     if u is Utility.LOGARITHMIC:
-        if np.any(w <= 0):
-            raise DomainError(f"log utility needs w > 0, got {np.min(w)}")
-        return np.log(w)
+        with np.errstate(divide="ignore"):
+            return np.log(w)
     return w
+
+
+def utility(u: Utility, gamma: float, w):
+    """Utility of sure payouts w, elementwise (w >= 0; w > 0 for logarithmic)."""
+    if u is Utility.POWER and np.any(w < 0):
+        raise DomainError(f"power utility needs w >= 0, got {np.min(w)}")
+    if u is Utility.LOGARITHMIC and np.any(w <= 0):
+        raise DomainError(f"log utility needs w > 0, got {np.min(w)}")
+    worth = cash(u, gamma, w)
+    return worth / gamma if u is Utility.EXPONENTIAL else worth
 
 
 def check_y0(u: Utility, y0: float | None = None) -> float:

@@ -17,10 +17,10 @@ Conventions shared with the solvers:
 
 * the discount factor is ``Fraction(config.beta)``, i.e. the exact value
   of the same binary float the solvers use;
-* exponential values are reported as E exp(gamma * S) (minimized), the
-  multiplicative factor without the 1/gamma scaling;
-* power / log / risk-neutral values are the maximized expected utility of
-  y0 + sum beta^k a_k, y0 defaulting as in ``model.check_y0``.
+* a leaf of wealth w = y0 + sum beta^k a_k is worth ``model.cash``(w):
+  exponential values are E exp(gamma * w) (minimized), without the 1/gamma
+  scaling; power / log / risk-neutral values are the maximized expected
+  utility of w, y0 defaulting as in ``model.check_y0``.
 
 A horizon-H tree takes actions at steps 0..H-1 and stops afterwards, so
 it prices the truncated problem in which payouts simply cease at H.
@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from .errors import TooLarge, UndefinedAction, ValidationError
-from .model import IncomeDistribution, ProblemConfig, Utility, check_y0
+from .model import IncomeDistribution, ProblemConfig, Utility, cash, check_y0
 
 NODE_GUARD = 10_000_000
 MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
@@ -60,17 +60,6 @@ def exact_probabilities(dist: IncomeDistribution) -> dict[int, Fraction]:
     raw = {k: Fraction(q) for k, q in dist.items()}
     total = sum(raw.values())
     return {k: q / total for k, q in raw.items()}
-
-
-def _leaf(utility: Utility, gamma: float, wealth: int, scale: int) -> np.longdouble:
-    w = _ld(wealth, scale)
-    if utility is Utility.EXPONENTIAL:
-        return np.exp(_LD(gamma) * w)
-    if utility is Utility.POWER:
-        return w ** _LD(gamma) if w > 0 else _LD(0.0)
-    if utility is Utility.LOGARITHMIC:
-        return np.log(w)  # w >= y0 > 0, as check_y0 demands
-    return w
 
 
 @dataclass
@@ -113,8 +102,8 @@ class OracleTree:
             s = Fraction(paid, self.scale)
             node: dict = {"depth": depth, "x": x, "s": str(s)}
             if x < 0 or depth >= self.horizon:
-                node["leaf"] = float(_leaf(self.utility, self.gamma, base + paid,
-                                           self.scale))
+                node["leaf"] = float(cash(self.utility, self.gamma,
+                                          _ld(base + paid, self.scale)))
                 return node
             a = self.action(depth, x, s)
             node["action"] = a
@@ -164,7 +153,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
         if visits > node_guard:
             raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
         if x < 0 or depth == horizon:
-            return _leaf(utility, gamma, base + paid, scale)
+            return cash(utility, gamma, _ld(base + paid, scale))
         key = (depth, x, paid)
         if key in memo:
             return memo[key]
@@ -189,7 +178,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
                     if visits > node_guard:
                         raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
                     if leaf is None:
-                        leaf = _leaf(utility, gamma, base + paid_next, scale)
+                        leaf = cash(utility, gamma, _ld(base + paid_next, scale))
                     acc += q * leaf
                 else:
                     acc += q * value(depth + 1, x_next, paid_next)

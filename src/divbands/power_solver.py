@@ -13,7 +13,8 @@ envelope
 
     cash(s + beta^N x)  <=  W_N(x, s)  <=  cash(s + beta^N (x + C)),
 
-where cash is the bare utility (t^gamma or log t) and C = beta EZ+/(1-beta).
+where cash is ``model.cash``, the bare utility t^gamma or log t, and
+C = beta EZ+/(1-beta).
 Ruined states are worth exactly cash(s) at any depth.
 
 Off-grid evaluations never assume smoothness that is not proven: a query
@@ -45,14 +46,14 @@ from a solved policy and fails loudly if that bound ever breaks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import BarrierViolation, DomainError, ValidationError
-from .model import (TIE_RTOL, ProblemConfig, Utility, expect_income, policy_lookup,
-                    tail_income)
+from .model import (TIE_RTOL, ProblemConfig, Utility, cash, expect_income, policy_lookup,
+                    tail_income, xi_star_bound)
 
 LATTICE_LIMIT = 50_000  # max exact payout-lattice size merged into the grid
 
@@ -66,17 +67,6 @@ __all__ = [
     "solve_log",
     "barrier_diagnostics",
 ]
-
-
-def xi_star_bound(config_like) -> float:
-    """Uniform bound on the no-payout barrier: beta EZ+ / (1-beta)^2.
-
-    Valid for every depth and every accumulated payout level; the surplus
-    cap must sit at or above its ceiling.  Reads fields only, so it is
-    safe to call while a ProblemConfig is still being validated.
-    """
-    beta = config_like.beta
-    return beta * config_like.dist.mean_positive / (1.0 - beta) ** 2
 
 
 @dataclass(frozen=True)
@@ -122,19 +112,6 @@ def _payout_lattice(beta: float, depth: int, pay_max: int) -> np.ndarray | None:
         sums = {s + c * scale for s in sums for c in range(pay_max + 1)}
         scale *= beta
     return np.array(sorted(sums))
-
-
-def _cash(utility: Utility, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-    if utility is Utility.POWER:
-        def cash(t):
-            return np.power(t, gamma)
-    elif utility is Utility.LOGARITHMIC:
-        def cash(t):
-            with np.errstate(divide="ignore"):
-                return np.log(t)
-    else:
-        raise ValidationError(f"no cash utility for {utility}")
-    return cash
 
 
 def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
@@ -191,18 +168,18 @@ class PowerValueTable:
         """Certified bracket of W_d(x, s) at any payout level s >= 0."""
         if not s >= 0:
             raise DomainError(f"accumulated payout must be >= 0, got {s}")
-        cash = _cash(self.config.utility, self.config.gamma)
+        worth = functools.partial(cash, self.config.utility, self.config.gamma)
         beta, cap = self.config.beta, self.config.x_max
         if x > cap:  # pay the overflow now, priced at this depth
             s = s + beta ** d * (x - cap)
             x = cap
         q = np.array([float(s)])
         if x < 0:
-            v = float(cash(q)[0])
+            v = float(worth(q)[0])
             return v, v
         lo, hi = _eval_queries(self.grid.points, self.lo[d, x], self.hi[d, x],
                                q, x, beta ** d,
-                               tail_income(self.config.dist, beta), cash)
+                               tail_income(self.config.dist, beta), worth)
         return float(lo[0]), float(hi[0])
 
 
@@ -234,7 +211,7 @@ class PowerPolicy:
 
 
 def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
-    cash = _cash(config.utility, config.gamma)
+    worth = functools.partial(cash, config.utility, config.gamma)
     grid = SGrid.build(config)
     pts = grid.points
     m = len(pts)
@@ -248,8 +225,8 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     lo = np.full((n_depth + 1, x_max + 1, m), -np.inf)
     hi = np.full((n_depth + 1, x_max + 1, m), -np.inf)
     b_last = beta ** n_depth
-    lo[n_depth] = cash(pts + b_last * xs)
-    hi[n_depth] = cash(pts + b_last * (xs + c_tail))
+    lo[n_depth] = worth(pts + b_last * xs)
+    hi[n_depth] = worth(pts + b_last * (xs + c_tail))
     action = np.zeros((n_depth, x_max + 1, m), dtype=np.int64)
 
     for d in range(n_depth - 1, -1, -1):
@@ -264,13 +241,13 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
                 rows_lo, rows_hi = next_lo[:top], next_hi[:top]
             else:
                 rows_lo, rows_hi = _eval_queries(pts, next_lo[:top], next_hi[:top], q,
-                                                 xs[:top], bnext, c_tail, cash)
+                                                 xs[:top], bnext, c_tail, worth)
             over_lo = over_hi = no_overflow
             if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
                 over_lo, over_hi = _eval_queries(pts, next_lo[x_max], next_hi[x_max],
                                                  q + bnext * overflow[:z_plus - a],
-                                                 x_max, bnext, c_tail, cash)
-            ruin = cash(q)
+                                                 x_max, bnext, c_tail, worth)
+            ruin = worth(q)
             f_lo = expect_income(dist, ruin, rows_lo, over_lo, n_u)
             f_hi = expect_income(dist, ruin, rows_hi, over_hi, n_u)
             np.maximum(best_lo[a:], f_lo, out=best_lo[a:])

@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+import errno
+import functools
 import math
 import os
 from fractions import Fraction
@@ -8,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import divbands.cli as cli
+import divbands.model as model
 import divbands.parallel as parallel
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
@@ -16,7 +19,7 @@ from divbands.exp_solver import (BandFunction, ExpPolicy, ExpValueTable, mgf_plu
 from divbands.model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
                             expect_income, tail_income, utility, validate_distribution)
 from divbands.oracle import exact_probabilities
-from divbands.power_solver import SGrid, _cash
+from divbands.power_solver import SGrid
 from divbands.simulate import BATCH
 
 # certain unit loss every period: ruin next step, every closed form is exact
@@ -38,6 +41,20 @@ def split_everything(monkeypatch) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(SPLIT_CPUS)),
                         raising=False)
     monkeypatch.setattr(parallel, "_set_cpus", lambda cpus: None)
+
+
+def refuse_forks(monkeypatch) -> list:
+    """Make every ``os.fork`` fail as when the OS is out of processes.
+
+    Returns the list of refusals, one entry per fork asked for.
+    """
+    refused = []
+
+    def refuse():
+        refused.append(True)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", refuse)
+    return refused
 
 
 def two_point(p: float, n: int) -> dict[int, float]:
@@ -368,7 +385,7 @@ def reference_power_backup(config: ProblemConfig):
     Every next-depth row is queried on its own, and a second pass over
     the actions rebuilds each continuation to give ties to the largest.
     """
-    cash = _cash(config.utility, config.gamma)
+    cash = functools.partial(model.cash, config.utility, config.gamma)
     pts = SGrid.build(config).points
     m = len(pts)
     n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist

@@ -224,6 +224,41 @@ def test_exit_two_when_a_solve_runs_out_of_memory(tmp_path, capsys, monkeypatch,
     assert err == "error: out of memory: Unable to allocate 75.3 GiB for an array\n"
 
 
+BIG_POWER = {"beta": 0.9, "gamma": 0.5, "utility": "power",
+             "distribution": {1: 0.6, -1: 0.4}, "x_max": 54, "depth": 2}
+README_EXP = {"beta": 0.9, "gamma": -1.0, "utility": "exponential",
+              "distribution_preset": {"p": 0.6, "n": 1}, "x_max": 44, "depth": 213}
+
+
+# each of these sizes is refused by numpy before anything is allocated
+@pytest.mark.parametrize("command,body", [
+    ("solve-power", dict(BIG_POWER, x_max=10 ** 30)),
+    ("simulate", dict(BIG_POWER, x_max=10 ** 30)),
+    ("oracle-check", dict(BIG_POWER, x_max=10 ** 30)),
+    ("solve-power", dict(BIG_POWER, s_grid_points=10 ** 30)),
+    ("solve-power", dict(BIG_POWER, distribution={1: 0.6, -10 ** 30: 0.4})),
+    ("solve-exp", dict(README_EXP, distribution_preset={"p": 0.6, "n": 10 ** 30})),
+    ("solve-exp", dict(README_EXP, gamma=-1e-30, depth=2, x_max=10 ** 30)),
+    ("solve-exp", dict(README_EXP, gamma=-1e-30, depth=2, x_max=2 ** 62)),
+])
+def test_exit_two_when_a_size_is_beyond_numpys_index_range(tmp_path, capsys, command,
+                                                           body):
+    path = write_config(tmp_path, dict(body, output_dir=str(tmp_path / "out")))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: too large to index: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_other_value_errors_are_not_bad_input(tmp_path, monkeypatch):
+    # a ValueError that is not numpy's index overflow is a fault: it propagates
+    def ragged(*args):
+        raise ValueError("ragged block in values.csv: column sizes [1, 2]")
+    monkeypatch.setitem(cli._HANDLERS, "solve-exp", ragged)
+    with pytest.raises(ValueError, match="ragged block"):
+        cli.main(["solve-exp", str(write_config(tmp_path, exp_body(tmp_path)))])
+
+
 def test_exit_two_when_simulation_outputs_cannot_be_mapped(tmp_path, capsys, monkeypatch):
     def refuse(fileno, length):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")

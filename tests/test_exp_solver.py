@@ -38,6 +38,8 @@ def test_mgf_plus_hand_value():
     t = -0.5
     assert mgf_plus(d, t) == pytest.approx(0.4 + 0.6 * math.exp(-0.5), rel=1e-15)
     assert mgf_plus(d, 0.0) == pytest.approx(1.0)
+    with pytest.raises(ValidationError, match="t <= 0"):
+        mgf_plus(d, 0.5)
 
 
 def test_schedule_is_geometric():
@@ -270,6 +272,10 @@ def test_band_function_rejects_bad_cuts():
         BandFunction(c=(0, 3), d=(1,))  # d_1 hugs c_0
     with pytest.raises(NotABand):
         BandFunction(c=(), d=())
+    with pytest.raises(NotABand, match="cut counts mismatch"):
+        BandFunction(c=(0, 3), d=())
+    with pytest.raises(NotABand, match="nonnegative"):
+        BandFunction(c=(-1,), d=())
 
 
 def test_band_from_actions():
@@ -359,6 +365,13 @@ def test_largest_gamma_below_underflow_gate_solves():
     assert np.all(np.isfinite(table.lo)) and np.all(np.isfinite(table.hi))
     assert np.all(table.lo > 0)
     assert np.all(table.lo <= table.hi) and np.all(table.hi <= 1.0)
+
+
+def test_solvers_reject_a_wrong_mode_or_utility():
+    with pytest.raises(ValidationError, match="unknown terminal mode 'cap'"):
+        solve_exp(TINY, terminal="cap")
+    with pytest.raises(ValidationError, match="requires the risk-neutral utility"):
+        solve_neutral(TINY)
 
 
 def test_neutral_frozen_reference():

@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 import divbands.cli as cli
-from helpers import split_everything
+from helpers import refuse_forks, split_everything
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
@@ -58,6 +58,16 @@ def test_split_outputs_match_golden_bytes(tmp_path, monkeypatch, case, threads):
     split_everything(monkeypatch)
     run_case(case, tmp_path / "out", tmp_path, threads)
     assert_golden(case, tmp_path / "out")
+
+
+def test_refused_forks_still_write_golden_bytes(tmp_path, monkeypatch):
+    # when the OS refuses every fork, this process formats each run itself
+    split_everything(monkeypatch)
+    refused = refuse_forks(monkeypatch)
+    for case in CASES:
+        run_case(case, tmp_path / case, tmp_path, 2)
+        assert_golden(case, tmp_path / case)
+    assert refused
 
 
 # -- the writer ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from divbands.errors import (
 from divbands.model import (
     ProblemConfig,
     Utility,
+    cash,
     certainty_equivalent,
     check_y0,
     utility,
@@ -46,6 +47,8 @@ def test_distribution_rejections():
         validate_distribution({0: 0.5, 1: 0.5})
     with pytest.raises(ValidationError):
         validate_distribution({})
+    with pytest.raises(ValidationError, match="must be integers"):
+        validate_distribution({1.5: 0.5, -1: 0.5})
     # NaN compares false with everything: no mass may slip through as NaN
     for nan_mass in ({1: math.nan}, {-1: 1.0, 1: math.nan}, {-1: math.nan, 1: 1.0}):
         with pytest.raises(NotNormalized, match="sum to nan"):
@@ -132,6 +135,25 @@ def test_utility_is_vectorised():
         utility(Utility.LOGARITHMIC, 0.0, w)
 
 
+@pytest.mark.parametrize("u,gamma", [(Utility.EXPONENTIAL, -0.7), (Utility.POWER, 0.4),
+                                     (Utility.LOGARITHMIC, 0.0), (Utility.RISK_NEUTRAL, 0.0)])
+def test_cash_keeps_long_double(u, gamma):
+    # the oracle takes its leaves in long double; a double anywhere in cash
+    # would round them to double precision
+    w = np.longdouble(1) / 3
+    worth = cash(u, gamma, w)
+    assert type(worth) is np.longdouble
+    want = {Utility.EXPONENTIAL: np.exp(np.longdouble(gamma) * w),
+            Utility.POWER: w ** np.longdouble(gamma),
+            Utility.LOGARITHMIC: np.log(w), Utility.RISK_NEUTRAL: w}[u]
+    assert worth == want
+    # zero wealth: power is +0 and log is -inf, without a warning
+    zero = cash(u, gamma, np.longdouble(0))
+    assert type(zero) is np.longdouble
+    assert zero == {Utility.EXPONENTIAL: 1.0, Utility.POWER: 0.0,
+                    Utility.LOGARITHMIC: -np.inf, Utility.RISK_NEUTRAL: 0.0}[u]
+
+
 @pytest.mark.parametrize("u,good,bad", [
     (Utility.LOGARITHMIC, (1e-300, 1.0), (0.0, -1.0)),
     (Utility.POWER, (0.0, 3.0), (-5.0, -1e-300)),
@@ -153,6 +175,8 @@ def test_utility_domain_errors():
         utility(Utility.LOGARITHMIC, 0.0, 0.0)
     with pytest.raises(DomainError):
         certainty_equivalent(Utility.EXPONENTIAL, -1.0, 0.5)  # wrong sign
+    with pytest.raises(DomainError, match="power utility range"):
+        certainty_equivalent(Utility.POWER, 0.5, -0.1)
 
 
 def test_config_round_trip_through_helpers():

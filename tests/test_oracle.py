@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from divbands import oracle
-from divbands.errors import TooLarge, UndefinedAction
+from divbands.errors import TooLarge, UndefinedAction, ValidationError
 from divbands.model import Utility
 from divbands.oracle import (
     exact_optimal,
@@ -81,6 +81,16 @@ def test_markov_rules_suffice_for_exp():
 def test_node_guard_trips():
     with pytest.raises(TooLarge):
         exact_optimal(TINY_EXP, 3, 3, node_guard=10)
+
+
+def test_argument_guards():
+    with pytest.raises(ValidationError, match="horizon must be >= 0"):
+        exact_optimal(TINY_EXP, 2, -1)
+    with pytest.raises(ValidationError, match="exponential case"):
+        markov_optimum(TINY_POWER, 2, 2)
+    # about 1.7e9 rules at horizon 4: refused before the first is enumerated
+    with pytest.raises(TooLarge, match="Markov rules"):
+        markov_optimum(TINY_EXP, 3, 4)
 
 
 def test_policy_value_brackets_optimum():
@@ -223,7 +233,7 @@ def test_walk_frees_its_memo():
 def test_exact_ties_go_to_the_largest_action(monkeypatch, utility, gamma):
     # with every leaf worth 1 and dyadic weights, each action's expectation
     # is exactly 1, so every node ties across all of its actions
-    monkeypatch.setattr(oracle, "_leaf", lambda *args: np.longdouble(1.0))
+    monkeypatch.setattr(oracle, "cash", lambda *args: np.longdouble(1.0))
     cfg = make_config(utility, {1: 0.5, -1: 0.5}, 0.5, gamma, 4, 3)
     val, tree = exact_optimal(cfg, 3, 3)
     assert val == 1.0 and len(tree.decisions) > 1

@@ -16,7 +16,7 @@ from divbands.errors import InvariantViolation
 from divbands.exp_solver import solve_exp
 from divbands.parallel import fork_parts, split_runs
 from divbands.simulate import BATCH, simulate_paths
-from helpers import make_config, split_everything
+from helpers import make_config, refuse_forks, split_everything
 
 # three batches, the last one short; few steps keep it fast
 SIM_PATHS = 2 * BATCH + 7
@@ -195,6 +195,17 @@ def test_simulate_paths_workers_give_the_same_arrays(monkeypatch):
     for field in ("discounted_sums", "ruin_times", "truncated", "utilities"):
         assert len({getattr(r, field).tobytes() for r in runs}) == 1, field
     assert_no_child_left()
+
+
+def test_refused_fork_runs_the_batches_here(monkeypatch):
+    split_everything(monkeypatch)
+    refused = refuse_forks(monkeypatch)
+    _, policy = solve_exp(SIM_CONFIG)
+    runs = [simulate_paths(SIM_CONFIG, policy, 10, SIM_PATHS, max_steps=30, workers=w)
+            for w in (1, 2)]
+    assert refused
+    for field in ("discounted_sums", "ruin_times", "truncated", "utilities"):
+        assert len({getattr(r, field).tobytes() for r in runs}) == 1, field
 
 
 # -- errors raised in a child are the serial ones -----------------------------------

@@ -1,6 +1,7 @@
 """Power/log solver: grids, certified interpolation, barriers, closed forms."""
 
 import dataclasses
+import functools
 import math
 import warnings
 from types import SimpleNamespace
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divbands import power_solver
-from divbands.errors import BarrierViolation, DomainError
-from divbands.model import Utility, check_y0, expect_income, validate_distribution
+from divbands.errors import BarrierViolation, DomainError, ValidationError
+from divbands.model import Utility, cash, check_y0, expect_income, validate_distribution
 from divbands.oracle import exact_optimal
 from divbands.power_solver import (
     SGrid,
@@ -48,6 +49,10 @@ def test_grid_shape_and_lattice():
     assert pts[-1] == pytest.approx((4 + 1) / 0.5)
     # dyadic payout sums are grid members bit-for-bit
     assert 1.0 + 0.5 * 2 + 0.25 * 1 in pts
+    with pytest.raises(ValidationError, match="start at 0"):
+        SGrid(points=np.array([0.5, 1.0]))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        SGrid(points=np.array([0.0, 1.0, 1.0]))
 
 
 def test_grid_handles_certain_loss():
@@ -260,7 +265,8 @@ def bracket_queries(draw, utility):
         env_x = draw(st.integers(0, 3))
         q = q + 0.5 * np.arange(n_rows)[:, None] if draw(st.booleans()) else q
     return (pts, rows[0], rows[1], q, env_x, draw(st.sampled_from([1.0, 0.5, 0.729])),
-            draw(st.sampled_from([0.0, 1.5])), power_solver._cash(Utility.parse(utility), 0.5))
+            draw(st.sampled_from([0.0, 1.5])),
+            functools.partial(cash, Utility.parse(utility), 0.5))
 
 
 @pytest.mark.parametrize("utility", ["power", "logarithmic"])

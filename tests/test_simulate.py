@@ -61,6 +61,8 @@ def test_summary_keys_and_none_ruin_time():
     assert s["ruin_fraction"] == 0.0
     assert s["mean_ruin_time"] is None
     assert s["truncated_fraction"] == 1.0
+    one = simulate_paths(cfg, hold, 5, 1, max_steps=3)
+    assert one.std_err == math.inf and one.summary()["std_err"] is None
 
 
 def test_prefix_stable_within_batch():
@@ -155,6 +157,8 @@ def test_argument_validation():
         simulate_paths(TINY, policy, 2, 0)
     with pytest.raises(ValidationError):
         simulate_paths(TINY, policy, 2, 10, max_steps=0)
+    with pytest.raises(PolicyUndefined, match="non-integer actions at step 0"):
+        simulate_paths(TINY, lambda t, x, s: x * 1.0, 2, 10)
 
 
 def test_ruin_certainty_check_passes(claim):
