@@ -3,7 +3,8 @@
 Every subcommand reads one YAML config, whose absent optional keys take
 ``ProblemConfig``'s defaults, and writes fixed-name files under its
 ``output_dir``: values.csv, policy.csv, bands.csv and summary.json (each
-command writes the subset that makes sense for it).  Emission is
+command writes the subset that makes sense for it; every summary.json
+echoes the config it ran under "config").  Emission is
 deterministic.  CSVs are formatted a column at a time and streamed one
 block of rows at a time (a depth, or one (d, x) row over the s-grid):
 array columns go through ``tolist()`` with repr for floats (shortest
@@ -243,16 +244,26 @@ def _write_neutral_band(outdir: Path, sol) -> BandFunction:
     return band
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+def _write_summary(outdir: Path, config: ProblemConfig, fields: dict) -> None:
+    """Write summary.json: a command's fields beside the echo of its config."""
+    echo = {**{key: getattr(config, key) for key in _NUMERIC_KEYS},
+            "utility": config.utility.value,
+            "distribution": {str(k): p for k, p in config.dist.items()}}
+    with open(outdir / "summary.json", "w", newline="") as fh:
+        json.dump({"config": echo, **fields}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _config_echo(config: ProblemConfig) -> dict:
-    return {**{key: getattr(config, key) for key in _NUMERIC_KEYS},
-            "utility": config.utility.value,
-            "distribution": {str(k): p for k, p in config.dist.items()}}
+def _solve(config: ProblemConfig, **kw):
+    """(table, policy) for the config's utility; a risk-neutral solution is both.
+
+    Reads the solvers off the module at call time, so wrappers apply.
+    """
+    if config.utility is Utility.RISK_NEUTRAL:
+        sol = solve_neutral(config, **kw)
+        return sol, sol
+    return {Utility.EXPONENTIAL: solve_exp, Utility.POWER: solve_power,
+            Utility.LOGARITHMIC: solve_log}[config.utility](config, **kw)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -281,8 +292,7 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
             "certainty_equivalent": certainty_equivalent(config.utility, gamma,
                                                          hi / gamma),
         })
-    _write_json(outdir / "summary.json", {
-        "config": _config_echo(config),
+    _write_summary(outdir, config, {
         "s_star": sched.s_star,
         "required_cap": sched.cap,
         "max_depth0_width": float(np.max(table.hi[0] - table.lo[0])),
@@ -300,8 +310,7 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
                 for i, it in enumerate(result.history) for n in range(config.depth)),
                args.threads)
     _write_exp_rule(outdir, result.policy, xs, args.threads)
-    _write_json(outdir / "summary.json", {
-        "config": _config_echo(config),
+    _write_summary(outdir, config, {
         "iterations": result.iterations,
         "final_gap": result.final_gap,
     })
@@ -332,8 +341,7 @@ def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
         values.append({"x": x, "j_hat_lo": lo, "j_hat_hi": hi,
                        "certainty_equivalent": certainty_equivalent(
                            config.utility, gamma, lo)})
-    _write_json(outdir / "summary.json", {
-        "config": _config_echo(config),
+    _write_summary(outdir, config, {
         "barrier_bound": report.bound,
         "initial_payout_level": s0,
         "values": values,
@@ -347,8 +355,7 @@ def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
     _write_csv(outdir / "values.csv", ["x", "value"], [(xs, sol.values)], 1)
     _write_csv(outdir / "policy.csv", ["x", "action"], [(xs, sol.action)], 1)
     band = _write_neutral_band(outdir, sol)
-    _write_json(outdir / "summary.json", {
-        "config": _config_echo(config),
+    _write_summary(outdir, config, {
         "iterations": sol.iterations,
         "band_cuts": band.cut_string(),
         "values": [{"x": x, "value": float(sol.values[x]),
@@ -360,25 +367,20 @@ def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
 
 
 def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
+    if config.utility not in (Utility.EXPONENTIAL, Utility.RISK_NEUTRAL):
+        raise ValidationError(
+            "bands requires the exponential or risk_neutral utility; "
+            "power/log barriers live in the solve-power and solve-log outputs")
+    _, policy = _solve(config)
     if config.utility is Utility.EXPONENTIAL:
-        _, policy = solve_exp(config)
         cuts = _write_bands(outdir, policy)
-        _write_json(outdir / "summary.json", {
-            "config": _config_echo(config),
-            "bands": [{"n": n, "xi": int(policy.xi[n]), "band_cuts": cuts[n]}
-                      for n in range(config.depth)],
-        })
-        return 0
-    if config.utility is Utility.RISK_NEUTRAL:
-        band = _write_neutral_band(outdir, solve_neutral(config))
-        _write_json(outdir / "summary.json", {
-            "config": _config_echo(config),
-            "bands": [{"xi": band.c[0], "band_cuts": band.cut_string()}],
-        })
-        return 0
-    raise ValidationError(
-        "bands requires the exponential or risk_neutral utility; "
-        "power/log barriers live in the solve-power and solve-log outputs")
+        bands = [{"n": n, "xi": int(policy.xi[n]), "band_cuts": cuts[n]}
+                 for n in range(config.depth)]
+    else:
+        band = _write_neutral_band(outdir, policy)
+        bands = [{"xi": band.c[0], "band_cuts": band.cut_string()}]
+    _write_summary(outdir, config, {"bands": bands})
+    return 0
 
 
 def _check_x0(x0: int, config: ProblemConfig) -> int:
@@ -402,32 +404,30 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
            else range(config.x_max + 1))
     y0 = check_y0(utility, args.y0)
 
-    two_sided, tol = True, 1e-9
+    two_sided, tol, kw = True, 1e-9, {}
     if utility is Utility.RISK_NEUTRAL:
-        run, sol = config, solve_neutral(config)
-        bracket = lambda x0: (float(sol.values[x0]) - config.tail_eps,
-                              float(sol.values[x0]))
+        run = config
+        bracket = lambda sol, x0: (float(sol.values[x0]) - config.tail_eps,
+                                   float(sol.values[x0]))
         two_sided = False  # finite horizons underestimate; only the upper edge is sharp
     elif utility is Utility.EXPONENTIAL:
         # unit terminal makes the solver row 0 the exact horizon optimum
-        run = dataclasses.replace(config, depth=horizon)
-        table, _ = solve_exp(run, terminal="unit")
-        bracket, tol = (lambda x0: table.value_bracket(0, x0)), 1e-8
+        run, tol, kw = dataclasses.replace(config, depth=horizon), 1e-8, {"terminal": "unit"}
+        bracket = lambda table, x0: table.value_bracket(0, x0)
     else:
         run = dataclasses.replace(config, depth=horizon - 1)
-        table, _ = (solve_log if utility is Utility.LOGARITHMIC else solve_power)(run)
-        bracket = lambda x0: table.value_bracket(0, x0, y0)
+        bracket = lambda table, x0: table.value_bracket(0, x0, y0)
+    table, _ = _solve(run, **kw)
     checks = []
     for x0 in x0s:
         val, _ = exact_optimal(run, x0, horizon, y0=y0)
-        lo, hi = bracket(x0)
+        lo, hi = bracket(table, x0)
         gap = max(lo - val if two_sided else 0.0, val - hi, 0.0)
         checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
                        "solver_hi": hi, "gap": gap, "pass": bool(gap <= tol)})
 
     ok = all(c["pass"] for c in checks)
-    _write_json(outdir / "summary.json", {
-        "config": _config_echo(config),
+    _write_summary(outdir, config, {
         "horizon": horizon,
         "checks": checks,
         "pass": ok,
@@ -440,16 +440,6 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
     return 0
 
 
-def _solve_policy_for(config: ProblemConfig):
-    if config.utility is Utility.EXPONENTIAL:
-        return solve_exp(config)[1]
-    if config.utility is Utility.POWER:
-        return solve_power(config)[1]
-    if config.utility is Utility.LOGARITHMIC:
-        return solve_log(config)[1]
-    return solve_neutral(config)
-
-
 def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
     x0 = _check_x0(args.x0 if args.x0 is not None else config.x_max, config)
     if args.paths < 1:
@@ -457,10 +447,10 @@ def _cmd_simulate(config: ProblemConfig, outdir: Path, args) -> int:
     if args.max_steps < 1:
         raise ValidationError(f"--max-steps must be positive, got {args.max_steps}")
     y0 = check_y0(config.utility, args.y0)  # reject a bad --y0 before solving
-    policy = _solve_policy_for(config)
+    _, policy = _solve(config)
     result = simulate_paths(config, policy, x0, args.paths,
                             max_steps=args.max_steps, y0=y0, workers=args.threads)
-    _write_json(outdir / "summary.json", result.summary())
+    _write_summary(outdir, config, result.summary())
     return 0
 
 
@@ -537,8 +527,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # an allocation's MemoryError often carries no text
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except ValueError as exc:
         if not str(exc).startswith(INDEX_OVERFLOW):

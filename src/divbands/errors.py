@@ -82,7 +82,7 @@ class BarrierViolation(InvariantViolation):
 
 
 class MaxIterations(InvariantViolation):
-    """Policy iteration hit its iteration cap before converging."""
+    """Policy or value iteration hit its iteration cap before converging."""
 
     def __init__(self, iterations: int, gap: float):
         self.iterations = iterations

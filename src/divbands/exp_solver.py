@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotABand, ValidationError, ValueUnderflow
+from .errors import MaxIterations, NotABand, ValidationError, ValueUnderflow
 from .model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
                     expect_income, policy_lookup, tail_income)
 
@@ -451,7 +451,8 @@ def solve_neutral(config: ProblemConfig) -> NeutralSolution:
 
     Starts at V_0(x) = x + beta EZ+/(1-beta), a provable over-estimate, so
     iterates decrease monotonically; stops once the contraction bound
-    certifies a sup-norm error below tail_eps.
+    certifies a sup-norm error below tail_eps.  Raises MaxIterations, with
+    the last sup-norm change, after NEUTRAL_MAX_ITERATIONS sweeps.
     """
     if config.utility is not Utility.RISK_NEUTRAL:
         raise ValidationError("solve_neutral requires the risk-neutral utility")
@@ -459,7 +460,7 @@ def solve_neutral(config: ProblemConfig) -> NeutralSolution:
     xs = np.arange(x_max + 1, dtype=float)
     values = xs + tail_income(dist, beta)
     stop = config.tail_eps * (1.0 - beta) / beta
-    iterations = 0
+    iterations, diff = 0, math.inf
     while iterations < NEUTRAL_MAX_ITERATIONS:
         new, _ = neutral_backup(beta * _neutral_g(dist, values, x_max))
         iterations += 1
@@ -467,6 +468,8 @@ def solve_neutral(config: ProblemConfig) -> NeutralSolution:
         values = new
         if diff <= stop:
             break
+    else:  # the cap was hit: the values are not certified to tail_eps
+        raise MaxIterations(iterations, diff)
     _, action = neutral_backup(beta * _neutral_g(dist, values, x_max))
     return NeutralSolution(config=config, values=values, action=action,
                            iterations=iterations)

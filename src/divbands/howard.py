@@ -50,15 +50,19 @@ def _as_rule(config: ProblemConfig, f) -> np.ndarray:
     """Normalize a rule to an (N, x_max+1) int array and vet its actions.
 
     A callable is a policy, called once per depth on every surplus (s = 0,
-    which exponential rules ignore).
+    which exponential rules ignore).  Actions must be integers: a float or
+    bool rule is refused, not truncated.
     """
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
     if callable(f):
         rule = np.array([np.broadcast_to(f(n, xs, 0.0), xs.shape)
-                         for n in range(n_depth)], dtype=np.int64)
+                         for n in range(n_depth)])
     else:
-        rule = np.asarray(f, dtype=np.int64)
+        rule = np.asarray(f)
+    if not np.issubdtype(rule.dtype, np.integer):
+        raise IllegalAction(f"rule actions must be integers, got dtype {rule.dtype}")
+    rule = rule.astype(np.int64, copy=False)
     if rule.shape != (n_depth, x_max + 1):
         raise ValidationError(
             f"rule shape {rule.shape} != {(n_depth, x_max + 1)}")
@@ -144,6 +148,8 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
     at most the new bracket's width.  Raises MaxIterations with the last
     sup-norm value change if the cap is hit.
     """
+    if config.utility is not Utility.EXPONENTIAL:  # before pay_all_rule's table
+        raise ValidationError("howard requires the exponential utility")
     rule = pay_all_rule(config)
     prev_hi = None
     gap = math.inf

@@ -71,13 +71,10 @@ class OracleTree:
     like any other, called as policy(depth, x, s).
     """
 
-    utility: Utility
-    gamma: float
-    beta: Fraction
+    config: ProblemConfig
     y0: Fraction
     x0: int
     horizon: int
-    probs: dict[int, Fraction]
     scale: int
     decisions: dict = field(repr=False)
     value: float = 0.0
@@ -97,21 +94,21 @@ class OracleTree:
         """JSON-ready nested view of the decision tree, depth-limited."""
         limit = self.horizon if max_depth is None else min(max_depth, self.horizon)
         base = int(self.y0 * self.scale)
+        utility, gamma, beta = self.config.utility, self.config.gamma, Fraction(self.config.beta)
 
         def walk(depth: int, x: int, paid: int) -> dict:
             s = Fraction(paid, self.scale)
             node: dict = {"depth": depth, "x": x, "s": str(s)}
             if x < 0 or depth >= self.horizon:
-                node["leaf"] = float(cash(self.utility, self.gamma,
-                                          _ld(base + paid, self.scale)))
+                node["leaf"] = float(cash(utility, gamma, _ld(base + paid, self.scale)))
                 return node
             a = self.action(depth, x, s)
             node["action"] = a
             if depth < limit:
-                paid_next = paid + int(self.beta ** depth * self.scale) * a
+                paid_next = paid + int(beta ** depth * self.scale) * a
                 node["children"] = {
                     str(z): walk(depth + 1, x - a + z, paid_next)
-                    for z in sorted(self.probs)
+                    for z in self.config.dist.support
                 }
             return node
 
@@ -193,8 +190,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
         val = value(0, x0, 0)
     finally:
         del value  # break the closure's self-reference, freeing memo now
-    return OracleTree(utility=utility, gamma=gamma, beta=beta, y0=y0_frac,
-                      x0=x0, horizon=horizon, probs=probs, scale=scale,
+    return OracleTree(config=config, y0=y0_frac, x0=x0, horizon=horizon, scale=scale,
                       decisions=decisions, value=float(val))
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import functools
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divbands.cli as cli
+import divbands.exp_solver as exp_solver
 import divbands.simulate as simulate
 from divbands.errors import ConfigParse, InvariantViolation
 from divbands.model import ProblemConfig, Utility, validate_distribution
@@ -91,6 +93,28 @@ def test_config_keys_match_problem_config():
     cli_only = {"distribution", "distribution_preset", "output_dir"}
     fields = {f.name for f in dataclasses.fields(ProblemConfig)}
     assert (cli.CONFIG_KEYS - cli_only) | {"dist"} == fields
+
+
+@pytest.mark.parametrize("command,body,flags", [
+    ("solve-exp", exp_body, []),
+    ("howard", exp_body, []),
+    ("bands", exp_body, []),
+    ("oracle-check", exp_body, []),
+    ("simulate", exp_body, ["--paths", "50"]),
+    ("solve-power", functools.partial(power_body, s_grid_points=64), []),
+    ("solve-log", functools.partial(power_body, utility="logarithmic", gamma=0.0,
+                                    s_grid_points=64), []),
+    ("solve-neutral", neutral_body, []),
+])
+def test_every_summary_echoes_its_config(tmp_path, command, body, flags):
+    raw = body(tmp_path, seed=7)
+    assert cli.main([command, str(write_config(tmp_path, raw)), *flags]) == 0
+    defaults = {key: ProblemConfig.__dataclass_fields__[key].default
+                for key in cli._NUMERIC_KEYS}
+    assert read_summary(tmp_path)["config"] == {
+        **defaults, **{key: raw[key] for key in cli._NUMERIC_KEYS if key in raw},
+        "utility": raw["utility"],
+        "distribution": {str(k): p for k, p in raw["distribution"].items()}}
 
 
 def test_load_config_preset_expansion(tmp_path):
@@ -224,6 +248,15 @@ def test_exit_two_when_a_solve_runs_out_of_memory(tmp_path, capsys, monkeypatch,
     assert err == "error: out of memory: Unable to allocate 75.3 GiB for an array\n"
 
 
+def test_out_of_memory_without_a_message(tmp_path, capsys, monkeypatch):
+    # an allocation that fails deep inside numpy may raise a bare MemoryError()
+    def starve(*args):
+        raise MemoryError()
+    monkeypatch.setitem(cli._HANDLERS, "bands", starve)
+    assert cli.main(["bands", str(write_config(tmp_path, exp_body(tmp_path)))]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 BIG_POWER = {"beta": 0.9, "gamma": 0.5, "utility": "power",
              "distribution": {1: 0.6, -1: 0.4}, "x_max": 54, "depth": 2}
 README_EXP = {"beta": 0.9, "gamma": -1.0, "utility": "exponential",
@@ -248,6 +281,24 @@ def test_exit_two_when_a_size_is_beyond_numpys_index_range(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error: too large to index: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_howard_checks_the_utility_before_building_its_rule(tmp_path, capsys):
+    # the pay-all starting rule of this config would be beyond numpy's index range
+    path = write_config(tmp_path, dict(BIG_POWER, x_max=10 ** 30,
+                                       output_dir=str(tmp_path / "out")))
+    assert cli.main(["howard", str(path)]) == 2
+    assert capsys.readouterr().err == "error: howard requires the exponential utility\n"
+
+
+def test_solve_neutral_exits_three_at_its_iteration_cap(tmp_path, capsys, monkeypatch):
+    # 44 sweeps certify these values; after 3 they are 2.69 too high
+    monkeypatch.setattr(exp_solver, "NEUTRAL_MAX_ITERATIONS", 3)
+    path = write_config(tmp_path, neutral_body(tmp_path, beta=0.9, x_max=54))
+    assert cli.main(["solve-neutral", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "invariant violated: no convergence after 3 iterations")
+    assert not (tmp_path / "out" / "values.csv").exists()
 
 
 def test_other_value_errors_are_not_bad_input(tmp_path, monkeypatch):
@@ -496,7 +547,7 @@ def test_simulate_summary_contract(tmp_path):
     assert cli.main(["simulate", str(path), "--paths", "200",
                      "--max-steps", "100"]) == 0
     summary = read_summary(tmp_path)
-    assert set(summary) == {"n_paths", "mean_utility", "std_err",
+    assert set(summary) == {"config", "n_paths", "mean_utility", "std_err",
                             "ruin_fraction", "mean_ruin_time",
                             "truncated_fraction"}
     assert summary["n_paths"] == 200

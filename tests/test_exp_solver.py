@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from divbands.errors import NotABand, ValidationError, ValueUnderflow
+import divbands.exp_solver as exp_solver
+from divbands.errors import MaxIterations, NotABand, ValidationError, ValueUnderflow
 from divbands.exp_solver import (
     BandFunction,
     ThetaSchedule,
@@ -381,6 +382,17 @@ def test_neutral_frozen_reference():
     assert sol.values[1] == pytest.approx(1.0 / 0.46, abs=2e-8)
     assert sol.band().cut_string() == "0"
     assert np.all(sol.action == np.arange(55))
+
+
+def test_neutral_iteration_cap_raises(monkeypatch):
+    # the values after 3 of the 44 sweeps this config needs are 2.69 above
+    # the certified ones; returning them would certify nothing
+    cfg = make_config("risk_neutral", two_point(0.6, 1), 0.9, 0.0, 54, 5)
+    assert solve_neutral(cfg).iterations == 44
+    monkeypatch.setattr(exp_solver, "NEUTRAL_MAX_ITERATIONS", 3)
+    with pytest.raises(MaxIterations, match="no convergence after 3 iterations") as err:
+        solve_neutral(cfg)
+    assert err.value.iterations == 3 and err.value.gap > cfg.tail_eps
 
 
 def test_neutral_certain_loss_identity():

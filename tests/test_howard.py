@@ -149,6 +149,17 @@ def test_overpaying_rule_is_rejected():
         policy_value_exp(cfg, rule)
 
 
+@pytest.mark.parametrize("rule", [
+    np.tile([0, 0.5, 1.5, 2.5], (3, 1)),  # read as int64, it was [0, 0, 1, 2]
+    np.tile([0.0, 1.0, 2.0, 3.0], (3, 1)),  # whole numbers, but floats
+    lambda n, x, s: x / 2,
+])
+def test_non_integer_rule_is_refused(rule):
+    cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
+    with pytest.raises(IllegalAction, match="must be integers, got dtype float64"):
+        policy_value_exp(cfg, rule)
+
+
 def test_rule_shape_checked():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
     with pytest.raises(ValidationError):
@@ -157,7 +168,7 @@ def test_rule_shape_checked():
 
 def test_requires_exponential_utility():
     cfg = make_config("power", {1: 0.5, -1: 0.5}, 0.5, 0.5, 4, 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="howard requires the exponential utility"):
         howard_solve(cfg)
 
 

@@ -238,7 +238,7 @@ def broken_late(t, x, s):
 def test_policy_failing_in_a_late_batch_exits_as_serially(tmp_path, monkeypatch, capsys,
                                                           policy, code):
     split_everything(monkeypatch)
-    monkeypatch.setattr(cli, "_solve_policy_for", lambda config: policy)
+    monkeypatch.setattr(cli, "_solve", lambda config: (None, policy))
     errors = []
     for threads in (1, 2, 4):
         path = write_config(tmp_path, exp_body(), f"sim{threads}")
