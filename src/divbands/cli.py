@@ -7,12 +7,15 @@ command writes the subset that makes sense for it; every summary.json
 echoes the config it ran under "config").  Emission is
 deterministic.  CSVs are formatted a column at a time and streamed one
 block of rows at a time (a depth, or one (d, x) row over the s-grid):
-array columns go through ``tolist()`` with repr for floats (shortest
-round-trip form) and str for integers, while labels and per-block
-constants are formatted once; the bytes equal a per-cell rendering.
-JSON keys are sorted, newlines are always "\\n", and the solvers are
-fixed-order numpy code, so re-running a command reproduces its files
-byte for byte.
+array cells read as repr writes floats (shortest round-trip form) and
+str writes integers, while labels and per-block constants are formatted
+once; the bytes equal a per-cell rendering.  A 1-D float64 or integer
+column is written in one orjson call, which gives those same bytes
+except for floats repr puts in exponent form (nonzero |v| < 1e-4, or
+|v| >= 1e16) and nan/inf; those few go through repr.  Other arrays go
+through ``tolist()`` and repr/str.  JSON keys are sorted, newlines are
+always "\\n", and the solvers are fixed-order numpy code, so re-running
+a command reproduces its files byte for byte.
 
 ``--threads N`` splits the two costs that parallelize over this process
 and up to N - 1 forked children (``divbands.parallel``), N clamped to
@@ -53,13 +56,17 @@ from .power_solver import barrier_diagnostics, solve_log, solve_power
 from .simulate import simulate_paths
 
 # Smallest CSV, in rows x columns, whose emission is split over processes.
-# A two-way split costs about 4 ms on a 2-vCPU Xeon VM (a fork and reap of
-# the 35 MB process takes 2.2-3.2 ms, median of 30; a temp file and the
-# append add the rest), while formatting costs 120 ns (integer-only
-# policy.csv) to 350 ns (values.csv, with float columns) per cell.  Split
-# in two, values.csv broke even at about 40,000 cells (solve-exp) and
-# 65,000 (howard), policy.csv at about 110,000; below the gate, files are
-# cheaper to write here alone.
+# A two-way split costs about 5 ms on a 2-vCPU Xeon VM (a fork and reap,
+# a temp file and the append), while formatting costs about 80 ns
+# (integer-only policy.csv), 110 ns (solve-exp values.csv) and 190 ns
+# (howard values.csv, whose 41-row blocks pay more per-block overhead)
+# per cell.  Split in two (medians of 31 alternating runs on bandy's and
+# threeband's tables), solve-exp values.csv broke even at about 160,000
+# cells, policy.csv at about 150,000 and howard values.csv at about
+# 95,000; the gate stays where howard's 126,075-cell file still gains
+# (24.0 -> 19.6 ms), and solve-exp files between it and their break-even
+# lose at most about 1 ms.  Below the gate, files are cheaper to write
+# here alone.
 SPLIT_CELLS = 100_000
 
 # How numpy's ValueError begins when a shape (a size, a dimension, or their
@@ -159,9 +166,38 @@ def load_config(path: str | Path) -> tuple[ProblemConfig, Path]:
 
 # -- deterministic emission -------------------------------------------------
 
+def _numeric_cells(column: np.ndarray) -> list[str]:
+    """``repr`` of each float, or ``str`` of each integer, of a 1-D native array.
+
+    One orjson call writes the column: integers as ``str`` does, floats
+    with ``repr``'s shortest round-trip digits and, wherever
+    1e-4 <= |v| < 1e16 or v is +-0.0, in ``repr``'s layout.  The other
+    floats (``repr``'s exponent form; nan and +-inf, which orjson writes
+    as null) go through ``repr``.  tests/test_golden.py holds the two
+    equal, so an orjson upgrade that changes its layout fails there.
+    """
+    import orjson  # here, so commands that write no CSV do not load it
+    text = orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode().split(",") if len(column) else []
+    if column.dtype.kind == "f":
+        mag = np.abs(column)
+        odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0))
+        for i, v in zip(odd.tolist(), column[odd].tolist()):
+            cells[i] = repr(v)
+    return cells
+
+
 def _cells(column):
-    """Cells of an array, or of a list of strings; a scalar gives one string."""
+    """Cells of an array, or of a list of strings; a scalar gives one string.
+
+    Array floats read as ``repr`` writes them and integers as ``str``; a
+    1-D native float64 or integer array takes ``_numeric_cells``' faster
+    path, and bool, float32, non-native and n-d arrays go through ``tolist()``.
+    """
     if isinstance(column, np.ndarray) and column.ndim:
+        if column.ndim == 1 and column.dtype.isnative and (
+                column.dtype.kind in "iu" or column.dtype == np.float64):
+            return _numeric_cells(column)
         return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
     if isinstance(column, list):
         return column

@@ -158,7 +158,11 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
             acts = range(x + 1)
         else:
             a = policy(depth, x, Fraction(paid, scale))
-            if not isinstance(a, (int, np.integer)) or a < 0 or a > x:
+            # bool is an int subclass; x > 0 must not price as "pay 1"
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+                raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
+                                      "is not an integer")
+            if a < 0 or a > x:
                 raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
                                       f"is outside {{0..{x}}}")
             acts = (int(a),)
@@ -216,8 +220,8 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
     ``policy`` is called as policy(depth, x, s) with scalar surplus
     x >= 0 and the exact accumulated payout s as a Fraction: a solver
     policy, an OracleTree or any callable returning an integer.
-    Raises UndefinedAction when a reachable state has no action or the
-    action leaves {0..x}.
+    Raises UndefinedAction when a reachable state has no action, or its
+    action is not an integer (a bool included) or leaves {0..x}.
     """
     if not callable(policy):
         raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")

@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divbands.cli as cli
 from helpers import refuse_forks, split_everything
@@ -105,6 +107,77 @@ def test_float_column_renders_as_repr(tmp_path):
 def test_int_column_renders_as_str(tmp_path):
     ints = np.array([0, -3, 2**40], dtype=np.int64)
     assert written(tmp_path, [(ints, np.int64(5))]) == "a,b\n0,5\n-3,5\n1099511627776,5\n"
+
+
+# -- numeric columns: orjson's digits must stay byte for byte repr's and str's --
+
+def _neighbours(v: float) -> list[float]:
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# where repr changes layout (1e-4, 1e16), both ends of the double range, and
+# every power of two with its neighbours
+FLOAT_EDGES = np.array(sorted({
+    *(f for v in (1e-4, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+      for f in _neighbours(v)),
+    *(f for k in range(-1074, 1024) for f in _neighbours(2.0 ** k)),
+}) + [0.0, -0.0, math.nan, math.inf, -math.inf])
+FLOAT_EDGES = np.concatenate([FLOAT_EDGES, -FLOAT_EDGES])
+INT_TYPES = [np.int8, np.int16, np.int32, np.int64,
+             np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _strided(col: np.ndarray) -> np.ndarray:
+    """A non-contiguous view of ``col``, laid out like a table's ``lo[n]``."""
+    pair = np.empty((len(col), 2), dtype=col.dtype)
+    pair[:, 0], pair[:, 1] = col, col[::-1]
+    return pair[:, 0]
+
+
+def test_float_edges_render_as_repr():
+    for col in (FLOAT_EDGES, _strided(FLOAT_EDGES)):
+        assert cli._cells(col) == list(map(repr, col.tolist()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats() | st.sampled_from(FLOAT_EDGES.tolist()), max_size=40),
+       st.booleans())
+def test_float_cells_equal_repr(values, strided):
+    col = np.array(values, dtype=np.float64)
+    col = _strided(col) if strided else col
+    assert cli._cells(col) == list(map(repr, col.tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(INT_TYPES).flatmap(lambda t: st.lists(
+           st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)), max_size=40)
+           .map(lambda v: np.array(v, dtype=t))),
+       st.booleans())
+def test_int_cells_equal_str(col, strided):
+    col = _strided(col) if strided else col
+    assert cli._cells(col) == list(map(str, col.tolist()))
+
+
+@pytest.mark.parametrize("dtype", INT_TYPES)
+def test_int_range_ends_render_as_str(dtype):
+    info = np.iinfo(dtype)
+    col = np.array([info.min, info.min + 1, 0, info.max - 1, info.max], dtype=dtype)
+    assert cli._cells(col) == list(map(str, col.tolist()))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, *INT_TYPES])
+def test_empty_column_has_no_cells(dtype):
+    assert cli._cells(np.zeros(0, dtype=dtype)) == []
+    assert cli._cells(_strided(np.zeros(0, dtype=dtype))) == []
+
+
+def test_other_arrays_keep_tolist_path():
+    # orjson would write true, float32's own shortest digits, and misread
+    # a non-native byte order
+    assert cli._cells(np.array([True, False])) == ["True", "False"]
+    assert cli._cells(np.array([0.1], dtype=np.float32)) == ["0.10000000149011612"]
+    assert cli._cells(np.array([1.5, 1e-5], dtype=">f8")) == ["1.5", "1e-05"]
+    assert cli._cells(np.array([258], dtype=">i8")) == ["258"]
 
 
 def test_columns_mix_per_row_and_per_block(tmp_path):

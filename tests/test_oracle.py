@@ -130,6 +130,16 @@ def test_policy_value_rejects_illegal_action():
         exact_policy_value(TINY_EXP, lambda k, x, s: x + 1, 2, 2)
 
 
+@pytest.mark.parametrize("rule", [lambda k, x, s: x > 0,
+                                  lambda k, x, s: np.bool_(x > 0)],
+                         ids=["bool", "np.bool_"])
+def test_policy_value_refuses_bool_actions(rule):
+    # True is an int to isinstance; pricing it as "pay 1" would hide the bug
+    readme = make_config("exponential", {1: 0.6, -1: 0.4}, 0.9, -1.0, 44, 3)
+    with pytest.raises(UndefinedAction, match=r"at depth=0, x=2 is not an integer"):
+        exact_policy_value(readme, rule, 2, 3)
+
+
 def test_tree_lookup_and_dump():
     _, tree = exact_optimal(TINY_EXP, 2, 2)
     with pytest.raises(UndefinedAction):
