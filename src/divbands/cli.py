@@ -17,13 +17,16 @@ through ``tolist()`` and repr/str.  JSON keys are sorted, newlines are
 always "\\n", and the solvers are fixed-order numpy code, so re-running
 a command reproduces its files byte for byte.
 
-``--threads N`` splits the two costs that parallelize over this process
-and up to N - 1 forked children (``divbands.parallel``), N clamped to
-the usable CPUs: a CSV of at least ``SPLIT_CELLS`` cells (the values and
-policy tables of large ``solve-exp``, ``howard``, ``solve-power`` and
-``solve-log`` runs) is formatted in contiguous runs of blocks, and
-``simulate`` runs its batches of paths in contiguous runs.  The files
-are byte-identical for every N; N = 1 forks nothing.
+``--threads N`` splits the three costs that parallelize over this
+process and up to N - 1 forked children (``divbands.parallel``), N
+clamped to the usable CPUs: a CSV of at least ``SPLIT_CELLS`` cells (the
+values and policy tables of large ``solve-exp``, ``howard``,
+``solve-power`` and ``solve-log`` runs) is formatted in contiguous runs
+of blocks, ``simulate`` runs its batches of paths in contiguous runs, and
+``solve-power``/``solve-log`` induct their upper table in one child
+while this process inducts the lower table and the rule (at most 2
+processes).  The files are byte-identical for every N; N = 1 forks
+nothing.
 
 Exit codes: 0 on success, 2 for rejected inputs (bad config, bad flag
 values, unknown subcommand, sizes beyond memory or numpy's index range),
@@ -356,7 +359,8 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
 def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
     """solve-power and solve-log; reads the solver off the module, so wrappers apply."""
     s0 = check_y0(config.utility, getattr(args, "y0", None))
-    table, policy = (solve_log if args.command == "solve-log" else solve_power)(config)
+    table, policy = (solve_log if args.command == "solve-log" else solve_power)(
+        config, workers=args.threads)
     report = barrier_diagnostics(policy)
     ss = _cells(table.grid.points)
     xi = [_cells(row) for row in report.xi]

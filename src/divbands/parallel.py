@@ -1,10 +1,11 @@
 """Fork-split work whose parts are independent.
 
-CSV emission and simulation batches both split their work into a few
-contiguous runs: run 0 goes in the calling process and each other run
-goes in a child made with ``os.fork``.  A child inherits the inputs
-without copying or pickling, writes its results where the caller can
-read them (a temp file, a shared mmap), and always ends in ``os._exit``.
+CSV emission, simulation batches and the power/log solve's two bracket
+tables split their work into a few contiguous runs: run 0 goes in the
+calling process and each other run goes in a child made with
+``os.fork``.  A child inherits the inputs without copying or pickling,
+writes its results where the caller can read them (a temp file, or
+arrays from ``shared_arrays``), and always ends in ``os._exit``.
 It therefore never returns into the caller's stack, never flushes stdio
 buffers it inherited, and never runs exit handlers.  Children never fork
 again.  A caller learns which parts failed and re-runs them itself, so
@@ -27,10 +28,15 @@ unmeasured.
 
 from __future__ import annotations
 
+import errno
+import math
+import mmap
 import os
 from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 
 def _cpus() -> list[int]:
@@ -75,6 +81,33 @@ def _set_cpus(cpus: list[int]) -> None:
     if cpus:
         with suppress(OSError):  # a CPU gone offline: leave placement to the kernel
             os.sched_setaffinity(0, cpus)
+
+
+def shared_arrays(specs: Sequence[tuple[tuple[int, ...], type]], what: str
+                  ) -> list[np.ndarray]:
+    """Zeroed arrays of the given (shape, dtype)s, as views on one anonymous
+    shared mmap, so a forked child's writes reach the caller.
+
+    Each array starts at a multiple of its dtype's alignment.  The size is
+    computed with Python ints, so a size beyond ``ssize_t`` is refused
+    rather than wrapped; it, and a mapping the OS refuses for want of
+    memory, raise MemoryError naming the bytes and ``what`` they hold.
+    """
+    offsets, size = [], 0
+    for shape, dtype in specs:
+        dtype = np.dtype(dtype)
+        size = -(-size // dtype.alignment) * dtype.alignment
+        offsets.append(size)
+        size += math.prod(shape) * dtype.itemsize
+    try:
+        buf = mmap.mmap(-1, size)
+    except (OSError, OverflowError) as exc:  # OverflowError: beyond ssize_t
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {size} bytes of {what}") from exc
+    return [np.frombuffer(buf, dtype=dtype, count=math.prod(shape), offset=offset
+                          ).reshape(shape)
+            for (shape, dtype), offset in zip(specs, offsets)]
 
 
 def split_runs(threads: int, items: Sequence) -> list[Sequence]:

@@ -27,14 +27,24 @@ point when beta is dyadic and the lattice is in the grid, pass through
 untouched; on such grids the lo channel is the exact value of the
 (N+1)-step problem and the policy invariants below hold with equality.
 
+The lo and hi tables are two independent backward inductions: lo[d]
+reads only lo[d+1], hi[d] only hi[d+1], and the rule, a choice among the
+lo continuations, reads lo only.  ``workers`` > 1 therefore inducts hi in
+one forked child, writing into a shared mapping, while the caller inducts
+lo and the rule (``parallel.fork_parts``); one process does both when it
+is 1.  Either way each side starts by resetting the rows it owns, so a
+side whose child failed is re-run cleanly by the caller.
+
 Each depth is one pass over the actions a = 0..x_max.  For action a,
 F_a(u) = E W_{d+1}(u + Z, s + beta^d a) over u = 0..x_max - a reads the
 next-depth surplus rows up to x_max - a + z+ only, z+ = max(support_max, 0),
 and only those are queried, at the levels s + beta^d a: rows
 0..min(x_max, x_max - a + z+) in one call and, while a < z+, the overflow
 rows x_max + 1..x_max + z+ - a above the cap in a second (a = 0 queries
-the gridpoints themselves, so its rows are read as stored).  F_a then raises
-the running best of every x = a + u in place.  The policy records the
+the gridpoints themselves, so its rows are read as stored).  Where the
+queries sit on the grid (``_Queries``) is found once per action and read
+by the lower and the upper rule of whichever sides this process owns.
+F_a then raises the running best of every x = a + u in place.  The policy records the
 largest action whose lo continuation lies within relative TIE_RTOL of the
 running best: best is updated before the comparison and actions ascend, so
 the last action to qualify is the largest that ties the final maximum.
@@ -54,6 +64,7 @@ import numpy as np
 from .errors import BarrierViolation, DomainError, ValidationError
 from .model import (TIE_RTOL, ProblemConfig, Utility, cash, expect_income, policy_lookup,
                     tail_income, xi_star_bound)
+from .parallel import fork_parts, shared_arrays, split_runs
 
 LATTICE_LIMIT = 50_000  # max exact payout-lattice size merged into the grid
 
@@ -114,6 +125,50 @@ def _payout_lattice(beta: float, depth: int, pay_max: int) -> np.ndarray | None:
     return np.array(sorted(sums))
 
 
+class _Queries:
+    """Where the query points q sit on the s-grid, for both one-sided rules.
+
+    ``right`` is the first gridpoint at or above q (clamped to the last),
+    ``left`` the one before it, ``exact`` the queries that hit ``right``
+    (None when none do), ``no_right`` NaN where q lies past the last
+    gridpoint and 0.0 elsewhere, and ``cash_q`` the worth of q itself.
+    """
+
+    __slots__ = ("pts", "q", "cash", "right", "left", "exact", "no_right", "cash_q")
+
+    def __init__(self, pts: np.ndarray, q: np.ndarray, cash):
+        m = len(pts)
+        idx = np.searchsorted(pts, q)
+        self.pts, self.q, self.cash = pts, q, cash
+        self.right = np.minimum(idx, m - 1)
+        exact = pts[self.right] == q
+        self.exact = exact if exact.any() else None
+        self.left = np.maximum(idx - 1, 0)
+        # subtracted, not added, so that -0.0 stays -0.0 where the neighbor exists
+        self.no_right = np.where(idx < m, 0.0, np.nan)
+        self.cash_q = cash(q)
+
+
+def _lower(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Lower bracket of the rows at the queries: the best of the left
+    neighbor, the right neighbor minus the concave increment
+    cash(s_right) - cash(q), and the pay-all lower envelope ``env``."""
+    with np.errstate(invalid="ignore"):
+        lo_r = rows[..., at.right] - at.no_right - (at.cash(at.pts[at.right]) - at.cash_q)
+        lo = np.fmax(np.fmax(rows[..., at.left], lo_r), env)
+    return lo if at.exact is None else np.where(at.exact, rows[..., at.right], lo)
+
+
+def _upper(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Upper bracket of the rows at the queries: the best of the right
+    neighbor, the left neighbor plus cash(q) - cash(s_left), and the
+    pay-all upper envelope ``env``."""
+    with np.errstate(invalid="ignore"):
+        hi_l = rows[..., at.left] + (at.cash_q - at.cash(at.pts[at.left]))
+        hi = np.fmin(np.fmin(rows[..., at.right] - at.no_right, hi_l), env)
+    return hi if at.exact is None else np.where(at.exact, rows[..., at.right], hi)
+
+
 def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
                   q: np.ndarray, env_x, b_env: float, c_tail: float,
                   cash) -> tuple[np.ndarray, np.ndarray]:
@@ -121,34 +176,18 @@ def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
 
     The lower bound is the best of the left neighbor, the right neighbor
     minus the concave increment cash(s_right) - cash(q), and the pay-all
-    envelope; the upper bound mirrors that from above.  A missing
-    candidate (no right neighbor past the last gridpoint, -inf - (-inf) in
-    a log row at s = 0) is NaN, skipped by ``np.fmax``/``np.fmin``.  Exact
-    grid hits pass the stored bracket through.  ``env_x`` and ``b_env`` are
-    the surplus and beta^depth of the row being evaluated.  The rows may
-    be one row with any shape of q, or a block of rows (surplus on the
-    leading axis, ``env_x`` a column) queried at one 1-D q.
+    envelope; the upper bound mirrors that from above (``_lower`` and
+    ``_upper`` on one ``_Queries``).  A missing candidate (no right
+    neighbor past the last gridpoint, -inf - (-inf) in a log row at s = 0)
+    is NaN, skipped by ``np.fmax``/``np.fmin``.  Exact grid hits pass the
+    stored bracket through.  ``env_x`` and ``b_env`` are the surplus and
+    beta^depth of the row being evaluated.  The rows may be one row with
+    any shape of q, or a block of rows (surplus on the leading axis,
+    ``env_x`` a column) queried at one 1-D q.
     """
-    m = len(pts)
-    idx = np.searchsorted(pts, q)
-    right = np.minimum(idx, m - 1)
-    exact = pts[right] == q
-    left = np.maximum(idx - 1, 0)
-    # subtracted, not added, so that -0.0 stays -0.0 where the neighbor exists
-    no_right = np.where(idx < m, 0.0, np.nan)
-    cash_q = cash(q)
-    env_lo = cash(q + b_env * env_x)
-    env_hi = cash(q + b_env * (env_x + c_tail))
-    with np.errstate(invalid="ignore"):
-        lo_r = row_lo[..., right] - no_right - (cash(pts[right]) - cash_q)
-        lo = np.fmax(np.fmax(row_lo[..., left], lo_r), env_lo)
-        hi_l = row_hi[..., left] + (cash_q - cash(pts[left]))
-        hi = np.fmin(np.fmin(row_hi[..., right] - no_right, hi_l), env_hi)
-
-    if exact.any():
-        lo = np.where(exact, row_lo[..., right], lo)
-        hi = np.where(exact, row_hi[..., right], hi)
-    return lo, hi
+    at = _Queries(pts, q, cash)
+    return (_lower(at, row_lo, cash(q + b_env * env_x)),
+            _upper(at, row_hi, cash(q + b_env * (env_x + c_tail))))
 
 
 @dataclass(frozen=True)
@@ -210,7 +249,7 @@ class PowerPolicy:
         return extra + row[kept, self.grid.floor_index(q)]
 
 
-def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
+def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, PowerPolicy]:
     worth = functools.partial(cash, config.utility, config.gamma)
     grid = SGrid.build(config)
     pts = grid.points
@@ -221,60 +260,93 @@ def _solve(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
     z_plus = max(dist.support_max, 0)
     overflow = np.arange(1, z_plus + 1)[:, None]
     no_overflow = np.empty((0, m))
-
-    lo = np.full((n_depth + 1, x_max + 1, m), -np.inf)
-    hi = np.full((n_depth + 1, x_max + 1, m), -np.inf)
     b_last = beta ** n_depth
-    lo[n_depth] = worth(pts + b_last * xs)
-    hi[n_depth] = worth(pts + b_last * (xs + c_tail))
-    action = np.zeros((n_depth, x_max + 1, m), dtype=np.int64)
 
-    for d in range(n_depth - 1, -1, -1):
-        bd, bnext = beta ** d, beta ** (d + 1)
-        next_lo, next_hi = lo[d + 1], hi[d + 1]
-        best_lo, best_hi, act = lo[d], hi[d], action[d]
-        for a in range(x_max + 1):
-            n_u = x_max + 1 - a  # x = a + u reads rows u + Z < n_u + z_plus only
-            top = min(n_u + z_plus, x_max + 1)
-            q = pts + bd * a
-            if a == 0:  # q is the grid itself: every query an exact hit
-                rows_lo, rows_hi = next_lo[:top], next_hi[:top]
-            else:
-                rows_lo, rows_hi = _eval_queries(pts, next_lo[:top], next_hi[:top], q,
-                                                 xs[:top], bnext, c_tail, worth)
-            over_lo = over_hi = no_overflow
-            if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
-                over_lo, over_hi = _eval_queries(pts, next_lo[x_max], next_hi[x_max],
-                                                 q + bnext * overflow[:z_plus - a],
-                                                 x_max, bnext, c_tail, worth)
-            ruin = worth(q)
-            f_lo = expect_income(dist, ruin, rows_lo, over_lo, n_u)
-            f_hi = expect_income(dist, ruin, rows_hi, over_hi, n_u)
-            np.maximum(best_lo[a:], f_lo, out=best_lo[a:])
-            np.maximum(best_hi[a:], f_hi, out=best_hi[a:])
-            act[a:][f_lo >= best_lo[a:] - TIE_RTOL * np.abs(best_lo[a:])] = a
+    shape = (n_depth + 1, x_max + 1, m)
+    lo = np.empty(shape)
+    action = np.empty((n_depth, x_max + 1, m), dtype=np.int64)
+    runs = split_runs(workers, ("lo", "hi"))
+    # a child's hi reaches this process only through a shared mapping; in
+    # one process a private table is faster (numpy asks huge pages for it,
+    # which a shared mapping may not get: a serial solve ran 10% slower)
+    if len(runs) > 1:
+        [hi] = shared_arrays(((shape, np.float64),), f"the upper table {shape}")
+    else:
+        hi = np.empty(shape)
+    # a channel: its table, its one-sided rule, and the wealth its pay-all
+    # envelope credits each surplus row with (x below, x + C above)
+    channels = {"lo": (lo, _lower, xs + 0.0), "hi": (hi, _upper, xs + c_tail)}
 
+    def induct(sides) -> None:
+        """Backward induction of the channels named in ``sides``, from a clean start."""
+        owned = [channels[side] for side in sides]
+        for table, _, env_x in owned:
+            table[:n_depth] = -np.inf
+            table[n_depth] = worth(pts + b_last * env_x)
+            if table is lo:
+                action[...] = 0
+        for d in range(n_depth - 1, -1, -1):
+            bd, bnext = beta ** d, beta ** (d + 1)
+            for a in range(x_max + 1):
+                n_u = x_max + 1 - a  # x = a + u reads rows u + Z < n_u + z_plus only
+                top = min(n_u + z_plus, x_max + 1)
+                q = pts + bd * a
+                # a = 0: q is the grid itself, every query an exact hit
+                at_rows = _Queries(pts, q, worth) if a > 0 else None
+                at_over = None
+                if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
+                    at_over = _Queries(pts, q + bnext * overflow[:z_plus - a], worth)
+                ruin = worth(q) if at_rows is None else at_rows.cash_q
+                # every owned side's envelope is formed before either rule
+                # runs: one side at a time, glibc trimmed and re-faulted the
+                # heap each action (a fresh serial solve at M 1024, depth 20
+                # took 160k page faults against 26k, and 10% longer)
+                envs = [None if at_rows is None else worth(q + bnext * env_x[:top])
+                        for _, _, env_x in owned]
+                for (table, rule, env_x), env in zip(owned, envs):
+                    nxt = table[d + 1]
+                    rows, over = nxt[:top], no_overflow
+                    if at_rows is not None:
+                        rows = rule(at_rows, rows, env)
+                    if at_over is not None:
+                        over = rule(at_over, nxt[x_max], worth(at_over.q + bnext * env_x[x_max]))
+                    f = expect_income(dist, ruin, rows, over, n_u)
+                    best = table[d, a:]
+                    np.maximum(best, f, out=best)
+                    if table is lo:
+                        action[d, a:][f >= best - TIE_RTOL * np.abs(best)] = a
+
+    for i in fork_parts(len(runs), lambda i: induct(runs[i])):
+        induct(runs[i])
     return (PowerValueTable(config=config, grid=grid, lo=lo, hi=hi),
             PowerPolicy(config=config, grid=grid, action=action))
 
 
-def solve_power(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
-    """Backward induction for the power utility; headline is W_0(x, 0)."""
+def solve_power(config: ProblemConfig, workers: int = 1
+                ) -> tuple[PowerValueTable, PowerPolicy]:
+    """Backward induction for the power utility; headline is W_0(x, 0).
+
+    ``workers`` > 1 inducts the upper table in a forked child while this
+    process inducts the lower table and the rule; the result is the same
+    bytes for every value.
+    """
     if config.utility is not Utility.POWER:
         raise ValidationError("solve_power requires the power utility")
-    return _solve(config)
+    return _solve(config, workers)
 
 
-def solve_log(config: ProblemConfig) -> tuple[PowerValueTable, PowerPolicy]:
+def solve_log(config: ProblemConfig, workers: int = 1
+              ) -> tuple[PowerValueTable, PowerPolicy]:
     """Same recursion with log wealth; headline is W_0(x, y0), y0 > 0.
 
     The table does not depend on y0, which enters as the depth-0 payout
     level of ``value_bracket``; the value of zero wealth is -inf, so a finite
     answer needs a positive starting wealth (``model.check_y0``).
+    ``workers`` splits the two tables as in ``solve_power``.
     """
     if config.utility is not Utility.LOGARITHMIC:
         raise ValidationError("solve_log requires the logarithmic utility")
-    return _solve(config)
+    return _solve(config, workers)
 
 
 @dataclass(frozen=True)

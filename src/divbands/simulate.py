@@ -29,16 +29,14 @@ flagged, its unpaid tail bounded by beta^max_steps x_max/(1-beta).
 
 from __future__ import annotations
 
-import errno
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PolicyUndefined, InvariantViolation, ValidationError
 from .model import ProblemConfig, check_y0, utility
-from .parallel import fork_parts, split_runs
+from .parallel import fork_parts, shared_arrays, split_runs
 
 BATCH = 1 << 14  # paths per Philox substream
 
@@ -123,22 +121,6 @@ def _income_index(words: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return k
 
 
-def _shared_outputs(n_paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zeroed per-path sums, ruin times and truncation flags, as views on
-    one anonymous shared mmap, so a forked child's writes reach the caller."""
-    try:
-        buf = mmap.mmap(-1, 17 * n_paths)  # 8 + 8 + 1 bytes per path
-    except (OSError, OverflowError) as exc:  # OverflowError: beyond ssize_t
-        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
-            raise
-        raise MemoryError(f"cannot map {17 * n_paths} bytes of outputs "
-                          f"for {n_paths} paths") from exc
-    sums = np.frombuffer(buf, dtype=np.float64, count=n_paths)
-    times = np.frombuffer(buf, dtype=np.int64, count=n_paths, offset=8 * n_paths)
-    trunc = np.frombuffer(buf, dtype=bool, count=n_paths, offset=16 * n_paths)
-    return sums, times, trunc
-
-
 def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
                    max_steps: int = 10_000, y0: float | None = None,
                    workers: int = 1) -> SimulationResult:
@@ -170,7 +152,8 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     thresholds = _income_thresholds(config.dist.probs)
 
     # a path ruined from the start keeps sum 0, time 0 and no flag
-    sums, times, trunc = _shared_outputs(n_paths)
+    sums, times, trunc = shared_arrays((((n_paths,), np.float64), ((n_paths,), np.int64),
+                                        ((n_paths,), bool)), f"outputs for {n_paths} paths")
     base = np.random.Philox(key=config.seed)
     runs = split_runs(workers, range(0, n_paths, BATCH))
 

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import divbands.cli as cli
 import divbands.exp_solver as exp_solver
-import divbands.simulate as simulate
+import divbands.parallel as parallel
 from divbands.errors import ConfigParse, InvariantViolation
 from divbands.model import ProblemConfig, Utility, validate_distribution
 from divbands.power_solver import xi_star_bound
+from helpers import split_everything
 
 
 def write_config(tmp_path, body, name="cfg.yaml"):
@@ -310,10 +311,14 @@ def test_other_value_errors_are_not_bad_input(tmp_path, monkeypatch):
         cli.main(["solve-exp", str(write_config(tmp_path, exp_body(tmp_path)))])
 
 
-def test_exit_two_when_simulation_outputs_cannot_be_mapped(tmp_path, capsys, monkeypatch):
+def refuse_mappings(monkeypatch):
     def refuse(fileno, length):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
-    monkeypatch.setattr(simulate.mmap, "mmap", refuse)
+    monkeypatch.setattr(parallel.mmap, "mmap", refuse)
+
+
+def test_exit_two_when_simulation_outputs_cannot_be_mapped(tmp_path, capsys, monkeypatch):
+    refuse_mappings(monkeypatch)
     path = write_config(tmp_path, exp_body(tmp_path))
     assert cli.main(["simulate", str(path), "--paths", "100000000000"]) == 2
     err = capsys.readouterr().err
@@ -322,15 +327,33 @@ def test_exit_two_when_simulation_outputs_cannot_be_mapped(tmp_path, capsys, mon
     assert "Traceback" not in err
 
 
-def test_shared_outputs_keeps_other_mapping_errors(monkeypatch):
-    with pytest.raises(MemoryError):  # beyond ssize_t: refused before any mapping
-        simulate._shared_outputs(10 ** 20)
+def test_exit_two_when_the_upper_power_table_cannot_be_mapped(tmp_path, capsys,
+                                                              monkeypatch):
+    # only a split solve maps its upper table
+    split_everything(monkeypatch)
+    refuse_mappings(monkeypatch)
+    path = write_config(tmp_path, dict(BIG_POWER, s_grid_points=8,
+                                       output_dir=str(tmp_path / "out")))
+    assert cli.main(["solve-power", str(path), "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve-power", str(path), "--threads", "2"]) == 2
+    # (depth + 1) * (x_max + 1) * 8 gridpoints * 8 bytes
+    assert capsys.readouterr().err == ("error: out of memory: cannot map 10560 bytes "
+                                       "of the upper table (3, 55, 8)\n")
+
+
+def test_shared_arrays_keeps_other_mapping_errors(monkeypatch):
+    # beyond ssize_t: refused before any mapping; numpy's int64 product
+    # of this shape would wrap to 0
+    for shape in ((10 ** 20,), (2 ** 32, 2 ** 32)):
+        with pytest.raises(MemoryError):
+            parallel.shared_arrays(((shape, float),), "outputs")
 
     def forbid(fileno, length):
         raise OSError(errno.EACCES, "Permission denied")
-    monkeypatch.setattr(simulate.mmap, "mmap", forbid)
+    monkeypatch.setattr(parallel.mmap, "mmap", forbid)
     with pytest.raises(PermissionError):
-        simulate._shared_outputs(10)
+        parallel.shared_arrays((((10,), float),), "outputs")
 
 
 def test_exit_two_when_depth_underflows_theta(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Fork-split emission and simulation: same bytes, serial errors, no strays.
+"""Fork-split emission, simulation and the power/log solve: same bytes,
+serial errors, no strays.
 
 ``helpers.split_everything`` drops the emission size gate and reports
 four usable CPUs, so ``--threads`` 2 and 4 really split on any host.
@@ -12,15 +13,35 @@ import yaml
 
 import divbands.cli as cli
 import divbands.parallel as parallel
+import divbands.power_solver as power_solver
 from divbands.errors import InvariantViolation
 from divbands.exp_solver import solve_exp
-from divbands.parallel import fork_parts, split_runs
+from divbands.model import Utility
+from divbands.parallel import fork_parts, shared_arrays, split_runs
+from divbands.power_solver import solve_log, solve_power
 from divbands.simulate import BATCH, simulate_paths
-from helpers import make_config, refuse_forks, split_everything
+from helpers import DOWN_ONE, make_config, refuse_forks, split_everything
 
 # three batches, the last one short; few steps keep it fast
 SIM_PATHS = 2 * BATCH + 7
 SIM_CONFIG = make_config("exponential", {1: 0.6, -1: 0.4}, 0.9, -1.0, 44, 213)
+
+POWER_CONFIGS = {
+    # the benchmark's seed-0 power and log jobs
+    "seed0-power": make_config("power", {1: 0.6, -1: 0.4}, 0.9, 0.5, 54, 5,
+                               s_grid_points=512),
+    "seed0-log": make_config("logarithmic", {1: 0.6, -1: 0.4}, 0.9, 0.0, 54, 3,
+                             s_grid_points=512),
+    # dyadic beta puts the payout lattice in the grid: exact hits, and
+    # log rows of -inf at s = 0
+    "dyadic-log": make_config("logarithmic", {1: 0.5, -1: 0.5}, 0.5, 0.0, 4, 3,
+                              s_grid_points=64),
+    # z+ = 3: actions a < 3 query the overflow rows above the cap
+    "overflow": make_config("power", {3: 0.3, 1: 0.2, -1: 0.5}, 0.6, 0.4, 12, 3,
+                            s_grid_points=40),
+    "certain-loss": make_config("power", DOWN_ONE, 0.5, 0.5, 4, 3),
+}
+SMALL_POWER = POWER_CONFIGS["overflow"]
 
 
 def assert_no_child_left():
@@ -37,6 +58,19 @@ def write_config(tmp_path, body, name):
 def exp_body(**over):
     return {"beta": 0.8, "gamma": -3.0, "utility": "exponential",
             "distribution": {1: 0.7, -1: 0.3}, "x_max": 10, "depth": 6, **over}
+
+
+def power_body(utility):
+    return {"beta": 0.6, "gamma": 0.4 if utility == "power" else 0.0, "utility": utility,
+            "distribution": {1: 0.6, -1: 0.4}, "x_max": 4, "depth": 3,
+            "s_grid_points": 16}
+
+
+# every command that splits under --threads, with its config and flags
+SPLITTING = (("solve-exp", exp_body(), []), ("howard", exp_body(), []),
+             ("simulate", exp_body(), ["--paths", str(SIM_PATHS), "--max-steps", "20"]),
+             ("solve-power", power_body("power"), []),
+             ("solve-log", power_body("logarithmic"), []))
 
 
 @pytest.fixture
@@ -106,6 +140,16 @@ def test_fork_parts_reports_failed_parts_and_reaps_children(tmp_path):
     assert_no_child_left()
 
 
+def test_shared_arrays_are_aligned_zeroed_views_of_one_mapping():
+    flags, sums, times = shared_arrays((((3,), bool), ((2, 2), np.float64),
+                                        ((1,), np.int64)), "outputs")
+    assert flags.tobytes() == bytes(3) and not sums.any() and not times.any()
+    assert sums.shape == (2, 2) and sums.flags.writeable
+    # back to back in one mapping, each padded to its dtype's alignment
+    start = [a.__array_interface__["data"][0] for a in (flags, sums, times)]
+    assert [p - start[0] for p in start] == [0, 8, 40]
+
+
 def fake_proc(tmp_path, flags, cpuset_line="3:cpuset:/jobs"):
     """A /proc/self stand-in whose cpuset hierarchy is mounted under tmp_path."""
     mount = tmp_path / "cpuset"
@@ -155,9 +199,8 @@ def test_huge_threads_start_at_most_cores_minus_one_children(tmp_path, monkeypat
                                                              fork_log):
     monkeypatch.setattr(cli, "SPLIT_CELLS", 0)  # real CPU count, no gate
     cores = len(os.sched_getaffinity(0))
-    for command, flags in (("solve-exp", []), ("howard", []),
-                           ("simulate", ["--paths", str(SIM_PATHS), "--max-steps", "20"])):
-        path = write_config(tmp_path, exp_body(), command)
+    for command, body, flags in SPLITTING:
+        path = write_config(tmp_path, body, command)
         assert cli.main([command, str(path), "--threads", "1000000", *flags]) == 0
     assert max(fork_log, default=0) <= cores - 1
     assert (len(fork_log) > 0) == (cores > 1)
@@ -166,9 +209,8 @@ def test_huge_threads_start_at_most_cores_minus_one_children(tmp_path, monkeypat
 
 def test_one_thread_never_forks(tmp_path, monkeypatch, fork_log):
     split_everything(monkeypatch)
-    for command, flags in (("solve-exp", []), ("howard", []),
-                           ("simulate", ["--paths", str(SIM_PATHS), "--max-steps", "20"])):
-        path = write_config(tmp_path, exp_body(), command)
+    for command, body, flags in SPLITTING:
+        path = write_config(tmp_path, body, command)
         assert cli.main([command, str(path), "--threads", "1", *flags]) == 0
     assert fork_log == []
 
@@ -208,7 +250,68 @@ def test_refused_fork_runs_the_batches_here(monkeypatch):
         assert len({getattr(r, field).tobytes() for r in runs}) == 1, field
 
 
+def solve(config, workers=1):
+    return (solve_power if config.utility is Utility.POWER else solve_log)(config, workers)
+
+
+def solved_bytes(config, workers=1) -> tuple[bytes, bytes, bytes]:
+    table, policy = solve(config, workers)
+    return table.lo.tobytes(), table.hi.tobytes(), policy.action.tobytes()
+
+
+@pytest.mark.parametrize("name", POWER_CONFIGS)
+def test_power_solve_is_byte_identical_across_workers(monkeypatch, fork_log, name):
+    # workers 2 and 4 both split into the lo run here and the hi run in
+    # one child, forked once per solve
+    split_everything(monkeypatch)
+    config = POWER_CONFIGS[name]
+    want = solved_bytes(config)
+    assert fork_log == []
+    for workers in (2, 4):
+        assert solved_bytes(config, workers) == want
+    assert fork_log == [1, 1]
+    assert_no_child_left()
+
+
 # -- errors raised in a child are the serial ones -----------------------------------
+
+def test_upper_side_failing_only_in_the_child_is_rerun_here(monkeypatch):
+    split_everything(monkeypatch)
+    want = solved_bytes(SMALL_POWER)
+    me, upper, child_calls = os.getpid(), power_solver._upper, []
+    per_depth = SMALL_POWER.x_max + SMALL_POWER.dist.support_max
+
+    def garbage_then_raise(at, rows, env):
+        # in the child, once the last depth is done: write +inf into the
+        # rows just built in the shared upper table, then fail; the re-run
+        # here must start from clean rows, not from these
+        if os.getpid() != me:
+            child_calls.append(None)
+            if len(child_calls) > per_depth:
+                rows[...] = np.inf
+                raise InvariantViolation("child only")
+        return upper(at, rows, env)
+
+    monkeypatch.setattr(power_solver, "_upper", garbage_then_raise)
+    assert solved_bytes(SMALL_POWER, 2) == want
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("side", ["_lower", "_upper"])
+def test_side_raising_everywhere_raises_the_serial_error(monkeypatch, side):
+    split_everything(monkeypatch)
+
+    def broken(at, rows, env):
+        raise InvariantViolation(f"forced in {side} on {rows.ndim}-d rows")
+
+    monkeypatch.setattr(power_solver, side, broken)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(InvariantViolation) as err:
+            solve(SMALL_POWER, workers)
+        errors.append(str(err.value))
+        assert_no_child_left()
+    assert errors == [errors[0]] * 2 and errors[0].startswith(f"forced in {side}")
 
 def test_ragged_block_in_a_child_raises_the_serial_error(tmp_path, monkeypatch):
     split_everything(monkeypatch)

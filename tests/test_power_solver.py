@@ -310,27 +310,42 @@ def test_backup_forms_only_the_rows_it_reads(monkeypatch, utility, mapping):
         got = expect_income(cfg.dist, ruin, rows, over, n)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    calls, query_calls = [], 0
-    eval_queries = power_solver._eval_queries
+    calls, query_calls = [], []
 
     def counted(dist, ruin, rows, over, n):
         calls.append((off + len(rows) + len(over), n))
         return expect_income(dist, ruin, rows, over, n)
 
-    def counted_queries(*args):
-        nonlocal query_calls
-        query_calls += 1
-        return eval_queries(*args)
+    def counted_rule(side, rule):
+        # a call reads a block of surplus rows at the 1-D grid shift, or
+        # the cap row at one shift per overflow unit
+        def wrapped(at, rows, env):
+            if rows.ndim == 2:
+                assert at.q.shape == (m,) and env.shape == rows.shape
+                query_calls.append((side, "block", rows.shape[0]))
+            else:
+                assert rows.shape == (m,) and env.shape == at.q.shape
+                query_calls.append((side, "cap", at.q.shape[0]))
+            return rule(at, rows, env)
+        return wrapped
 
+    m = len(SGrid.build(cfg).points)
     monkeypatch.setattr(power_solver, "expect_income", counted)
-    monkeypatch.setattr(power_solver, "_eval_queries", counted_queries)
+    monkeypatch.setattr(power_solver, "_lower", counted_rule("lo", power_solver._lower))
+    monkeypatch.setattr(power_solver, "_upper", counted_rule("hi", power_solver._upper))
     (solve_power if utility == "power" else solve_log)(cfg)
     assert sorted(calls) == sorted((off + n + z_plus, n)
                                    for n in range(1, cfg.x_max + 2)
                                    for _ in range(2 * cfg.depth))
-    # one block call per action a > 0 (a = 0 reads the rows at the
-    # gridpoints themselves), one overflow call per action a < z+
-    assert query_calls == cfg.depth * (cfg.x_max + z_plus)
+    # per side and depth: one block call per action a > 0 (a = 0 reads
+    # the rows at the gridpoints themselves) over the rows u + Z can
+    # reach, and one cap-row call per action a < z+, at z+ - a units
+    per_side = ([("block", min(cfg.x_max + 1 - a + z_plus, cfg.x_max + 1))
+                 for a in range(1, cfg.x_max + 1)]
+                + [("cap", z_plus - a) for a in range(z_plus)])
+    assert len(query_calls) == 2 * cfg.depth * (cfg.x_max + z_plus)
+    assert sorted(query_calls) == sorted((side, *call) for side in ("lo", "hi")
+                                         for call in per_side for _ in range(cfg.depth))
 
 
 @pytest.mark.parametrize("utility,gamma", [("power", 0.5), ("logarithmic", 0.0)])
