@@ -9,13 +9,13 @@ deterministic.  CSVs are formatted a column at a time and streamed one
 block of rows at a time (a depth, or one (d, x) row over the s-grid):
 array cells read as repr writes floats (shortest round-trip form) and
 str writes integers, while labels and per-block constants are formatted
-once; the bytes equal a per-cell rendering.  A 1-D float64 or integer
-column is written in one orjson call, which gives those same bytes
-except for floats repr puts in exponent form (nonzero |v| < 1e-4, or
-|v| >= 1e16) and nan/inf; those few go through repr.  Other arrays go
-through ``tolist()`` and repr/str.  JSON keys are sorted, newlines are
-always "\\n", and the solvers are fixed-order numpy code, so re-running
-a command reproduces its files byte for byte.
+once; the bytes equal a per-cell rendering.  An array column must be
+1-D float64 or integer, and is written in one orjson call, which gives
+those same bytes except for floats repr puts in exponent form (nonzero
+|v| < 1e-4, or |v| >= 1e16) and nan/inf; those few go through repr.
+Any other array is refused with TypeError.  JSON keys are sorted,
+newlines are always "\\n", and the solvers are fixed-order numpy code,
+so re-running a command reproduces its files byte for byte.
 
 ``--threads N`` splits the three costs that parallelize over this
 process and up to N - 1 forked children (``divbands.parallel``), N
@@ -193,15 +193,15 @@ def _numeric_cells(column: np.ndarray) -> list[str]:
 def _cells(column):
     """Cells of an array, or of a list of strings; a scalar gives one string.
 
-    Array floats read as ``repr`` writes them and integers as ``str``; a
-    1-D native float64 or integer array takes ``_numeric_cells``' faster
-    path, and bool, float32, non-native and n-d arrays go through ``tolist()``.
+    An array must be a 1-D native float64 or integer column, whose floats
+    read as ``repr`` writes them and integers as ``str`` (``_numeric_cells``);
+    any other array (bool, float32, non-native, n-d) raises TypeError.
     """
     if isinstance(column, np.ndarray) and column.ndim:
         if column.ndim == 1 and column.dtype.isnative and (
                 column.dtype.kind in "iu" or column.dtype == np.float64):
             return _numeric_cells(column)
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+        raise TypeError(f"no CSV cells for a {column.dtype} array of shape {column.shape}")
     if isinstance(column, list):
         return column
     return repr(float(column)) if isinstance(column, float) else str(column)
@@ -247,13 +247,13 @@ def _write_csv(path: Path, header: list[str], blocks, threads: int) -> None:
         fh.write(",".join(header) + "\n")
 
         def part(i: int) -> None:
+            if i:  # a re-run here starts over what a failed child wrote
+                outs[i].seek(0)
+                outs[i].truncate()
             _write_blocks(outs[i], path.name, runs[i])
             outs[i].flush()
 
-        for i in fork_parts(len(runs), part):
-            outs[i].seek(0)
-            outs[i].truncate()
-            part(i)
+        fork_parts(len(runs), part)
         for out in outs[1:]:
             out.seek(0)
             shutil.copyfileobj(out, fh)
@@ -518,9 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="YAML run configuration")
         p.add_argument("--threads", type=int, default=1,
-                       help="processes for CSV emission and simulation batches "
-                            "(clamped to the usable CPUs; outputs are identical "
-                            "for every value)")
+                       help="processes for CSV emission, simulation batches and "
+                            "the power/log solve (clamped to the usable CPUs; "
+                            "outputs are identical for every value)")
         if name == "solve-log":
             p.add_argument("--y0", type=float, default=None,
                            help="initial wealth entering the logarithm (default 1.0)")

@@ -8,8 +8,8 @@ writes its results where the caller can read them (a temp file, or
 arrays from ``shared_arrays``), and always ends in ``os._exit``.
 It therefore never returns into the caller's stack, never flushes stdio
 buffers it inherited, and never runs exit handlers.  Children never fork
-again.  A caller learns which parts failed and re-runs them itself, so
-an exception surfaces in the caller with its serial type and message.
+again.  A part whose child failed is re-run in the caller, so an
+exception surfaces there with its serial type and message.
 Only the calling thread is copied into a child, so a part must use only
 what that thread owns: the parts here format floats or step numpy
 arrays, and need no lock held by another thread.
@@ -122,26 +122,24 @@ def split_runs(threads: int, items: Sequence) -> list[Sequence]:
     return [items[n * i // k:n * (i + 1) // k] for i in range(k)]
 
 
-def fork_parts(k: int, part: Callable[[int], object]) -> list[int]:
+def fork_parts(k: int, part: Callable[[int], None]) -> None:
     """Run part(0) here and part(1), ..., part(k-1) in forked children.
 
-    Returns the indices of the children's parts that failed, ascending: a
-    part that raised, a child that died, or a fork the OS refused.  The
-    caller re-runs those parts itself.  If part(0) raises, the exception
-    propagates once every child is reaped; no child is left running
-    either way.
+    A child's part that failed (it raised, the child died, or the OS
+    refused the fork) is re-run here, in ascending order, once every
+    child is reaped and this process's CPU mask is put back, so its error
+    surfaces with its serial type and message.  If part(0) raises, the
+    exception propagates once every child is reaped and nothing is
+    re-run; no child is left running either way.
     """
-    if k == 1:
-        part(0)
-        return []
-    cpus = _cpus() if _balance_off() else []  # [] leaves placement alone
+    cpus = _cpus() if k > 1 and _balance_off() else []  # [] leaves placement alone
     children: dict[int, int] = {}
     failed: list[int] = []
     try:
         for i in range(1, k):
             try:
                 pid = os.fork()
-            except OSError:  # out of processes or memory: the caller runs it
+            except OSError:  # out of processes or memory: run it here
                 failed.append(i)
                 continue
             if pid == 0:
@@ -161,4 +159,5 @@ def fork_parts(k: int, part: Callable[[int], object]) -> list[int]:
             if os.waitstatus_to_exitcode(status) != 0:
                 failed.append(i)
         _set_cpus(cpus)
-    return sorted(failed)
+    for i in sorted(failed):
+        part(i)

@@ -14,7 +14,9 @@ envelope
     cash(s + beta^N x)  <=  W_N(x, s)  <=  cash(s + beta^N (x + C)),
 
 where cash is ``model.cash``, the bare utility t^gamma or log t, and
-C = beta EZ+/(1-beta).
+C = beta EZ+/(1-beta).  ``_closure`` is the one place that credits a
+surplus with x (below) and x + C (above): the depth-N rows, the pay-all
+envelopes of every backup and ``value_bracket`` all read it.
 Ruined states are worth exactly cash(s) at any depth.
 
 Off-grid evaluations never assume smoothness that is not proven: a query
@@ -169,25 +171,10 @@ def _upper(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
     return hi if at.exact is None else np.where(at.exact, rows[..., at.right], hi)
 
 
-def _eval_queries(pts: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
-                  q: np.ndarray, env_x, b_env: float, c_tail: float,
-                  cash) -> tuple[np.ndarray, np.ndarray]:
-    """Certified bracket of W(row surplus, q) for off-grid query points q.
-
-    The lower bound is the best of the left neighbor, the right neighbor
-    minus the concave increment cash(s_right) - cash(q), and the pay-all
-    envelope; the upper bound mirrors that from above (``_lower`` and
-    ``_upper`` on one ``_Queries``).  A missing candidate (no right
-    neighbor past the last gridpoint, -inf - (-inf) in a log row at s = 0)
-    is NaN, skipped by ``np.fmax``/``np.fmin``.  Exact grid hits pass the
-    stored bracket through.  ``env_x`` and ``b_env`` are the surplus and
-    beta^depth of the row being evaluated.  The rows may be one row with
-    any shape of q, or a block of rows (surplus on the leading axis,
-    ``env_x`` a column) queried at one 1-D q.
-    """
-    at = _Queries(pts, q, cash)
-    return (_lower(at, row_lo, cash(q + b_env * env_x)),
-            _upper(at, row_hi, cash(q + b_env * (env_x + c_tail))))
+def _closure(config: ProblemConfig, x):
+    """The wealth the pay-all closure credits surplus x with, (below, above):
+    x when all of it is paid now, x + C when the future pays C more."""
+    return x + 0.0, x + tail_income(config.dist, config.beta)
 
 
 @dataclass(frozen=True)
@@ -204,7 +191,11 @@ class PowerValueTable:
     hi: np.ndarray
 
     def value_bracket(self, d: int, x: int, s: float) -> tuple[float, float]:
-        """Certified bracket of W_d(x, s) at any payout level s >= 0."""
+        """Certified bracket of W_d(x, s) at any payout level s >= 0.
+
+        An off-grid s is bracketed by the solve's own one-sided rules and
+        pay-all closure (``_lower``, ``_upper``, ``_closure``).
+        """
         if not s >= 0:
             raise DomainError(f"accumulated payout must be >= 0, got {s}")
         worth = functools.partial(cash, self.config.utility, self.config.gamma)
@@ -212,13 +203,13 @@ class PowerValueTable:
         if x > cap:  # pay the overflow now, priced at this depth
             s = s + beta ** d * (x - cap)
             x = cap
-        q = np.array([float(s)])
+        at = _Queries(self.grid.points, np.array([float(s)]), worth)
         if x < 0:
-            v = float(worth(q)[0])
+            v = float(at.cash_q[0])
             return v, v
-        lo, hi = _eval_queries(self.grid.points, self.lo[d, x], self.hi[d, x],
-                               q, x, beta ** d,
-                               tail_income(self.config.dist, beta), worth)
+        below, above = _closure(self.config, x)
+        lo = _lower(at, self.lo[d, x], worth(at.q + beta ** d * below))
+        hi = _upper(at, self.hi[d, x], worth(at.q + beta ** d * above))
         return float(lo[0]), float(hi[0])
 
 
@@ -255,8 +246,6 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
     pts = grid.points
     m = len(pts)
     n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist
-    c_tail = tail_income(dist, beta)
-    xs = np.arange(x_max + 1)[:, None]
     z_plus = max(dist.support_max, 0)
     overflow = np.arange(1, z_plus + 1)[:, None]
     no_overflow = np.empty((0, m))
@@ -274,8 +263,9 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
     else:
         hi = np.empty(shape)
     # a channel: its table, its one-sided rule, and the wealth its pay-all
-    # envelope credits each surplus row with (x below, x + C above)
-    channels = {"lo": (lo, _lower, xs + 0.0), "hi": (hi, _upper, xs + c_tail)}
+    # envelope credits each surplus row with
+    below, above = _closure(config, np.arange(x_max + 1)[:, None])
+    channels = {"lo": (lo, _lower, below), "hi": (hi, _upper, above)}
 
     def induct(sides) -> None:
         """Backward induction of the channels named in ``sides``, from a clean start."""
@@ -316,8 +306,7 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
                     if table is lo:
                         action[d, a:][f >= best - TIE_RTOL * np.abs(best)] = a
 
-    for i in fork_parts(len(runs), lambda i: induct(runs[i])):
-        induct(runs[i])
+    fork_parts(len(runs), lambda i: induct(runs[i]))
     return (PowerValueTable(config=config, grid=grid, lo=lo, hi=hi),
             PowerPolicy(config=config, grid=grid, action=action))
 

@@ -186,8 +186,7 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
                 disc *= beta
             sums[live], times[live], trunc[live] = s, max_steps, True
 
-    for i in fork_parts(len(runs), part):
-        part(i)
+    fork_parts(len(runs), part)
     return SimulationResult(discounted_sums=sums, ruin_times=times, truncated=trunc,
                             utilities=utility(config.utility, config.gamma, y0 + sums))
 

@@ -342,9 +342,11 @@ def reference_shift_pairs(policy) -> int:
 
 
 def reference_eval_queries(pts, row_lo, row_hi, q, env_x, b_env, c_tail, cash):
-    """The masked bracket rule ``power_solver._eval_queries`` replaced.
+    """The masked bracket rule that ``power_solver._lower`` and ``_upper`` replaced.
 
-    Same arguments and results; missing candidates are masked to -inf or
+    Brackets the rows at q against the pay-all envelopes of surplus
+    ``env_x`` at discount ``b_env``, as one ``_Queries`` read by both
+    rules does (``c_tail`` is C); missing candidates are masked to -inf or
     +inf with ``np.where`` and the log rows' NaN and infinite increments are
     fixed up before ``np.maximum``/``np.minimum`` take the best.
     """

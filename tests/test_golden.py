@@ -9,6 +9,7 @@ goldens from the current code (only when a contract change is intended):
 """
 
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -171,13 +172,16 @@ def test_empty_column_has_no_cells(dtype):
     assert cli._cells(_strided(np.zeros(0, dtype=dtype))) == []
 
 
-def test_other_arrays_keep_tolist_path():
+def test_other_arrays_are_refused():
     # orjson would write true, float32's own shortest digits, and misread
     # a non-native byte order
-    assert cli._cells(np.array([True, False])) == ["True", "False"]
-    assert cli._cells(np.array([0.1], dtype=np.float32)) == ["0.10000000149011612"]
-    assert cli._cells(np.array([1.5, 1e-5], dtype=">f8")) == ["1.5", "1e-05"]
-    assert cli._cells(np.array([258], dtype=">i8")) == ["258"]
+    for column, name in ((np.array([True, False]), "bool array of shape (2,)"),
+                         (np.array([0.1], dtype=np.float32), "float32 array of shape (1,)"),
+                         (np.array([1.5, 1e-5], dtype=">f8"), ">f8 array of shape (2,)"),
+                         (np.array([258], dtype=">i8"), ">i8 array of shape (1,)"),
+                         (np.zeros((2, 2)), "float64 array of shape (2, 2)")):
+        with pytest.raises(TypeError, match=re.escape(f"no CSV cells for a {name}")):
+            cli._cells(column)
 
 
 def test_columns_mix_per_row_and_per_block(tmp_path):

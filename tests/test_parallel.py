@@ -119,14 +119,37 @@ def test_split_runs_are_contiguous_and_clamped(monkeypatch):
     assert split_runs(4, []) == [[]]
 
 
-def test_fork_parts_reports_failed_parts_and_reaps_children(tmp_path):
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
+def test_fork_parts_reruns_failed_parts_here_after_reaping(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "_balance_off", lambda: True)  # part 0 runs pinned
+    me, mask = os.getpid(), os.sched_getaffinity(0)
+    here = []  # (part, CPU mask) of every part run in this process, in order
+
     def part(i):
         (tmp_path / str(i)).touch()
-        if i in (1, 3):
-            raise ValueError(i)
+        if os.getpid() != me:
+            if i in (1, 3):
+                raise ValueError(i)
+            return
+        if i:  # a re-run: every child is reaped already
+            assert_no_child_left()
+        here.append((i, os.sched_getaffinity(0)))
 
-    assert fork_parts(4, part) == [1, 3]
+    assert fork_parts(4, part) is None
     assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3"]
+    assert here == [(0, {min(mask)}), (1, mask), (3, mask)]
+    assert_no_child_left()
+
+    def fails_everywhere(i):
+        if i in (1, 2):
+            raise ValueError(f"part {i}")
+        (tmp_path / f"after{i}").touch()
+
+    # the first re-run to raise raises its own serial error; later parts are
+    # not re-run
+    with pytest.raises(ValueError, match="part 1"):
+        fork_parts(4, fails_everywhere)
+    assert sorted(p.name for p in tmp_path.glob("after*")) == ["after0", "after3"]
     assert_no_child_left()
 
     def late(i):

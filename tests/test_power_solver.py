@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from divbands import power_solver
 from divbands.errors import BarrierViolation, DomainError, ValidationError
-from divbands.model import Utility, cash, check_y0, expect_income, validate_distribution
+from divbands.model import (Utility, cash, check_y0, expect_income, tail_income,
+                            validate_distribution)
 from divbands.oracle import exact_optimal
 from divbands.power_solver import (
     SGrid,
@@ -93,6 +94,24 @@ def test_envelope_bounds_every_entry():
             ceil = (pts + scale * (x + c_tail)) ** cfg.gamma
             assert np.all(table.lo[d, x] >= floor - 1e-12)
             assert np.all(table.hi[d, x] <= ceil + 1e-12)
+
+
+@pytest.mark.parametrize("cfg", [
+    DYADIC,
+    make_config("logarithmic", {1: 0.6, -1: 0.4}, 0.6, 0.0, 4, 3, s_grid_points=64),
+], ids=["power", "log"])
+def test_value_bracket_off_grid_keeps_the_solve_closure(cfg):
+    # at depth N every stored row is the closure itself, and value_bracket
+    # takes the best of its candidates against the same closure, so it
+    # stays inside it exactly between the knots too
+    table, _ = (solve_power if cfg.utility is Utility.POWER else solve_log)(cfg)
+    worth = functools.partial(cash, cfg.utility, cfg.gamma)
+    b_last, c_tail = cfg.beta ** cfg.depth, tail_income(cfg.dist, cfg.beta)
+    pts = table.grid.points
+    for s in (pts[:-1] + pts[1:]) / 2:
+        for x in range(cfg.x_max + 1):
+            lo, hi = table.value_bracket(cfg.depth, x, s)
+            assert worth(s + b_last * x) <= lo <= hi <= worth(s + b_last * (x + c_tail))
 
 
 def test_value_bracket_above_the_cap_pays_the_overflow():
@@ -234,7 +253,8 @@ def test_one_pass_backup_matches_two_pass_reference(utility, beta, data):
 
 @st.composite
 def bracket_queries(draw, utility):
-    """Arguments of the bracket rule: one row or a block of rows, and queries.
+    """Arguments of the masked reference rule: one row or a block of rows,
+    and queries.
 
     Queries sit at 0, on gridpoints, between them and past the last one.
     Row values include -0.0; log rows may be -inf at s = 0, as the solver's
@@ -273,10 +293,16 @@ def bracket_queries(draw, utility):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_bracket_rule_matches_masked_reference(utility, data):
-    # missing candidates are NaN skipped by fmax/fmin where the reference
-    # masks them to -inf/+inf and fixes up the log row's NaN increments
+    # the solve's one-sided rules on one _Queries, each with its pay-all
+    # envelope; missing candidates are NaN skipped by fmax/fmin where the
+    # reference masks them to -inf/+inf and fixes up the log row's NaN
+    # increments
     args = data.draw(bracket_queries(utility))
-    for got, want in zip(power_solver._eval_queries(*args), reference_eval_queries(*args)):
+    pts, row_lo, row_hi, q, env_x, b_env, c_tail, worth = args
+    at = power_solver._Queries(pts, q, worth)
+    rules = (power_solver._lower(at, row_lo, worth(q + b_env * env_x)),
+             power_solver._upper(at, row_hi, worth(q + b_env * (env_x + c_tail))))
+    for got, want in zip(rules, reference_eval_queries(*args)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
