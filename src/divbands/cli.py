@@ -5,11 +5,15 @@ Every subcommand reads one YAML config, whose absent optional keys take
 ``output_dir``: values.csv, policy.csv, bands.csv and summary.json (each
 command writes the subset that makes sense for it; every summary.json
 echoes the config it ran under "config").  Emission is
-deterministic.  CSVs are formatted a column at a time and streamed one
-block of rows at a time (a depth, or one (d, x) row over the s-grid):
-array cells read as repr writes floats (shortest round-trip form) and
-str writes integers, while labels and per-block constants are formatted
-once; the bytes equal a per-cell rendering.  An array column must be
+deterministic.  CSVs are built from blocks of rows (a depth, or one
+(d, x) row over the s-grid), streamed in chunks of whole blocks of at
+least ``CHUNK_ROWS`` rows, and each chunk is formatted a column at a
+time: array cells read as repr writes floats (shortest round-trip form)
+and str writes integers, while labels and per-block constants are
+formatted once per block; the bytes equal a per-cell rendering.  A
+``policy.csv`` whose columns are all in its ``values.csv`` (solve-exp,
+solve-power, solve-log) is a projection written in the same pass, from
+the same cells.  An array column must be
 1-D float64 or integer, and is written in one orjson call, which gives
 those same bytes except for floats repr puts in exponent form (nonzero
 |v| < 1e-4, or |v| >= 1e16) and nan/inf; those few go through repr.
@@ -19,12 +23,13 @@ so re-running a command reproduces its files byte for byte.
 
 ``--threads N`` splits the three costs that parallelize over this
 process and up to N - 1 forked children (``divbands.parallel``), N
-clamped to the usable CPUs: a CSV of at least ``SPLIT_CELLS`` cells (the
-values and policy tables of large ``solve-exp``, ``howard``,
-``solve-power`` and ``solve-log`` runs) is formatted in contiguous runs
-of blocks, ``simulate`` runs its batches of paths in contiguous runs, and
-``solve-power``/``solve-log`` induct their upper table in one child
-while this process inducts the lower table and the rule (at most 2
+clamped to the usable CPUs: a CSV write of at least ``SPLIT_CELLS``
+cells over its files (the values and policy tables of large
+``solve-exp``, ``howard``, ``solve-power`` and ``solve-log`` runs) is
+formatted in contiguous runs of blocks, ``simulate`` runs its batches of
+paths in contiguous runs, and ``solve-power``/``solve-log`` of at least
+``power_solver.SPLIT_WORK`` induct their upper table in one child while
+this process inducts the lower table and the rule (at most 2
 processes).  The files are byte-identical for every N; N = 1 forks
 nothing.
 
@@ -42,7 +47,6 @@ import shutil
 import sys
 import tempfile
 from contextlib import ExitStack
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,19 +62,24 @@ from .parallel import fork_parts, split_runs
 from .power_solver import barrier_diagnostics, solve_log, solve_power
 from .simulate import simulate_paths
 
-# Smallest CSV, in rows x columns, whose emission is split over processes.
-# A two-way split costs about 5 ms on a 2-vCPU Xeon VM (a fork and reap,
-# a temp file and the append), while formatting costs about 80 ns
-# (integer-only policy.csv), 110 ns (solve-exp values.csv) and 190 ns
-# (howard values.csv, whose 41-row blocks pay more per-block overhead)
-# per cell.  Split in two (medians of 31 alternating runs on bandy's and
-# threeband's tables), solve-exp values.csv broke even at about 160,000
-# cells, policy.csv at about 150,000 and howard values.csv at about
-# 95,000; the gate stays where howard's 126,075-cell file still gains
-# (24.0 -> 19.6 ms), and solve-exp files between it and their break-even
-# lose at most about 1 ms.  Below the gate, files are cheaper to write
-# here alone.
-SPLIT_CELLS = 100_000
+# Fewest cells, rows x columns summed over the files of one ``_write_csv``
+# call, whose emission is split over processes.  A two-way split costs
+# about 5 ms on a 2-vCPU Xeon VM (a fork and reap, the temp files and the
+# appends), while chunked formatting costs about 55-90 ns per cell (a
+# projected file's cells are only joined) and 115 ns on howard's
+# values.csv.  Split in two (medians of 41 alternating runs on bandy's
+# solve-exp tables and the seed-0 power tables, cut to their first
+# blocks), values.csv with its policy.csv broke even at about 280,000
+# cells for solve-exp and 300,000-340,000 for solve-power, and howard's
+# 126,075-cell values.csv lost 1.6 ms.  Below the gate, files are cheaper
+# to write here alone.
+SPLIT_CELLS = 300_000
+
+# Fewest rows formatted together: consecutive blocks are gathered into
+# chunks of at least this many rows, so a column's fixed cost (about 7 us
+# for the orjson call and the exponent-form mask) is paid once a chunk
+# rather than once a block of 41-45 rows.
+CHUNK_ROWS = 2_048
 
 # How numpy's ValueError begins when a shape (a size, a dimension, or their
 # product in bytes) is beyond its index range; it is raised before allocating.
@@ -207,56 +216,95 @@ def _cells(column):
     return repr(float(column)) if isinstance(column, float) else str(column)
 
 
-def _rows(block) -> int:
-    """Rows of a block, read off its first list or array column."""
-    for column in block:
-        if isinstance(column, list) or isinstance(column, np.ndarray) and column.ndim:
-            return len(column)
-    return 1
+def _block_rows(name: str, block) -> int:
+    """Rows of a block: its list and array columns' common length, else 1."""
+    sizes = {len(c) for c in block
+             if isinstance(c, list) or isinstance(c, np.ndarray) and c.ndim} or {1}
+    if len(sizes) > 1:
+        raise ValueError(f"ragged block in {name}: column sizes {sorted(sizes)}")
+    return sizes.pop()
 
 
-def _write_blocks(fh, name: str, blocks) -> None:
-    """Format each block of rows and write it as soon as it is formatted."""
-    for block in blocks:
-        cols = [_cells(v) for v in block]
-        sizes = {len(c) for c in cols if not isinstance(c, str)} or {1}
-        if len(sizes) > 1:
-            raise ValueError(f"ragged block in {name}: column sizes {sorted(sizes)}")
-        rows = sizes.pop()
-        if rows:
-            cols = [repeat(c, rows) if isinstance(c, str) else c for c in cols]
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+def _chunks(items):
+    """Consecutive (block, rows) items in runs of at least ``CHUNK_ROWS`` rows."""
+    chunk, total = [], 0
+    for item in items:
+        chunk.append(item)
+        total += item[1]
+        if total >= CHUNK_ROWS:
+            yield chunk
+            chunk, total = [], 0
+    if chunk:
+        yield chunk
 
 
-def _write_csv(path: Path, header: list[str], blocks, threads: int) -> None:
-    """Write the header, then the blocks of rows in order.
+def _column(entries, rows) -> list[str]:
+    """Cells of one column down a chunk of blocks with the given row counts:
+    arrays of one dtype in one ``_cells`` call, else entry by entry, a
+    scalar formatted once and repeated down its block."""
+    if all(isinstance(e, np.ndarray) and e.ndim for e in entries) and \
+            len({e.dtype for e in entries}) == 1:
+        return _cells(np.concatenate(entries))
+    cells = []
+    for entry, n in zip(entries, rows):
+        c = _cells(entry)
+        cells += [c] * n if isinstance(c, str) else c
+    return cells
+
+
+def _write_blocks(outs, columns, items) -> None:
+    """Format (block, rows) items a chunk at a time and write each chunk's
+    rows to every file, ``outs[k]`` getting the columns ``columns[k]``."""
+    for chunk in _chunks(items):
+        blocks, rows = zip(*chunk)
+        if not sum(rows):
+            continue
+        cols = [_column(entries, rows) for entries in zip(*blocks)]
+        for out, keep in zip(outs, columns):
+            out.write("\n".join(map(",".join, zip(*[cols[j] for j in keep]))) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], blocks, threads: int,
+               also: tuple[tuple[Path, list[str]], ...] = ()) -> None:
+    """Write the header, then the blocks of rows in order; each (path,
+    header) of ``also`` gets the same rows cut to its columns, which must
+    be a subset of ``header``.
 
     A block has one entry per column (see ``_cells``); a scalar repeats
-    down the block, so a block of scalars only is one row.  A file of at
-    least ``SPLIT_CELLS`` cells is cut into up to ``threads`` contiguous
-    runs of blocks (``parallel.split_runs``): this process writes run 0
-    straight to the file while forked children format the others into
-    unlinked temp files beside it, which are then appended in order.
+    down the block, so a block of scalars only is one row.  Consecutive
+    blocks are formatted together in chunks of at least ``CHUNK_ROWS``
+    rows, and each cell once for all the files.  When all the files hold
+    at least ``SPLIT_CELLS`` cells between them, the blocks are cut into
+    up to ``threads`` contiguous runs (``parallel.split_runs``): this
+    process writes run 0 straight to the files while forked children
+    format the others into unlinked temp files beside them, which are
+    then appended in order.
     """
-    blocks = list(blocks)
-    cells = len(header) * sum(map(_rows, blocks))
-    runs = split_runs(threads if cells >= SPLIT_CELLS else 1, blocks)
-    with open(path, "w", newline="") as fh, ExitStack() as temps:
-        outs = [fh] + [temps.enter_context(tempfile.TemporaryFile(
-            "w+", dir=path.parent, newline="")) for _ in runs[1:]]
-        fh.write(",".join(header) + "\n")
+    files = [(path, header), *also]
+    columns = [[header.index(h) for h in head] for _, head in files]
+    items = [(block, _block_rows(path.name, block)) for block in blocks]
+    cells = sum(map(len, columns)) * sum(rows for _, rows in items)
+    runs = split_runs(threads if cells >= SPLIT_CELLS else 1, items)
+    with ExitStack() as stack:
+        outs = [[stack.enter_context(open(p, "w", newline="")) for p, _ in files]]
+        outs += [[stack.enter_context(tempfile.TemporaryFile("w+", dir=path.parent, newline=""))
+                  for _ in files] for _ in runs[1:]]
+        for fh, (_, head) in zip(outs[0], files):
+            fh.write(",".join(head) + "\n")
 
         def part(i: int) -> None:
-            if i:  # a re-run here starts over what a failed child wrote
-                outs[i].seek(0)
-                outs[i].truncate()
-            _write_blocks(outs[i], path.name, runs[i])
-            outs[i].flush()
+            for out in outs[i] if i else ():  # a re-run starts over what a failed child wrote
+                out.seek(0)
+                out.truncate()
+            _write_blocks(outs[i], columns, runs[i])
+            for out in outs[i]:
+                out.flush()
 
         fork_parts(len(runs), part)
-        for out in outs[1:]:
-            out.seek(0)
-            shutil.copyfileobj(out, fh)
+        for temps in outs[1:]:
+            for fh, out in zip(outs[0], temps):
+                out.seek(0)
+                shutil.copyfileobj(out, fh)
 
 
 def _write_bands(outdir: Path, policy) -> list[str]:
@@ -264,14 +312,6 @@ def _write_bands(outdir: Path, policy) -> list[str]:
     cuts = [b.cut_string() for b in extract_bands(policy)]
     _write_csv(outdir / "bands.csv", ["n", "xi", "band_cuts"],
                [(np.arange(len(cuts)), policy.xi, cuts)], 1)
-    return cuts
-
-
-def _write_exp_rule(outdir: Path, policy, xs: list[str], threads: int) -> list[str]:
-    """Write bands.csv, then policy.csv, of an exponential policy; returns the cuts."""
-    cuts = _write_bands(outdir, policy)
-    _write_csv(outdir / "policy.csv", ["n", "x", "action"],
-               ((n, xs, row) for n, row in enumerate(policy.action)), threads)
     return cuts
 
 
@@ -311,12 +351,13 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
     table, policy = solve_exp(config)
     sched = config.schedule
     xs = _cells(np.arange(config.x_max + 1))
-    cuts = _write_exp_rule(outdir, policy, xs, args.threads)
+    cuts = _write_bands(outdir, policy)
     _write_csv(outdir / "values.csv",
                ["n", "theta", "x", "j_lo", "j_hi", "action", "xi", "band_cuts"],
                ((n, sched.thetas[n], xs, table.lo[n], table.hi[n],
                  policy.action[n], policy.xi[n], cuts[n])
-                for n in range(config.depth)), args.threads)
+                for n in range(config.depth)), args.threads,
+               also=((outdir / "policy.csv", ["n", "x", "action"]),))
 
     gamma = config.gamma
     values = []
@@ -348,7 +389,9 @@ def _cmd_howard(config: ProblemConfig, outdir: Path, args) -> int:
                ((i, n, xs, it.rule[n], it.j_hi[n])
                 for i, it in enumerate(result.history) for n in range(config.depth)),
                args.threads)
-    _write_exp_rule(outdir, result.policy, xs, args.threads)
+    _write_bands(outdir, result.policy)
+    _write_csv(outdir / "policy.csv", ["n", "x", "action"],
+               ((n, xs, row) for n, row in enumerate(result.policy.action)), args.threads)
     _write_summary(outdir, config, {
         "iterations": result.iterations,
         "final_gap": result.final_gap,
@@ -368,9 +411,8 @@ def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
     _write_csv(outdir / "values.csv",
                ["d", "x", "s", "w_lo", "w_hi", "action", "xi_of_s"],
                ((d, x, ss, table.lo[d, x], table.hi[d, x],
-                 policy.action[d, x], xi[d]) for d, x in dxs), args.threads)
-    _write_csv(outdir / "policy.csv", ["d", "x", "s", "action"],
-               ((d, x, ss, policy.action[d, x]) for d, x in dxs), args.threads)
+                 policy.action[d, x], xi[d]) for d, x in dxs), args.threads,
+               also=((outdir / "policy.csv", ["d", "x", "s", "action"]),))
     _write_csv(outdir / "bands.csv", ["d", "s", "xi_of_s"],
                ((d, ss, xi[d]) for d in range(config.depth)), args.threads)
 

@@ -124,9 +124,10 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     otherwise), ties going to the later, larger action; else it takes
     policy(depth, x, s), with s the exact Fraction.  Nodes are cached by
     (depth, x, paid): every history that reaches a state shares its value
-    and its decision.  Income terms accumulate in ascending z; the leaves
-    below one action share their payout and are evaluated once.  Raises
-    TooLarge past ``node_guard``.
+    and its decision.  Income terms accumulate in ascending z.  A leaf's
+    worth depends on its payout alone, so it is evaluated once per payout
+    and kept, beside the memo, for the rest of the walk.  Raises TooLarge
+    past ``node_guard``.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
@@ -142,7 +143,14 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     minimize = utility is Utility.EXPONENTIAL
     decisions: dict = {}
     memo: dict = {}
+    leaves: dict = {}  # paid -> worth of a leaf with that payout
     visits = 0
+
+    def leaf(paid: int) -> np.longdouble:
+        worth = leaves.get(paid)
+        if worth is None:
+            worth = leaves[paid] = cash(utility, gamma, _ld(base + paid, scale))
+        return worth
 
     def value(depth: int, x: int, paid: int) -> np.longdouble:
         nonlocal visits
@@ -150,7 +158,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
         if visits > node_guard:
             raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
         if x < 0 or depth == horizon:
-            return cash(utility, gamma, _ld(base + paid, scale))
+            return leaf(paid)
         key = (depth, x, paid)
         if key in memo:
             return memo[key]
@@ -170,7 +178,6 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
         best, best_a = None, 0
         for a in acts:
             paid_next = paid + step[depth] * a
-            leaf = None
             acc = _LD(0.0)
             for z, q in terms:
                 x_next = x - a + z
@@ -178,9 +185,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
                     visits += 1
                     if visits > node_guard:
                         raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
-                    if leaf is None:
-                        leaf = cash(utility, gamma, _ld(base + paid_next, scale))
-                    acc += q * leaf
+                    acc += q * leaf(paid_next)
                 else:
                     acc += q * value(depth + 1, x_next, paid_next)
             if best is None or acc == best or (acc < best if minimize else acc > best):
@@ -193,7 +198,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     try:
         val = value(0, x0, 0)
     finally:
-        del value  # break the closure's self-reference, freeing memo now
+        del value  # break the closure's self-reference, freeing memo and leaves now
     return OracleTree(config=config, y0=y0_frac, x0=x0, horizon=horizon, scale=scale,
                       decisions=decisions, value=float(val))
 

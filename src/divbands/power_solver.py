@@ -33,9 +33,10 @@ The lo and hi tables are two independent backward inductions: lo[d]
 reads only lo[d+1], hi[d] only hi[d+1], and the rule, a choice among the
 lo continuations, reads lo only.  ``workers`` > 1 therefore inducts hi in
 one forked child, writing into a shared mapping, while the caller inducts
-lo and the rule (``parallel.fork_parts``); one process does both when it
-is 1.  Either way each side starts by resetting the rows it owns, so a
-side whose child failed is re-run cleanly by the caller.
+lo and the rule (``parallel.fork_parts``), once the solve's work reaches
+``SPLIT_WORK``; one process does both when it is 1 or the solve is
+smaller.  Either way each side starts by resetting the rows it owns, so
+a side whose child failed is re-run cleanly by the caller.
 
 Each depth is one pass over the actions a = 0..x_max.  For action a,
 F_a(u) = E W_{d+1}(u + Z, s + beta^d a) over u = 0..x_max - a reads the
@@ -69,6 +70,15 @@ from .model import (TIE_RTOL, ProblemConfig, Utility, cash, expect_income, polic
 from .parallel import fork_parts, shared_arrays, split_runs
 
 LATTICE_LIMIT = 50_000  # max exact payout-lattice size merged into the grid
+
+# Smallest solve, in depth x (x_max+1)^2 x gridpoints, whose upper table
+# is inducted in a forked child.  The fork, the shared mapping and the
+# reap cost about 4 ms on a 2-vCPU Xeon VM.  Timed there at workers 1 and
+# 2 (medians of 15-21 alternating runs), solves of 10k-43k took 3-6 ms
+# alone and 8-11 ms split, ones of 0.35M-0.55M still lost 1-4 ms, and
+# from about 0.65M on the split gained (3 ms at 0.65M-0.8M, 39 ms on the
+# 4.6M seed-0 log solve).
+SPLIT_WORK = 500_000
 
 __all__ = [
     "SGrid",
@@ -254,7 +264,8 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
     shape = (n_depth + 1, x_max + 1, m)
     lo = np.empty(shape)
     action = np.empty((n_depth, x_max + 1, m), dtype=np.int64)
-    runs = split_runs(workers, ("lo", "hi"))
+    work = n_depth * (x_max + 1) ** 2 * m
+    runs = split_runs(workers if work >= SPLIT_WORK else 1, ("lo", "hi"))
     # a child's hi reaches this process only through a shared mapping; in
     # one process a private table is faster (numpy asks huge pages for it,
     # which a shared mapping may not get: a serial solve ran 10% slower)
@@ -316,8 +327,8 @@ def solve_power(config: ProblemConfig, workers: int = 1
     """Backward induction for the power utility; headline is W_0(x, 0).
 
     ``workers`` > 1 inducts the upper table in a forked child while this
-    process inducts the lower table and the rule; the result is the same
-    bytes for every value.
+    process inducts the lower table and the rule, when the solve is at
+    least ``SPLIT_WORK``; the result is the same bytes for every value.
     """
     if config.utility is not Utility.POWER:
         raise ValidationError("solve_power requires the power utility")

@@ -12,6 +12,7 @@ import numpy as np
 import divbands.cli as cli
 import divbands.model as model
 import divbands.parallel as parallel
+import divbands.power_solver as power_solver
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
 from divbands.exp_solver import (BandFunction, ExpPolicy, ExpValueTable, mgf_plus,
@@ -30,14 +31,16 @@ SPLIT_CPUS = 4
 
 
 def split_everything(monkeypatch) -> None:
-    """Make every multi-block CSV and every multi-batch simulation split.
+    """Make every multi-block CSV, every multi-batch simulation and every
+    power/log solve split.
 
-    The emission size gate drops to 0 and the process reports
-    ``SPLIT_CPUS`` usable CPUs, so ``--threads`` 2 and 4 split into 2 and
-    4 runs on any host.  Pinning is switched off, so the test process
+    The emission and power/log solve size gates drop to 0 and the
+    process reports ``SPLIT_CPUS`` usable CPUs, so ``--threads`` 2 and 4
+    split into 2 and 4 runs on any host.  Pinning is switched off, so the test process
     keeps its real CPU mask.
     """
     monkeypatch.setattr(cli, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(power_solver, "SPLIT_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(SPLIT_CPUS)),
                         raising=False)
     monkeypatch.setattr(parallel, "_set_cpus", lambda cpus: None)

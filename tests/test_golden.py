@@ -191,6 +191,78 @@ def test_columns_mix_per_row_and_per_block(tmp_path):
     assert text == "n,x,v\n4,0,0.25\n4,1,1.0\n4,2,3.0\n"
 
 
+# -- chunks of blocks, and files projected from one write ----------------------
+
+def _rendered(v) -> str:
+    v = v.item() if isinstance(v, np.generic) else v
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def reference_rows(blocks) -> list[list[str]]:
+    """Every row of ``blocks``, each cell rendered on its own."""
+    rows = []
+    for block in blocks:
+        sized = [len(v) for v in block if isinstance(v, (list, np.ndarray))]
+        for r in range(sized[0] if sized else 1):
+            rows.append([_rendered(v[r] if isinstance(v, (list, np.ndarray)) else v)
+                         for v in block])
+    return rows
+
+
+def straddling_blocks() -> list[tuple]:
+    """Blocks of (k, lab, i, f, c) whose row counts straddle ``CHUNK_ROWS``.
+
+    Some are empty or scalar-only, one has a float column among int64
+    ones, and every float block starts and ends in exponent form.
+    """
+    rng = np.random.default_rng(23)
+    chunk = cli.CHUNK_ROWS
+    blocks = []
+    for k, n in enumerate([0, None, chunk - 1, 1, 0, chunk, 3, 2 * chunk + 5, None, 7, 0]):
+        if n is None:  # scalars only: one row
+            blocks.append((k, f"only{k}", np.int64(-k), 2.5e-7 * k, "cut"))
+            continue
+        f = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 20, n)
+        f[:1], f[-1:] = 1e-5 * (k + 1), -1e16 * (k + 1)
+        if n > 3:
+            f[1:4] = [math.nan, -math.inf, -0.0]
+        ints = rng.integers(-2**62, 2**62, n, dtype=np.int64)
+        blocks.append((k, [f"x{k}.{r}" for r in range(n)],
+                       ints / 7 if k == 6 else ints, f,
+                       np.float64(1e-9 * k)))
+    return blocks
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_chunked_projected_write_equals_per_cell_rendering(tmp_path, monkeypatch, threads):
+    split_everything(monkeypatch)
+    blocks = straddling_blocks()
+    header = ["k", "lab", "i", "f", "c"]
+    also = ((tmp_path / "f_k.csv", ["f", "k"]), (tmp_path / "lab_i.csv", ["lab", "i"]))
+    cli._write_csv(tmp_path / "t.csv", header, blocks, threads, also=also)
+    rows = reference_rows(blocks)
+    assert len(rows) == 4 * cli.CHUNK_ROWS + 17
+    for path, head in ((tmp_path / "t.csv", header), *also):
+        keep = [header.index(h) for h in head]
+        want = [",".join(head)] + [",".join(r[j] for j in keep) for r in rows]
+        got = path.read_bytes().decode()
+        lines = got.split("\n")
+        # the first differing line, not a diff of thousands
+        bad = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), None)
+        assert bad is None, (path.name, bad, lines[bad], want[bad])
+        assert got == "\n".join(want) + "\n", path.name
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ragged_block_past_a_chunk_is_rejected(tmp_path, monkeypatch, threads):
+    split_everything(monkeypatch)
+    blocks = straddling_blocks()
+    blocks.insert(4, (0, ["a", "b"], np.arange(3), np.zeros(3), 1.0))
+    with pytest.raises(ValueError, match=re.escape("ragged block in t.csv: column sizes [2, 3]")):
+        cli._write_csv(tmp_path / "t.csv", ["k", "lab", "i", "f", "c"], blocks, threads,
+                       also=((tmp_path / "p.csv", ["k"]),))
+
+
 if __name__ == "__main__":
     # regenerate every golden directory in place from the current code
     with tempfile.TemporaryDirectory() as work:

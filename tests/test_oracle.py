@@ -239,6 +239,20 @@ def test_walk_frees_its_memo():
     assert held < 64 * 1024
 
 
+def test_each_leaf_payout_is_valued_once(monkeypatch):
+    # a leaf is worth cash(y0 + s) whatever its depth and surplus: on the
+    # README instance at x0 4, horizon 7, 24,116 leaf visits share 13,260
+    # payouts, and each payout's worth is computed once
+    cfg = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
+    real_ld, real_cash = oracle._ld, oracle.cash
+    converted, valued = [], []
+    monkeypatch.setattr(oracle, "_ld", lambda n, d: converted.append((n, d)) or real_ld(n, d))
+    monkeypatch.setattr(oracle, "cash", lambda *a: valued.append(a) or real_cash(*a))
+    _, tree = exact_optimal(cfg, 4, 7)
+    payouts = [n for n, d in converted if d == tree.scale]
+    assert len(valued) == len(payouts) == len(set(payouts)) == 13_260
+
+
 @pytest.mark.parametrize("utility,gamma", [("exponential", -1.0), ("power", 0.5)])
 def test_exact_ties_go_to_the_largest_action(monkeypatch, utility, gamma):
     # with every leaf worth 1 and dyadic weights, each action's expectation

@@ -18,7 +18,7 @@ from divbands.errors import InvariantViolation
 from divbands.exp_solver import solve_exp
 from divbands.model import Utility
 from divbands.parallel import fork_parts, shared_arrays, split_runs
-from divbands.power_solver import solve_log, solve_power
+from divbands.power_solver import SGrid, solve_log, solve_power
 from divbands.simulate import BATCH, simulate_paths
 from helpers import DOWN_ONE, make_config, refuse_forks, split_everything
 
@@ -293,6 +293,54 @@ def test_power_solve_is_byte_identical_across_workers(monkeypatch, fork_log, nam
     for workers in (2, 4):
         assert solved_bytes(config, workers) == want
     assert fork_log == [1, 1]
+    assert_no_child_left()
+
+
+def two_cpus(monkeypatch) -> None:
+    """Report two usable CPUs with pinning off, leaving the size gates as they are."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(parallel, "_set_cpus", lambda cpus: None)
+
+
+@pytest.mark.parametrize("name, forks", [("dyadic-log", 0), ("certain-loss", 0),
+                                         ("seed0-log", 1)])
+def test_power_solve_forks_only_above_the_work_gate(monkeypatch, fork_log, name, forks):
+    # the two small solves take a few ms alone, less than a fork costs
+    two_cpus(monkeypatch)
+    config = POWER_CONFIGS[name]
+    work = config.depth * (config.x_max + 1) ** 2 * len(SGrid.build(config).points)
+    assert (work >= power_solver.SPLIT_WORK) == bool(forks)
+    want = solved_bytes(config)
+    assert solved_bytes(config, 2) == want
+    assert len(fork_log) == forks
+    assert_no_child_left()
+
+
+# seed-0 sizes of the benchmark's bandy solve-exp and its power solve-power
+BANDY_BODY = {"beta": 0.95, "gamma": -0.05, "utility": "exponential",
+              "distribution": {-1: 0.3, 1: 0.7}, "x_max": 228, "depth": 408}
+SEED0_POWER_BODY = {"beta": 0.9, "gamma": 0.5, "utility": "power",
+                    "distribution": {1: 0.6, -1: 0.4}, "x_max": 54, "depth": 5,
+                    "s_grid_points": 512}
+
+
+@pytest.mark.parametrize("command, body, forks", [("solve-exp", BANDY_BODY, 1),
+                                                  ("solve-power", SEED0_POWER_BODY, 2)])
+def test_policy_csv_splits_with_its_values_csv(tmp_path, monkeypatch, fork_log,
+                                               command, body, forks):
+    # one fork formats values.csv together with its policy.csv projection,
+    # not one fork per file; solve-power forks once more for its solve
+    two_cpus(monkeypatch)
+    rows = body["depth"] * (body["x_max"] + 1) * body.get("s_grid_points", 1)
+    assert rows * (8 + 3 if command == "solve-exp" else 7 + 4) >= cli.SPLIT_CELLS
+    assert body["depth"] * 3 * body.get("s_grid_points", 1) < cli.SPLIT_CELLS  # bands.csv
+    outputs = []
+    for threads in (1, 2):
+        path = write_config(tmp_path, body, f"{command}-{threads}")
+        assert cli.main([command, str(path), "--threads", str(threads)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / path.stem).iterdir()})
+    assert outputs[0] == outputs[1]
+    assert len(fork_log) == forks
     assert_no_child_left()
 
 
