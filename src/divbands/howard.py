@@ -30,6 +30,8 @@ from .errors import (IllegalAction, InadmissiblePolicy, InvariantViolation, MaxI
 from .exp_solver import ExpPolicy, ExpValueTable, ThetaSchedule, _induct
 from .model import ProblemConfig, Utility
 
+MAX_ITERATIONS = 1000  # most evaluate/improve rounds of howard_solve, read at call time
+
 __all__ = [
     "HowardIteration",
     "HowardResult",
@@ -139,14 +141,13 @@ class HowardResult:
     history: tuple[HowardIteration, ...]
 
 
-def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
-                 ) -> HowardResult:
+def howard_solve(config: ProblemConfig) -> HowardResult:
     """Iterate evaluation and improvement until the rule is a fixed point.
 
     Starts from pay-all.  Asserts the theoretical pointwise non-increase
     of successive values: each new hi value may exceed the previous one by
     at most the new bracket's width.  Raises MaxIterations with the last
-    sup-norm value change if the cap is hit.
+    sup-norm value change after ``MAX_ITERATIONS`` rounds.
     """
     if config.utility is not Utility.EXPONENTIAL:  # before pay_all_rule's table
         raise ValidationError("howard requires the exponential utility")
@@ -154,7 +155,7 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
     prev_hi = None
     gap = math.inf
     history: list[HowardIteration] = []
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         table, greedy = policy_value_exp(config, rule)
         # a copy: a view of table.hi would keep the whole lo/hi array alive
         history.append(HowardIteration(rule=rule, j_hi=table.hi.copy()))
@@ -166,10 +167,8 @@ def howard_solve(config: ProblemConfig, *, max_iterations: int = 1000
             gap = float(np.max(np.abs(table.hi - prev_hi)))
         prev_hi = history[-1].j_hi
         improved = improve(config, greedy.action)
-        if np.array_equal(improved, rule):
-            return HowardResult(table=table,
-                                policy=ExpPolicy(config=config, action=rule),
-                                iterations=it, final_gap=gap if it > 1 else 0.0,
-                                history=tuple(history))
+        if np.array_equal(improved, rule):  # the greedy rule is the converged one
+            return HowardResult(table=table, policy=greedy, iterations=it,
+                                final_gap=gap if it > 1 else 0.0, history=tuple(history))
         rule = improved
-    raise MaxIterations(max_iterations, gap)
+    raise MaxIterations(MAX_ITERATIONS, gap)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import TooLarge, UndefinedAction, ValidationError
 from .model import IncomeDistribution, ProblemConfig, Utility, cash, check_y0
 
-NODE_GUARD = 10_000_000
+NODE_GUARD = 10_000_000  # most node visits of one walk, read at call time
 MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
 
 _LD = np.longdouble
@@ -115,8 +115,7 @@ class OracleTree:
         return {"value": self.value, "root": walk(0, self.x0, 0)}
 
 
-def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy,
-          node_guard: int) -> OracleTree:
+def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy) -> OracleTree:
     """Backward induction over the outcome tree, carrying paid = s * scale.
 
     With ``policy`` None a solvent node tries every dividend 0..x and the
@@ -127,7 +126,7 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     and its decision.  Income terms accumulate in ascending z.  A leaf's
     worth depends on its payout alone, so it is evaluated once per payout
     and kept, beside the memo, for the rest of the walk.  Raises TooLarge
-    past ``node_guard``.
+    past ``NODE_GUARD`` node visits.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
@@ -155,8 +154,8 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     def value(depth: int, x: int, paid: int) -> np.longdouble:
         nonlocal visits
         visits += 1
-        if visits > node_guard:
-            raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
+        if visits > NODE_GUARD:
+            raise TooLarge(f"oracle tree exceeds {NODE_GUARD} nodes")
         if x < 0 or depth == horizon:
             return leaf(paid)
         key = (depth, x, paid)
@@ -174,20 +173,12 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
                 raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
                                       f"is outside {{0..{x}}}")
             acts = (int(a),)
-        last = depth + 1 == horizon
         best, best_a = None, 0
         for a in acts:
             paid_next = paid + step[depth] * a
             acc = _LD(0.0)
             for z, q in terms:
-                x_next = x - a + z
-                if last or x_next < 0:  # a leaf child, inlined
-                    visits += 1
-                    if visits > node_guard:
-                        raise TooLarge(f"oracle tree exceeds {node_guard} nodes")
-                    acc += q * leaf(paid_next)
-                else:
-                    acc += q * value(depth + 1, x_next, paid_next)
+                acc += q * value(depth + 1, x - a + z, paid_next)
             if best is None or acc == best or (acc < best if minimize else acc > best):
                 best = acc
                 best_a = a
@@ -204,22 +195,20 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
 
 
 def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,
-                  y0: float | None = None,
-                  node_guard: int = NODE_GUARD) -> tuple[float, OracleTree]:
+                  y0: float | None = None) -> tuple[float, OracleTree]:
     """Optimum over history-dependent plans on the full outcome tree.
 
     Backward induction over every (depth, x, s) state and action;
     exponential objectives are minimized (J-convention), all others
     maximized.  Ties go to the largest action.  Raises TooLarge past
-    ``node_guard`` visits.
+    ``NODE_GUARD`` visits.
     """
-    tree = _walk(config, x0, horizon, y0, None, node_guard)
+    tree = _walk(config, x0, horizon, y0, None)
     return tree.value, tree
 
 
 def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
-                       *, y0: float | None = None,
-                       node_guard: int = NODE_GUARD) -> float:
+                       *, y0: float | None = None) -> float:
     """Exact expectation of the objective under a fixed policy.
 
     ``policy`` is called as policy(depth, x, s) with scalar surplus
@@ -230,7 +219,7 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
     """
     if not callable(policy):
         raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")
-    return _walk(config, x0, horizon, y0, policy, node_guard).value
+    return _walk(config, x0, horizon, y0, policy).value
 
 
 def markov_optimum(config: ProblemConfig, x0: int, horizon: int) -> float:

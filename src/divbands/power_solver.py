@@ -126,8 +126,11 @@ class SGrid:
 
 
 def _payout_lattice(beta: float, depth: int, pay_max: int) -> np.ndarray | None:
-    size = (pay_max + 1) ** (depth + 1)
-    if size > LATTICE_LIMIT:
+    if pay_max == 0:
+        return np.array([0.0])
+    # with pay_max >= 1 the size is at least 2^(depth+1): a deep lattice is
+    # refused without forming a power that a huge depth could not finish
+    if depth + 1 >= LATTICE_LIMIT.bit_length() or (pay_max + 1) ** (depth + 1) > LATTICE_LIMIT:
         return None
     sums = {0.0}
     scale = 1.0
@@ -154,6 +157,10 @@ class _Queries:
         self.pts, self.q, self.cash = pts, q, cash
         self.right = np.minimum(idx, m - 1)
         exact = pts[self.right] == q
+        # None when nothing hits, as almost everywhere at beta 0.9, spares the
+        # rules an np.where: forming it always made the seed-0 power+log serial
+        # solves 9-12% slower on a 2-vCPU Xeon VM (lost 26 of 30 alternating
+        # in-process rounds and 18 of 20 fresh-process pairs)
         self.exact = exact if exact.any() else None
         self.left = np.maximum(idx - 1, 0)
         # subtracted, not added, so that -0.0 stays -0.0 where the neighbor exists
@@ -267,8 +274,11 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
     work = n_depth * (x_max + 1) ** 2 * m
     runs = split_runs(workers if work >= SPLIT_WORK else 1, ("lo", "hi"))
     # a child's hi reaches this process only through a shared mapping; in
-    # one process a private table is faster (numpy asks huge pages for it,
-    # which a shared mapping may not get: a serial solve ran 10% slower)
+    # one process the table stays private, which numpy asks huge pages for
+    # and a shared mapping may not get (a serial solve once ran 10% slower
+    # shared).  At M 1024, depth 20 on a 2-vCPU Xeon VM whose shmem gets no
+    # huge pages, shared took 4% more page faults (38.3k against 36.7k) but
+    # no measurable time (private faster in 7 of 16 fresh-process pairs)
     if len(runs) > 1:
         [hi] = shared_arrays(((shape, np.float64),), f"the upper table {shape}")
     else:
@@ -292,7 +302,10 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
                 n_u = x_max + 1 - a  # x = a + u reads rows u + Z < n_u + z_plus only
                 top = min(n_u + z_plus, x_max + 1)
                 q = pts + bd * a
-                # a = 0: q is the grid itself, every query an exact hit
+                # a = 0: q is the grid itself, every query an exact hit, so its
+                # rows pass through untouched; bracketing them anyway made the
+                # seed-0 power+log serial solves 5-8% slower on a 2-vCPU Xeon
+                # VM (lost 19 and 21 of two runs of 30 in-process rounds)
                 at_rows = _Queries(pts, q, worth) if a > 0 else None
                 at_over = None
                 if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate

@@ -7,6 +7,10 @@ import functools
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -282,6 +286,45 @@ def test_exit_two_when_a_size_is_beyond_numpys_index_range(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error: too large to index: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# its mean income is tiny, so validation passes
+HUGE_INCOME = {"beta": 0.9, "gamma": -1.0, "utility": "exponential", "x_max": 44, "depth": 2}
+MEMORY_CAP = 2 * 2 ** 30  # bytes of address space a refusal case may take
+
+
+# a support or a depth this large must be refused by numpy's first allocation,
+# not after filling memory with a list or computing an integer power; the
+# child is capped, so a case that is not refused fails here, not the runner
+OOM, TOO_LARGE = "error: out of memory: Unable to allocate", "error: too large to index: "
+
+
+@pytest.mark.parametrize("command,body,prefix", [
+    *(pytest.param(command, dict(HUGE_INCOME, distribution={10 ** e: 1e-300, -1: 1.0}),
+                   prefix, id=f"{command}-income-1e{e}")
+      for command in ("solve-exp", "howard", "bands", "oracle-check", "simulate")
+      for e, prefix in ((18, OOM), (19, TOO_LARGE))),
+    *(pytest.param(command, dict(body, depth=10 ** e), prefix, id=f"{command}-depth-1e{e}")
+      for command, body in (("solve-power", BIG_POWER),
+                            ("solve-log", dict(BIG_POWER, utility="logarithmic", gamma=0.0)))
+      for e, prefix in ((12, OOM), (30, TOO_LARGE))),
+    pytest.param("solve-power", dict(BIG_POWER, x_max=0, distribution={0: 0.5, -1: 0.5},
+                                     depth=10 ** 30), TOO_LARGE, id="solve-power-nothing-to-pay"),
+])
+def test_exit_two_at_once_on_a_huge_income_or_depth(tmp_path, command, body, prefix):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    path = write_config(tmp_path, dict(body, output_dir=str(tmp_path / "out")))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "divbands.cli", command, str(path)],
+                              env=env, capture_output=True, text=True, preexec_fn=cap,
+                              timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{command} did not refuse its size within 10 s")
+    assert done.returncode == 2
+    assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_howard_checks_the_utility_before_building_its_rule(tmp_path, capsys):

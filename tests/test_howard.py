@@ -191,8 +191,9 @@ def test_pay_all_bracket_contains_truncated_expectation():
         assert table.lo[0, x0] - 1e-12 <= val <= 1.0
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(howard, "MAX_ITERATIONS", 1)
     with pytest.raises(MaxIterations) as err:
-        howard_solve(CLAIM, max_iterations=1)
+        howard_solve(CLAIM)
     assert err.value.iterations == 1
     assert err.value.gap > 0

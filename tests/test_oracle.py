@@ -78,9 +78,10 @@ def test_markov_rules_suffice_for_exp():
     assert val_all == val_markov
 
 
-def test_node_guard_trips():
+def test_node_guard_trips(monkeypatch):
+    monkeypatch.setattr(oracle, "NODE_GUARD", 10)
     with pytest.raises(TooLarge):
-        exact_optimal(TINY_EXP, 3, 3, node_guard=10)
+        exact_optimal(TINY_EXP, 3, 3)
 
 
 def test_argument_guards():
@@ -178,7 +179,7 @@ WALK_CASES = [("exponential", -1.0, 0.0), ("power", 0.5, 0.0),
 
 @pytest.mark.parametrize("beta", [0.5, 0.9, 0.95])
 @pytest.mark.parametrize("utility,gamma,y0", WALK_CASES)
-def test_walk_matches_fraction_reference(utility, gamma, y0, beta):
+def test_walk_matches_fraction_reference(monkeypatch, utility, gamma, y0, beta):
     # x_max only has to pass validation; the trees never reach it
     cfg = make_config(utility, {2: 0.2, 1: 0.4, -1: 0.4}, beta, gamma, 400, 3)
     for horizon in range(5):
@@ -188,9 +189,12 @@ def test_walk_matches_fraction_reference(utility, gamma, y0, beta):
         assert len(tree.decisions) == len(ref_dec)
         for key, a in ref_dec.items():
             assert tree.action(*key) == a
-        exact_optimal(cfg, 2, horizon, y0=y0, node_guard=visits)
-        with pytest.raises(TooLarge):
-            exact_optimal(cfg, 2, horizon, y0=y0, node_guard=visits - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "NODE_GUARD", visits)
+            exact_optimal(cfg, 2, horizon, y0=y0)
+            patch.setattr(oracle, "NODE_GUARD", visits - 1)
+            with pytest.raises(TooLarge):
+                exact_optimal(cfg, 2, horizon, y0=y0)
         # every history on its own: the same value, bit for bit, and at each
         # state the decision the cached walk recorded
         hist_val, hist_dec, _ = reference_walk(cfg, 1, horizon, y0, by_history=True)
