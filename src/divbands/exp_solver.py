@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import MaxIterations, NotABand, ValidationError, ValueUnderflow
 from .model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
-                    expect_income, policy_lookup, tail_income)
+                    expect_income, policy_lookup, sum_income, tail_income)
 
 NEUTRAL_MAX_ITERATIONS = 1_000_000  # value-iteration cap of solve_neutral
 
@@ -51,7 +51,7 @@ __all__ = [
     "ExpPolicy",
     "BandFunction",
     "NeutralSolution",
-    "mgf_plus",
+    "envelope_factors",
     "required_cap",
     "suggest_depth",
     "exp_backup",
@@ -62,11 +62,22 @@ __all__ = [
 ]
 
 
-def mgf_plus(dist: IncomeDistribution, t: float) -> float:
-    """E exp(t * Z+) for t <= 0; always in (0, 1]."""
+def envelope_factors(dist: IncomeDistribution, t: float) -> tuple[float, float]:
+    """(E e^{t Z+}, sum_{k>=0} q_k e^{t k}) for t <= 0: one level's factors.
+
+    e^{t k} is formed once per positive income k; a nonpositive income adds
+    q_k, its e^0 being 1.  Both sums run from 0 in support order.
+    """
     if t > 0:
-        raise ValidationError(f"mgf_plus needs t <= 0, got {t}")
-    return sum(q * math.exp(t * max(k, 0)) for k, q in dist.items())
+        raise ValidationError(f"envelope_factors needs t <= 0, got {t}")
+    mgf = c = 0.0
+    for k, q in dist.items():
+        if k > 0:
+            q *= math.exp(t * k)
+        mgf += q
+        if k >= 0:
+            c += q
+    return mgf, c
 
 
 @dataclass(frozen=True)
@@ -76,9 +87,10 @@ class ThetaSchedule:
     ``h_lower[n]`` is a lower bound of h_lower(theta_n) and ``h_upper[n]``
     an upper bound of h_upper(theta_n), from the exact one-step recursions
 
-        h_lower(theta_n) = mgf_plus(theta_{n+1}) * h_lower(theta_{n+1}),
+        h_lower(theta_n) = E e^{theta_{n+1} Z+} * h_lower(theta_{n+1}),
         h_upper(theta_n) = p_neg + (sum_{m>=0} q_m e^{theta_{n+1} m}) * h_upper(theta_{n+1}),
 
+    whose two factors ``envelope_factors`` forms in one pass per level,
     followed down the orbit below theta_N until the Jensen floor
     e^{theta beta EZ+/(1-beta)} <= h_lower(theta) <= h_upper(theta) <= 1
     pins the remainder: h_lower is closed there by the floor, h_upper by 1.
@@ -125,17 +137,16 @@ class ThetaSchedule:
             below.append(theta_last * bk)
             bk *= beta
 
-        def c_factor(theta_next: float) -> float:
-            return sum(q * math.exp(theta_next * k) for k, q in dist.items() if k >= 0)
-
-        lower = math.prod(mgf_plus(dist, t) for t in below) * math.exp(theta_last * bk * scale)
+        factors = [envelope_factors(dist, t) for t in below]
+        lower = math.prod(m for m, _ in factors) * math.exp(theta_last * bk * scale)
         upper = 1.0
-        for t in reversed(below):
-            upper = p_neg + c_factor(t) * upper
+        for _, c in reversed(factors):
+            upper = p_neg + c * upper
         h_lower, h_upper = [lower], [min(1.0, upper)]
         for t in reversed(thetas[1:]):
-            h_lower.append(mgf_plus(dist, t) * h_lower[-1])
-            h_upper.append(min(1.0, p_neg + c_factor(t) * h_upper[-1]))
+            m, c = envelope_factors(dist, t)
+            h_lower.append(m * h_lower[-1])
+            h_upper.append(min(1.0, p_neg + c * h_upper[-1]))
         h_lower.reverse()
         h_upper.reverse()
         if not h_lower[0] > 0.0:
@@ -191,11 +202,13 @@ def suggest_depth(config_like) -> int:
 # backward induction
 
 
-def exp_backup(theta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def exp_backup(theta: float, g: np.ndarray, out: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Min over a in {0..x} of e^{theta a} G(x-a) for every x, both channels.
 
     ``g`` holds G's lo and hi rows as its two columns, indexed by surplus
-    v = x - a; returns (best, action), best shaped like g.  The value is
+    v = x - a; returns (best, action), best shaped like g and written to
+    ``out`` when one is given.  The value is
     e^{theta x} PM(x), PM the prefix minimum of H(v) = e^{-theta v} G(v),
     one scan for both columns.  The action is the largest lo-minimiser
     x - v*, v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL) in
@@ -203,8 +216,9 @@ def exp_backup(theta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.arange(len(g))
     pm = np.minimum.accumulate(np.exp(-theta * v)[:, None] * g, axis=0)
-    v_star = np.searchsorted(-pm[:, 0], -pm[:, 0] * (1.0 + TIE_RTOL))
-    return np.exp(theta * v)[:, None] * pm, v - v_star
+    rise = -pm[:, 0]
+    v_star = rise.searchsorted(rise * (1.0 + TIE_RTOL))
+    return np.multiply(np.exp(theta * v)[:, None], pm, out=out), v - v_star
 
 
 def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,39 +287,49 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
 
     The bracket is one array j of shape (N+1, x_max+1, 2), lo in column 0
     and hi in column 1, which the table's ``lo`` and ``hi`` view.  Each
-    depth forms G(v) = E J_{n+1}(v + Z) for both columns in one
-    expectation: a ruined state is worth exactly 1, and a state above the
-    cap pays its overflow o down, e^{theta_{n+1} o} J_{n+1}(x_max), except
-    that the unit terminal row is 1 everywhere, so it extends flat.  One
-    ``exp_backup`` then gives the largest minimiser against the table
-    being built.  Without a rule the table stores that backup (optimise);
-    with an (N, x_max+1) rule it stores e^{theta_n a} G(x - a) for the
-    rule's a (evaluate), and the tail's hi is 1, since the pay-all upper
-    envelope only bounds the optimal rule.
+    depth copies J_{n+1} into one reused next-step row whose margins
+    (``IncomeDistribution.margins``) are set around it: ruin rows, worth
+    exactly 1, written once, and pay-down rows, rewritten per depth, where
+    a state o above the cap is worth e^{theta_{n+1} o} J_{n+1}(x_max),
+    except that the unit terminal row is 1 everywhere, so it extends flat.
+    G(v) = E J_{n+1}(v + Z) for both columns accumulates in one reused
+    buffer, and ``exp_backup`` writes its backup straight into j[n], with
+    the largest minimiser against the table being built.  Without a rule
+    the table keeps that backup (optimise); with an (N, x_max+1) rule it
+    stores e^{theta_n a} G(x - a) for the rule's a (evaluate), and the
+    tail's hi is 1, since the pay-all upper envelope only bounds the
+    optimal rule.
     """
     schedule = config.schedule  # validated at construction: x_max >= its cap
     dist, n_depth, x_max = config.dist, config.depth, config.x_max
+    thetas = schedule.thetas
+    ruin, above = dist.margins
+    # numpy refuses a support too large to tabulate before any buffer is
+    # sized by it; the factors stay math.exp, which np.exp does not match bit
+    # for bit (9,259 of 200,000 sampled arguments differ on an AVX-512 host)
+    overflow = np.arange(1, above + 1).tolist()
     xs = np.arange(x_max + 1)
     j = np.ones((n_depth + 1, x_max + 1, 2))
     if terminal == "tail":
-        decay = np.exp(schedule.thetas[n_depth] * xs)
+        decay = np.exp(thetas[n_depth] * xs)
         j[n_depth, :, 0] = decay * schedule.h_lower[n_depth]
         if rule is None:
             j[n_depth, :, 1] = np.minimum(1.0, decay * schedule.h_upper[n_depth])
     action = np.zeros((n_depth, x_max + 1), dtype=np.int64)
-    # numpy refuses a support too large to tabulate before any factor is
-    # formed; the factors stay math.exp, which np.exp does not match bit for
-    # bit (9,259 of 200,000 sampled arguments differ on an AVX-512 host)
-    overflow = np.arange(1, max(dist.support_max, 0) + 1).tolist()
+    # margins around one row, not around every depth, which would hold
+    # (N+1) times as much memory with the table for a wide support
+    top = ruin + x_max + 1
+    nxt, g = np.ones((top + above, 2)), np.empty((x_max + 1, 2))
 
     for n in range(n_depth - 1, -1, -1):
-        theta_next = 0.0 if terminal == "unit" and n + 1 == n_depth else schedule.thetas[n + 1]
-        pay = np.array([math.exp(theta_next * o) for o in overflow])
-        g = expect_income(dist, 1.0, j[n + 1], pay[:, None] * j[n + 1, x_max], x_max + 1)
-        best, action[n] = exp_backup(schedule.thetas[n], g)
+        theta_next = 0.0 if terminal == "unit" and n + 1 == n_depth else thetas[n + 1]
+        nxt[ruin:top] = j[n + 1]
+        np.multiply.outer([math.exp(theta_next * o) for o in overflow], j[n + 1, x_max],
+                          out=nxt[top:])
+        g.fill(0.0)
+        action[n] = exp_backup(thetas[n], sum_income(dist, nxt, g), out=j[n])[1]
         if rule is not None:
-            best = np.exp(schedule.thetas[n] * rule[n])[:, None] * g[xs - rule[n]]
-        j[n] = best
+            np.multiply(np.exp(thetas[n] * rule[n])[:, None], g[xs - rule[n]], out=j[n])
     return (ExpValueTable(config=config, lo=j[..., 0], hi=j[..., 1]),
             ExpPolicy(config=config, action=action))
 
@@ -381,8 +405,9 @@ def _band_rows(actions) -> list[BandFunction]:
     """Band form of every row of a 2-D action table, checked in one pass.
 
     A row is a band exactly when a(x) = x - max{y <= x : a(y) = 0}; its
-    cuts c_k end and d_k start the runs of zeros.  NotABand names the
-    first offending x of the first offending row.
+    cuts c_k end and d_k start the runs of zeros, found for all rows by
+    one nonzero per mask and cut per row by the rows' run counts.
+    NotABand names the first offending x of the first offending row.
     """
     acts = np.asarray(actions, dtype=np.int64)
     xs = np.arange(acts.shape[1])
@@ -396,9 +421,10 @@ def _band_rows(actions) -> list[BandFunction]:
     starts, ends = zero.copy(), zero.copy()
     starts[:, 1:] &= ~zero[:, :-1]
     ends[:, :-1] &= ~zero[:, 1:]
-    return [BandFunction(c=tuple(np.flatnonzero(e).tolist()),
-                         d=tuple(np.flatnonzero(s)[1:].tolist()))
-            for e, s in zip(ends, starts)]
+    bounds = np.cumsum(np.count_nonzero(starts, axis=1)).tolist()
+    c, d = np.nonzero(ends)[1].tolist(), np.nonzero(starts)[1].tolist()
+    return [BandFunction(c=tuple(c[a:b]), d=tuple(d[a + 1:b]))
+            for a, b in zip([0] + bounds, bounds)]
 
 
 def band_from_actions(column: Sequence[int]) -> BandFunction:
@@ -445,7 +471,7 @@ class NeutralSolution:
 
 def _neutral_g(dist: IncomeDistribution, values: np.ndarray, x_max: int) -> np.ndarray:
     """E V(v + Z) with V = 0 after ruin and linear pay-down above the cap."""
-    over = values[x_max] + np.arange(1, max(dist.support_max, 0) + 1)
+    over = values[x_max] + np.arange(1, dist.margins[1] + 1)
     return expect_income(dist, 0.0, values, over, x_max + 1)
 
 

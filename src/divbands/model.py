@@ -90,6 +90,14 @@ class IncomeDistribution:
         """E Z+ = sum of k*q_k over positive k."""
         return math.fsum(k * q for k, q in self.items() if k > 0)
 
+    @functools.cached_property
+    def margins(self) -> tuple[int, int]:
+        """Rows E V(v + Z) reads beyond V's table: (below surplus 0, above its top).
+
+        The rows below 0, at least one, are ruin; the rows above pay down.
+        """
+        return -min(self.support_min, -1), max(self.support_max, 0)
+
     def items(self):
         return zip(self.support, self.probs)
 
@@ -116,13 +124,21 @@ def expect_income(dist: IncomeDistribution, ruin, rows: np.ndarray, over: np.nda
 
     By surplus, V is ``ruin`` below 0 (a scalar or one row), then ``rows``
     from 0, then ``over``; further axes ride along, an empty ``over`` too.
-    Income terms accumulate in ascending k, reproducible bit for bit.
     """
-    off = -min(dist.support_min, -1)
+    off = dist.margins[0]
     top = off + len(rows)
     ext = np.empty((top + len(over),) + rows.shape[1:])
     ext[:off], ext[off:top], ext[top:] = ruin, rows, over
-    out = np.zeros((n,) + rows.shape[1:])
+    return sum_income(dist, ext, np.zeros((n,) + rows.shape[1:]))
+
+
+def sum_income(dist: IncomeDistribution, ext: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add E V(v + Z) for v below len(out) to ``out`` and return it.
+
+    ``ext`` lays V out by surplus with the ``margins`` ruin rows first.
+    Income terms accumulate in ascending k, reproducible bit for bit.
+    """
+    off, n = dist.margins[0], len(out)
     for k, q in dist.items():
         out += q * ext[off + k : off + k + n]
     return out

@@ -263,7 +263,7 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
     pts = grid.points
     m = len(pts)
     n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist
-    z_plus = max(dist.support_max, 0)
+    z_plus = dist.margins[1]
     overflow = np.arange(1, z_plus + 1)[:, None]
     no_overflow = np.empty((0, m))
     b_last = beta ** n_depth

@@ -15,8 +15,8 @@ import divbands.parallel as parallel
 import divbands.power_solver as power_solver
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
-from divbands.exp_solver import (BandFunction, ExpPolicy, ExpValueTable, mgf_plus,
-                                 required_cap, suggest_depth)
+from divbands.exp_solver import (BandFunction, ExpPolicy, ExpValueTable, required_cap,
+                                 suggest_depth)
 from divbands.model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
                             expect_income, tail_income, utility, validate_distribution)
 from divbands.oracle import exact_probabilities
@@ -101,6 +101,12 @@ def claim_family_configs(depth: int | None = None) -> list[ProblemConfig]:
                 out.append(sized_exp_config(two_point(p, n), 0.9, gamma,
                                             depth=depth))
     return out
+
+
+def mgf_plus(dist: IncomeDistribution, t: float) -> float:
+    """E exp(t * Z+) as a generator sum with one exp per income, the way
+    the schedule formed it before ``envelope_factors``."""
+    return sum(q * math.exp(t * max(k, 0)) for k, q in dist.items())
 
 
 def reference_schedule(config) -> SimpleNamespace:

@@ -15,8 +15,8 @@ from divbands.exp_solver import (
     BandFunction,
     ThetaSchedule,
     band_from_actions,
+    envelope_factors,
     extract_bands,
-    mgf_plus,
     required_cap,
     solve_exp,
     solve_neutral,
@@ -25,7 +25,7 @@ from divbands.exp_solver import (
 from divbands.howard import pay_all_rule, policy_value_exp
 from divbands.model import ProblemConfig, Utility, validate_distribution
 from divbands.oracle import exact_optimal
-from helpers import (DOWN_ONE, assert_band_laws, make_config, reference_bands,
+from helpers import (DOWN_ONE, assert_band_laws, make_config, mgf_plus, reference_bands,
                      reference_schedule, sized_exp_config, two_point, two_table_induct)
 
 TINY = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
@@ -34,13 +34,27 @@ TINY = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
 BANDY = sized_exp_config({-1: 0.3, 1: 0.7}, 0.95, -0.05)
 
 
-def test_mgf_plus_hand_value():
+def test_envelope_factors_hand_value():
     d = validate_distribution({1: 0.6, -1: 0.4})
-    t = -0.5
-    assert mgf_plus(d, t) == pytest.approx(0.4 + 0.6 * math.exp(-0.5), rel=1e-15)
-    assert mgf_plus(d, 0.0) == pytest.approx(1.0)
+    mgf, c = envelope_factors(d, -0.5)
+    assert mgf == pytest.approx(0.4 + 0.6 * math.exp(-0.5), rel=1e-15)
+    assert c == pytest.approx(0.6 * math.exp(-0.5), rel=1e-15)
+    assert envelope_factors(d, 0.0) == pytest.approx((1.0, 0.6))
+    # a zero income counts in both sums, a negative one in E e^{t Z+} alone
+    mgf, c = envelope_factors(validate_distribution({-1: 0.2, 0: 0.3, 2: 0.5}), -0.25)
+    assert mgf == pytest.approx(0.5 + 0.5 * math.exp(-0.5), rel=1e-15)
+    assert c == pytest.approx(0.3 + 0.5 * math.exp(-0.5), rel=1e-15)
     with pytest.raises(ValidationError, match="t <= 0"):
-        mgf_plus(d, 0.5)
+        envelope_factors(d, 0.5)
+
+
+@pytest.mark.parametrize("mapping", [{1: 0.6, -1: 0.4}, {1: 0.5, 2: 0.1, -1: 0.3, -2: 0.1},
+                                     {-3: 0.1, 0: 0.2, 1: 0.3, 4: 0.4}])
+@pytest.mark.parametrize("t", [-1.0, -0.05, -3.7e-9, -0.0])
+def test_envelope_factors_equal_the_generator_sums_exactly(mapping, t):
+    d = validate_distribution(mapping)
+    c = sum(q * math.exp(t * k) for k, q in d.items() if k >= 0)
+    assert envelope_factors(d, t) == (mgf_plus(d, t), c)
 
 
 def test_schedule_is_geometric():
@@ -192,6 +206,30 @@ def test_one_array_induction_matches_two_tables(support, weights, beta, gamma, d
              "greedy": policy_value_exp(cfg, pay_all_rule(cfg))[1].action}[rule]
     assert (_table_bytes(*policy_value_exp(cfg, fixed))
             == _table_bytes(*two_table_induct(cfg, fixed)))
+
+
+# the benchmark's seed-0 exp-solve instances at their sizes:
+# (income, beta, gamma, x_max, depth) of readme, bandy, fourpoint and threeband
+BENCHMARK_INSTANCES = [
+    ({1: 0.6, -1: 0.4}, 0.9, -1.0, 44, 213),
+    ({-1: 0.3, 1: 0.7}, 0.95, -0.05, 228, 408),
+    ({1: 0.5, 2: 0.1, -1: 0.3, -2: 0.1}, 0.95, -0.05, 236, 409),
+    ({1: 0.55, -2: 0.45}, 0.9, -0.5, 40, 205),
+]
+
+
+@pytest.mark.parametrize("mapping,beta,gamma,x_max,depth", BENCHMARK_INSTANCES)
+def test_induction_and_bands_are_exact_at_benchmark_size(mapping, beta, gamma, x_max, depth):
+    cfg = make_config("exponential", mapping, beta, gamma, x_max, depth)
+    for terminal in ("tail", "unit"):
+        assert (_table_bytes(*solve_exp(cfg, terminal=terminal))
+                == _table_bytes(*two_table_induct(cfg, terminal=terminal)))
+    greedy = policy_value_exp(cfg, pay_all_rule(cfg))[1].action
+    assert (_table_bytes(*policy_value_exp(cfg, greedy))
+            == _table_bytes(*two_table_induct(cfg, greedy)))
+    policy = solve_exp(cfg)[1]
+    assert ([(b.c, b.d) for b in extract_bands(policy)]
+            == reference_bands(policy.action))
 
 
 @pytest.mark.parametrize("cfg", [
