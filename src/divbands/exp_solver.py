@@ -161,19 +161,20 @@ class ThetaSchedule:
         # instead of a 0/0 artifact
         s_cap = beta * scale / (1.0 - beta)
         noise_floor = 16.0 * math.ulp(1.0) * (n_depth + len(below) + 1)
-        s_star = s_tilde_star = 0.0
-        for theta, lo, up in zip(thetas, h_lower, h_upper):
+        # clamping to [0, s_cap] commutes with the max over levels, so the
+        # largest raw bound is clamped once
+        ratio = pressure = -math.inf
+        for theta, log_lo, log_up in zip(thetas, map(math.log, h_lower),
+                                         map(math.log, h_upper)):
             den = theta * (beta - 1.0)
-            num = math.log(up) - math.log(lo)
+            num = log_up - log_lo
             if abs(theta) < 1e-8 and num < noise_floor:
-                s, s_tilde = s_cap, s_cap
+                ratio = pressure = math.inf
             else:
-                s = max(0.0, min(num / den, s_cap))
-                s_tilde = max(0.0, min(-math.log(lo) / den, s_cap))
-            s_star, s_tilde_star = max(s_star, s), max(s_tilde_star, s_tilde)
+                ratio, pressure = max(ratio, num / den), max(pressure, -log_lo / den)
         return cls(thetas=tuple(thetas), h_lower=tuple(h_lower),
-                   h_upper=tuple(h_upper), s_star=s_star,
-                   s_tilde_star=s_tilde_star)
+                   h_upper=tuple(h_upper), s_star=max(0.0, min(ratio, s_cap)),
+                   s_tilde_star=max(0.0, min(pressure, s_cap)))
 
     @property
     def cap(self) -> int:

@@ -7,7 +7,8 @@ accumulated discounted dividends s kept exact and utilities taken in
 attributed to tail closures and grids, never to the reference values.
 A history reaches the objective only through the extended state (depth,
 surplus x, dividends s), the wealth-augmented state of Bauerle & Rieder,
-so the walk caches each node under that state, and its optimum is still
+so the walk enumerates the reachable states one depth at a time and values
+each once, by backward induction from the horizon, and its optimum is still
 the optimum over every history-dependent plan.
 ``Fraction(beta)`` is dyadic, p / 2^k, so a horizon-H tree carries s as
 the integer s * scale, scale = max(2^(k(H-1)), denominator of y0), and a
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .model import IncomeDistribution, ProblemConfig, Utility, cash, check_y0
 
 NODE_GUARD = 10_000_000  # most node visits of one walk, read at call time
 MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
+_BLOCK = 1 << 14  # most Python ints the oracle walk lists at once
 
 _LD = np.longdouble
 
@@ -115,18 +117,134 @@ class OracleTree:
         return {"value": self.value, "root": walk(0, self.x0, 0)}
 
 
-def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy) -> OracleTree:
-    """Backward induction over the outcome tree, carrying paid = s * scale.
+def _action(policy, depth: int, x: int, s: Fraction) -> int:
+    """policy(depth, x, s), refused unless it is an integer in {0..x}."""
+    a = policy(depth, x, s)
+    # bool is an int subclass; x > 0 must not price as "pay 1"
+    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+        raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
+                              "is not an integer")
+    if a < 0 or a > x:
+        raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
+                              f"is outside {{0..{x}}}")
+    return int(a)
 
-    With ``policy`` None a solvent node tries every dividend 0..x and the
-    best expectation wins (minimized for exponential objectives, maximized
-    otherwise), ties going to the later, larger action; else it takes
-    policy(depth, x, s), with s the exact Fraction.  Nodes are cached by
-    (depth, x, paid): every history that reaches a state shares its value
-    and its decision.  Income terms accumulate in ascending z.  A leaf's
-    worth depends on its payout alone, so it is evaluated once per payout
-    and kept, beside the memo, for the rest of the walk.  Raises TooLarge
-    past ``NODE_GUARD`` node visits.
+
+def _tally(visits: int) -> int:
+    """``visits``, or TooLarge when it passes ``NODE_GUARD``."""
+    if visits > NODE_GUARD:
+        raise TooLarge(f"oracle tree exceeds {NODE_GUARD} nodes")
+    return visits
+
+
+def _blocks(n: int):
+    """Slices that cover range(n) ``_BLOCK`` at a time, so that a loop lists
+    a bounded number of Python ints at once."""
+    return (slice(at, at + _BLOCK) for at in range(0, n, _BLOCK))
+
+
+class _Payouts:
+    """Every payout paid = s * scale a walk meets, numbered in one index,
+    and beside it the leaf worth cash(y0 + s) of each payout some leaf holds,
+    evaluated once whatever the leaf's depth."""
+
+    def __init__(self, utility: Utility, gamma: float, base: int, scale: int):
+        self.index = {0: 0}  # paid -> payout number
+        self.paid = [0]  # payout number -> paid
+        self.worth = np.zeros(1, _LD)
+        self.valued = np.zeros(1, dtype=bool)
+        self.utility, self.gamma, self.base, self.scale = utility, gamma, base, scale
+
+    def add(self, nums: np.ndarray, acts: np.ndarray, pays: list[int]) -> np.ndarray:
+        """The number of paid[p] + pays[a] for each p in ``nums``, a in ``acts``."""
+        index, paid = self.index, self.paid
+        out = []
+        for cut in _blocks(len(nums)):
+            for p, a in zip(nums[cut].tolist(), acts[cut].tolist()):
+                total = paid[p] + pays[a]
+                num = index.setdefault(total, len(paid))
+                if num == len(paid):
+                    paid.append(total)
+                out.append(num)
+        return np.array(out, dtype=np.int32)
+
+    def value(self, nums: np.ndarray) -> None:
+        """Evaluate the leaf worth of each payout in ``nums`` not valued yet."""
+        grow = len(self.paid) - len(self.worth)
+        self.worth = np.concatenate((self.worth, np.zeros(grow, _LD)))
+        self.valued = np.concatenate((self.valued, np.zeros(grow, dtype=bool)))
+        fresh = np.zeros(len(self.paid), dtype=bool)
+        fresh[nums] = True
+        fresh &= ~self.valued
+        self.valued |= fresh
+        fresh = np.flatnonzero(fresh)
+        for cut in _blocks(len(fresh)):
+            self.worth[fresh[cut]] = [
+                cash(self.utility, self.gamma, _ld(self.base + self.paid[p], self.scale))
+                for p in fresh[cut].tolist()]
+
+
+def _children(xs: np.ndarray, ps: np.ndarray, owner: np.ndarray, acts: np.ndarray,
+              step: int, zs: list[int], book: _Payouts, last: bool):
+    """One depth's children: (child, target, next xs, next ps).
+
+    States (xs, ps) come ordered by payout number, then surplus, and pair
+    j takes action acts[j] at state owner[j].  Each (payout, action) some
+    pair takes gets a slot, and ``target[slot]`` numbers its children's
+    payout; the worth of each payout a leaf of this depth holds is valued.
+    ``child[k]`` is where pair j's child under the k-th income finds its
+    value: its place among the next depth's states, or past them, at
+    len(next states) + slot, the leaf worth of its slot's payout.
+    """
+    first = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])  # each payout's first state
+    width = np.maximum.reduceat(acts, np.searchsorted(owner, first)) + 1
+    offset = np.cumsum(width) - width
+    slot = np.repeat(offset, np.diff(np.r_[first, len(xs)]))[owner] + acts
+    taken = np.zeros(int(offset[-1] + width[-1]), dtype=bool)
+    taken[slot] = True
+    slot = (np.cumsum(taken, dtype=np.int32) - 1)[slot]
+    live = np.flatnonzero(taken)
+    del taken  # each depth's temporaries go before the payout index grows
+    group = np.searchsorted(offset, live, side="right") - 1
+    live -= offset[group]  # each slot's action
+    target = book.add(ps[first[group]], live, [step * a for a in range(int(width.max()))])
+    del live, group
+    post = xs[owner] - acts  # surplus after the dividend
+    book.value(target if last else target[slot[post + zs[0] < 0]])
+    if last:
+        return np.broadcast_to(slot, (len(zs), len(slot))), target, xs[:0], ps[:0]
+    span = int(xs.max()) + max(zs[-1], 0) + 1
+    key = target[slot].astype(np.int64) * span + post
+    solvent = [post + z >= 0 for z in zs]
+    states, found = np.unique(np.concatenate([key[ok] + z for z, ok in zip(zs, solvent)]),
+                              return_inverse=True)
+    child = np.empty((len(zs), len(slot)), dtype=np.int32)
+    at = 0
+    for row, ok in zip(child, solvent):
+        row[:] = slot + len(states)
+        row[ok] = found[at:at + np.count_nonzero(ok)]
+        at += np.count_nonzero(ok)
+    return child, target, states % span, (states // span).astype(np.int32)
+
+
+def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy) -> OracleTree:
+    """Backward induction over the outcome tree, one depth at a time.
+
+    The forward pass lists each depth's reachable states (x, paid), paid =
+    s * scale, and their (state, action) pairs.  With ``policy`` None a
+    solvent state tries every dividend 0..x; else it takes policy(depth,
+    x, s), s the exact Fraction, asked once per state.  A child's payout
+    takes one integer add per distinct (payout, action) and is numbered in
+    one payout index; a leaf's worth depends on its payout alone, so it is
+    evaluated once per payout and kept beside the index.  The backward
+    pass forms every pair's expectation in long double, income terms added
+    to 0 in ascending z, and keeps each state's best (minimized for
+    exponential objectives, maximized otherwise), ties going to the larger
+    action: the operations of a recursive walk that caches every state, so
+    its values bit for bit.  Each depth's arrays are freed as the backward
+    pass consumes them.  Raises TooLarge past ``NODE_GUARD`` node visits,
+    1 + the sum over states of |actions| * |Z|, checked before a depth's
+    pairs are formed.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
@@ -134,64 +252,57 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     utility, gamma = config.utility, config.gamma
     probs = exact_probabilities(config.dist)
     terms = [(z, _ld(q.numerator, q.denominator)) for z, q in sorted(probs.items())]
+    zs = [z for z, _ in terms]
     beta, y0_frac = Fraction(config.beta), Fraction(y0)
     scale = max(beta.denominator ** max(horizon - 1, 0), y0_frac.denominator)
     base = int(y0_frac * scale)
-    step = [beta.numerator ** d * scale // beta.denominator ** d
-            for d in range(horizon)]
-    minimize = utility is Utility.EXPONENTIAL
-    decisions: dict = {}
-    memo: dict = {}
-    leaves: dict = {}  # paid -> worth of a leaf with that payout
-    visits = 0
+    tree = OracleTree(config=config, y0=y0_frac, x0=x0, horizon=horizon, scale=scale,
+                      decisions={})
+    visits = _tally(1)  # the root
+    if x0 < 0 or horizon == 0:
+        tree.value = float(cash(utility, gamma, _ld(base, scale)))
+        return tree
 
-    def leaf(paid: int) -> np.longdouble:
-        worth = leaves.get(paid)
-        if worth is None:
-            worth = leaves[paid] = cash(utility, gamma, _ld(base + paid, scale))
-        return worth
-
-    def value(depth: int, x: int, paid: int) -> np.longdouble:
-        nonlocal visits
-        visits += 1
-        if visits > NODE_GUARD:
-            raise TooLarge(f"oracle tree exceeds {NODE_GUARD} nodes")
-        if x < 0 or depth == horizon:
-            return leaf(paid)
-        key = (depth, x, paid)
-        if key in memo:
-            return memo[key]
+    book = _Payouts(utility, gamma, base, scale)
+    levels = []
+    xs, ps = np.array([x0]), np.zeros(1, dtype=np.int32)
+    for depth in range(horizon):
+        counts = xs + 1 if policy is None else np.ones_like(xs)
+        visits = _tally(visits + int(counts.sum()) * len(zs))
+        starts = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(len(xs), dtype=np.int32), counts)
         if policy is None:
-            acts = range(x + 1)
+            acts = (np.arange(len(owner)) - starts[owner]).astype(np.int32)
         else:
-            a = policy(depth, x, Fraction(paid, scale))
-            # bool is an int subclass; x > 0 must not price as "pay 1"
-            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-                raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
-                                      "is not an integer")
-            if a < 0 or a > x:
-                raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
-                                      f"is outside {{0..{x}}}")
-            acts = (int(a),)
-        best, best_a = None, 0
-        for a in acts:
-            paid_next = paid + step[depth] * a
-            acc = _LD(0.0)
-            for z, q in terms:
-                acc += q * value(depth + 1, x - a + z, paid_next)
-            if best is None or acc == best or (acc < best if minimize else acc > best):
-                best = acc
-                best_a = a
-        decisions[key] = best_a
-        memo[key] = best
-        return best
+            acts = np.array([_action(policy, depth, x, Fraction(book.paid[p], scale))
+                             for x, p in zip(xs.tolist(), ps.tolist())], dtype=np.int32)
+        step = beta.numerator ** depth * scale // beta.denominator ** depth
+        child, target, next_xs, next_ps = _children(xs, ps, owner, acts, step, zs, book,
+                                                    depth + 1 == horizon)
+        paid = [book.paid[p] for cut in _blocks(len(ps)) for p in ps[cut].tolist()]
+        levels.append((xs.tolist(), paid, starts, owner, acts, child, target))
+        xs, ps = next_xs, next_ps
+        if not len(xs):
+            break
+    worth = book.worth
+    del book  # the states' payouts stay, in their levels
 
-    try:
-        val = value(0, x0, 0)
-    finally:
-        del value  # break the closure's self-reference, freeing memo and leaves now
-    return OracleTree(config=config, y0=y0_frac, x0=x0, horizon=horizon, scale=scale,
-                      decisions=decisions, value=float(val))
+    best_of = np.minimum if utility is Utility.EXPONENTIAL else np.maximum
+    val = np.zeros(0, _LD)
+    while levels:
+        xs, paid, starts, owner, acts, child, target = levels.pop()
+        known = np.concatenate((val, worth[target]))
+        acc, term = np.zeros(len(acts), _LD), np.empty(len(acts), _LD)
+        for (_, q), row in zip(terms, child):
+            np.take(known, row, out=term)
+            term *= q
+            acc += term
+        val = best_of.reduceat(acc, starts)
+        best = np.maximum.reduceat(np.where(acc == np.take(val, owner, out=term), acts, -1),
+                                   starts)
+        tree.decisions.update(zip(zip(repeat(len(levels)), xs, paid), best.tolist()))
+    tree.value = float(val[0])
+    return tree
 
 
 def exact_optimal(config: ProblemConfig, x0: int, horizon: int, *,

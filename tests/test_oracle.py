@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbands import oracle
 from divbands.errors import TooLarge, UndefinedAction, ValidationError
@@ -35,7 +37,7 @@ FROZEN_POWER_X1_H3 = 1.136905131730971
 
 # frozen from the retired by-history walk, which keyed every node by its
 # income history, at x0=2, horizon=3 on beta 0.5, {+1: 0.7, -1: 0.3},
-# x_max 4, gamma -1 (exp) and 0.5 (power); the cached walk must match them
+# x_max 4, gamma -1 (exp) and 0.5 (power); the state-keyed walk must match them
 FROZEN_BY_HISTORY = {"exponential": (-1.0, 0.08916308667328926),
                      "power": (0.5, 1.5688762966666814)}
 
@@ -113,7 +115,7 @@ def test_policy_value_of_optimal_tree_is_optimal():
 @pytest.mark.parametrize("utility", sorted(FROZEN_BY_HISTORY))
 def test_by_history_tree_replays_its_optimum(utility):
     # the by-history reference decides every history alike at a shared
-    # state, as the cached tree does, and replaying the tree on every
+    # state, as the state-keyed tree does, and replaying the tree on every
     # history gives back the optimum
     gamma, frozen = FROZEN_BY_HISTORY[utility]
     cfg = make_config(utility, {1: 0.7, -1: 0.3}, 0.5, gamma, 4, 3)
@@ -196,12 +198,54 @@ def test_walk_matches_fraction_reference(monkeypatch, utility, gamma, y0, beta):
             with pytest.raises(TooLarge):
                 exact_optimal(cfg, 2, horizon, y0=y0)
         # every history on its own: the same value, bit for bit, and at each
-        # state the decision the cached walk recorded
+        # state the decision the state-keyed walk recorded
         hist_val, hist_dec, _ = reference_walk(cfg, 1, horizon, y0, by_history=True)
         val, tree = exact_optimal(cfg, 1, horizon, y0=y0)
         assert val == hist_val
         for key, a in hist_dec.items():
             assert tree.action(*key[:3]) == a
+
+
+# (utility, gamma, y0) and supports of the stagewise walk's property test;
+# on the all-loss supports every path is ruined within a few steps, so the
+# walk runs out of states before the horizon
+STAGE_UTILITIES = [("exponential", -1.0, 0.0), ("exponential", -0.5, 0.0),
+                   ("power", 0.5, 0.0), ("logarithmic", 0.0, 1.0),
+                   ("logarithmic", 0.0, 0.3), ("risk_neutral", 0.0, 0.0)]
+STAGE_SUPPORTS = [DOWN_ONE, {-1: 0.5, -2: 0.5}, {1: 0.5, -1: 0.5}, {1: 0.6, -1: 0.4},
+                  {1: 0.55, -2: 0.45}, {0: 0.3, -1: 0.7}, {2: 0.2, 1: 0.4, -1: 0.4},
+                  {2: 0.25, -1: 0.5, -3: 0.25}]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(STAGE_UTILITIES), st.sampled_from(STAGE_SUPPORTS),
+       st.sampled_from([0.5, 0.75, 0.9]), st.sampled_from(range(-1, 4)),
+       st.sampled_from(range(5)), st.none() | st.integers(0, 2**16))
+def test_stagewise_walk_matches_reference_walk(case, mapping, beta, x0, horizon, rule_seed):
+    # the optimum, or a fixed rule whose integer action depends on the whole
+    # state, priced bit for bit as the recursive Fraction walk prices it
+    utility, gamma, y0 = case
+    cfg = make_config(utility, mapping, beta, gamma, 400, 3)
+    if rule_seed is None:
+        rule = None
+        run = lambda: exact_optimal(cfg, x0, horizon, y0=y0)
+    else:
+        rule = lambda k, x, s: hash((rule_seed, k, x, s)) % (x + 1)
+        run = lambda: exact_policy_value(cfg, rule, x0, horizon, y0=y0)
+    ref_val, ref_dec, visits = reference_walk(cfg, x0, horizon, y0, policy=rule)
+    got = run()
+    if rule is None:
+        got, tree = got
+        assert len(tree.decisions) == len(ref_dec)
+        for key, a in ref_dec.items():
+            assert tree.action(*key) == a
+    assert got == ref_val
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "NODE_GUARD", visits)
+        run()
+        patch.setattr(oracle, "NODE_GUARD", visits - 1)
+        with pytest.raises(TooLarge):
+            run()
 
 
 def test_policy_value_matches_fraction_reference():
@@ -223,8 +267,9 @@ def test_tree_action_needs_a_reachable_exact_payout():
 
 
 def test_walk_frees_its_memo():
-    # the recursive closure refers to itself; with the cycle left in place
-    # the memo would stay alive until the cyclic collector next ran
+    # nothing of a walk outlives it but the tree it returns: no reference
+    # cycle keeps its levels or its payout index alive until the cyclic
+    # collector next runs
     cfg = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
     gc.collect()
     gc.disable()
