@@ -11,8 +11,11 @@ so the walk enumerates the reachable states one depth at a time and values
 each once, by backward induction from the horizon, and its optimum is still
 the optimum over every history-dependent plan.
 ``Fraction(beta)`` is dyadic, p / 2^k, so a horizon-H tree carries s as
-the integer s * scale, scale = max(2^(k(H-1)), denominator of y0), and a
-leaf turns y0 + s into a long double by integer division alone.
+the integer s * scale, scale = max(2^(k(H-1)), denominator of y0), a power
+of two as ``Fraction(y0)`` is dyadic too.  Leaves are valued a block of
+payouts at a time: (y0 + s) * scale becomes a long double by exact
+power-of-two scaling of two doubles while scale <= 2^1022 and the integer
+fits a double, and by integer division otherwise, the same bits either way.
 
 Conventions shared with the solvers:
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
+from operator import sub
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .model import IncomeDistribution, ProblemConfig, Utility, cash, check_y0
 NODE_GUARD = 10_000_000  # most node visits of one walk, read at call time
 MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
 _BLOCK = 1 << 14  # most Python ints the oracle walk lists at once
+_LEAF_BLOCK = 1 << 11  # most leaf payouts valued in one array
 
 _LD = np.longdouble
 
@@ -51,10 +56,33 @@ def _ld(n: int, d: int) -> np.longdouble:
     Direct conversion of big integers would round through a 53-bit float;
     splitting off the nearest double first keeps full extended precision.
     Integer true division rounds correctly, so neither step needs a Fraction.
+    ``_ld_many`` gives the same bits for many n over one d at a time.
     """
     head = n / d
     hn, hd = head.as_integer_ratio()
     return _LD(head) + _LD((n * hd - hn * d) / (d * hd))
+
+
+def _ld_many(ns: list[int], d: int) -> np.ndarray:
+    """``[_ld(n, d) for n in ns]`` as one long double array, bit for bit.
+
+    For d = 2^k, ``_ld``'s head n / d is float(n) * 2^-k and its remainder
+    is float(n - int(float(n))) * 2^-k: ``float`` of an integer rounds
+    correctly, as integer true division does, and scaling by a power of two
+    is exact while the result stays a normal double, which holds for every
+    nonzero integer once k <= 1022.  Any other d, a larger k, or a float(n)
+    that overflows sends each n through ``_ld``.
+    """
+    k = d.bit_length() - 1
+    if d == 1 << k and k <= 1022:
+        try:
+            heads = list(map(float, ns))
+        except OverflowError:
+            pass
+        else:
+            rests = np.fromiter(map(float, map(sub, ns, map(int, heads))), float, len(ns))
+            return np.ldexp(heads, -k).astype(_LD) + np.ldexp(rests, -k).astype(_LD)
+    return np.array([_ld(n, d) for n in ns], _LD)
 
 
 def exact_probabilities(dist: IncomeDistribution) -> dict[int, Fraction]:
@@ -137,16 +165,17 @@ def _tally(visits: int) -> int:
     return visits
 
 
-def _blocks(n: int):
-    """Slices that cover range(n) ``_BLOCK`` at a time, so that a loop lists
+def _blocks(n: int, size: int = _BLOCK):
+    """Slices that cover range(n) ``size`` at a time, so that a loop lists
     a bounded number of Python ints at once."""
-    return (slice(at, at + _BLOCK) for at in range(0, n, _BLOCK))
+    return (slice(at, at + size) for at in range(0, n, size))
 
 
 class _Payouts:
     """Every payout paid = s * scale a walk meets, numbered in one index,
     and beside it the leaf worth cash(y0 + s) of each payout some leaf holds,
-    evaluated once whatever the leaf's depth."""
+    evaluated once whatever the leaf's depth, ``_LEAF_BLOCK`` payouts to one
+    ``cash`` call."""
 
     def __init__(self, utility: Utility, gamma: float, base: int, scale: int):
         self.index = {0: 0}  # paid -> payout number
@@ -169,7 +198,8 @@ class _Payouts:
         return np.array(out, dtype=np.int32)
 
     def value(self, nums: np.ndarray) -> None:
-        """Evaluate the leaf worth of each payout in ``nums`` not valued yet."""
+        """Evaluate the leaf worth of each payout in ``nums`` not valued yet,
+        converted by ``_ld_many`` and valued by one ``cash`` call per block."""
         grow = len(self.paid) - len(self.worth)
         self.worth = np.concatenate((self.worth, np.zeros(grow, _LD)))
         self.valued = np.concatenate((self.valued, np.zeros(grow, dtype=bool)))
@@ -178,10 +208,9 @@ class _Payouts:
         fresh &= ~self.valued
         self.valued |= fresh
         fresh = np.flatnonzero(fresh)
-        for cut in _blocks(len(fresh)):
-            self.worth[fresh[cut]] = [
-                cash(self.utility, self.gamma, _ld(self.base + self.paid[p], self.scale))
-                for p in fresh[cut].tolist()]
+        for cut in _blocks(len(fresh), _LEAF_BLOCK):
+            ns = list(map(self.base.__add__, map(self.paid.__getitem__, fresh[cut].tolist())))
+            self.worth[fresh[cut]] = cash(self.utility, self.gamma, _ld_many(ns, self.scale))
 
 
 def _children(xs: np.ndarray, ps: np.ndarray, owner: np.ndarray, acts: np.ndarray,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divbands import oracle
@@ -266,6 +266,62 @@ def test_tree_action_needs_a_reachable_exact_payout():
         tree.action(1, 1, Fraction(1, 3))  # not a multiple of 1 / scale
 
 
+# trees whose leaves fall outside the range where a power-of-two scale is
+# exact in doubles: scale 2^1113 and 2^1060 with n = y0 * scale past the
+# largest double (x0 0 pays nothing), scale 2^1007 just inside it, y0 < 0,
+# y0 1e-300 (scale 2^1049), and y0 1e300, whose n = y0 * 2^53 overflows a
+# double at horizon 2 but not at beta 0.5; x_max only has to pass validation
+RANGE_CASES = [("logarithmic", {0: 0.5, -1: 0.5}, 0.9, 0.0, 1.0, 0, 22),
+               ("logarithmic", {0: 0.5, -1: 0.5}, 0.9, 0.0, 1.0, 0, 21),
+               ("logarithmic", {0: 0.5, -1: 0.5}, 0.9, 0.0, 1.0, 0, 20),
+               ("exponential", {0: 0.5, -1: 0.5}, 0.9, -1.0, -3.7, 0, 22),
+               ("exponential", {1: 0.6, -1: 0.4}, 0.9, -1.0, -3.7, 2, 4),
+               ("logarithmic", {1: 0.6, -1: 0.4}, 0.9, 0.0, 1e-300, 2, 4),
+               ("power", {1: 0.6, -1: 0.4}, 0.9, 0.5, 1e300, 2, 2),
+               ("power", {1: 0.6, -1: 0.4}, 0.5, 0.5, 1e300, 2, 4)]
+
+
+@pytest.mark.parametrize("utility,mapping,beta,gamma,y0,x0,horizon", RANGE_CASES)
+def test_leaf_scaling_outside_the_double_range_matches_reference_walk(
+        utility, mapping, beta, gamma, y0, x0, horizon):
+    cfg = make_config(utility, mapping, beta, gamma, 400, 3)
+    ref_val, ref_dec, _ = reference_walk(cfg, x0, horizon, y0)
+    val, tree = exact_optimal(cfg, x0, horizon, y0=y0)
+    assert val == ref_val
+    assert len(tree.decisions) == len(ref_dec)
+    for key, a in ref_dec.items():
+        assert tree.action(*key) == a
+
+
+def _bit_length_ints(top: int):
+    """Integers of either sign whose bit lengths spread evenly over 0..top."""
+    return st.integers(0, top).flatmap(lambda b: st.integers(-(2**b), 2**b))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(_bit_length_ints(1026), min_size=1, max_size=6), st.integers(0, 1100))
+@example([0, -1, 1, -(2**70 + 3)], 0)
+@example([(2**53 + 1) << 40, -((2**53 + 1) << 40), (2**53 + 3) << 40], 1022)  # ties
+@example([2**1021 + 1, 2**1022 - 1, -(2**1023 - 1), 2**1023 + 2**970 + 1], 1022)
+@example([2**1021 + 1, 2**1022 - 1, -(2**1023 - 1), 2**1023 + 2**970 + 1], 1023)
+@example([2**1023 + 1, 2**1024 - 1], 0)  # a double overflows in the split and in n / 1
+@example([2**1024 - 1, 5], 1022)
+@example([2**59 + 2**26 + 2**25 - 63], 1100)  # head rounded twice if scaled to a subnormal
+def test_block_conversion_matches_scalar_conversion(ns, k):
+    # _ld_many is _ld over a list, bit for bit, overflow included
+    d = 2**k
+    try:
+        want = np.array([oracle._ld(n, d) for n in ns], np.longdouble)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            oracle._ld_many(ns, d)
+        return
+    got = oracle._ld_many(ns, d)
+    assert got.dtype == np.longdouble
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_walk_frees_its_memo():
     # nothing of a walk outlives it but the tree it returns: no reference
     # cycle keeps its levels or its payout index alive until the cyclic
@@ -291,15 +347,19 @@ def test_walk_frees_its_memo():
 def test_each_leaf_payout_is_valued_once(monkeypatch):
     # a leaf is worth cash(y0 + s) whatever its depth and surplus: on the
     # README instance at x0 4, horizon 7, 24,116 leaf visits share 13,260
-    # payouts, and each payout's worth is computed once
+    # payouts, and each payout's worth is computed once; leaves are valued
+    # a block at a time, so cash is charged the payouts it is handed
     cfg = sized_exp_config(two_point(0.6, 1), 0.9, -1.0)
-    real_ld, real_cash = oracle._ld, oracle.cash
+    real_ld_many, real_cash = oracle._ld_many, oracle.cash
     converted, valued = [], []
-    monkeypatch.setattr(oracle, "_ld", lambda n, d: converted.append((n, d)) or real_ld(n, d))
-    monkeypatch.setattr(oracle, "cash", lambda *a: valued.append(a) or real_cash(*a))
+    monkeypatch.setattr(oracle, "_ld_many",
+                        lambda ns, d: converted.append((ns, d)) or real_ld_many(ns, d))
+    monkeypatch.setattr(oracle, "cash",
+                        lambda u, g, w: valued.append(np.size(w)) or real_cash(u, g, w))
     _, tree = exact_optimal(cfg, 4, 7)
-    payouts = [n for n, d in converted if d == tree.scale]
-    assert len(valued) == len(payouts) == len(set(payouts)) == 13_260
+    payouts = [n for ns, d in converted if d == tree.scale for n in ns]
+    assert sum(valued) == len(payouts) == len(set(payouts)) == 13_260
+    assert len(valued) < len(payouts)
 
 
 @pytest.mark.parametrize("utility,gamma", [("exponential", -1.0), ("power", 0.5)])
