@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MaxIterations, NotABand, ValidationError, ValueUnderflow
-from .model import (LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
+from .model import (DBL_MIN, LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemConfig, Utility,
                     expect_income, policy_lookup, sum_income, tail_income)
 
 NEUTRAL_MAX_ITERATIONS = 1_000_000  # value-iteration cap of solve_neutral
@@ -80,6 +80,33 @@ def envelope_factors(dist: IncomeDistribution, t: float) -> tuple[float, float]:
     return mgf, c
 
 
+def _too_deep(thetas: list[float], beta: float, n_depth: int) -> str:
+    """Why ``n_depth`` is refused, given the start of the orbit ``thetas``.
+
+    The rest of the orbit is followed without being kept, until it
+    reaches 0, sticks (theta * beta rounds back to theta) or reaches depth
+    ``n_depth``.
+    """
+    gamma = thetas[0]
+    normal = sum(-t >= DBL_MIN for t in thetas) - 1
+    theta, n = thetas[-1], len(thetas) - 1
+    while theta != 0 and n < n_depth and theta * beta != theta:
+        theta *= beta
+        n += 1
+        if -theta >= DBL_MIN:
+            normal = n
+    head = (f"depth {n_depth} is too deep for gamma={gamma}, beta={beta}: "
+            f"theta_n = gamma * beta^n")
+    if theta == 0:
+        head += (f" underflows to {theta} by then; the largest depth whose theta_n is "
+                 f"still below 0 is {n - 1}")
+    else:
+        head += f" is the subnormal {theta} by then"
+    if normal < 0:
+        return head + f"; gamma itself is below DBL_MIN = {DBL_MIN}"
+    return head + f"; the largest depth whose theta_n is a normal double is {normal}"
+
+
 @dataclass(frozen=True)
 class ThetaSchedule:
     """The orbit theta_n = gamma beta^n with its certified envelope bounds.
@@ -112,16 +139,17 @@ class ThetaSchedule:
         """Schedule of a ProblemConfig, or of any object with its fields."""
         dist, beta, gamma = config.dist, config.beta, config.gamma
         n_depth, tail_eps = config.depth, config.tail_eps
+        # theta_n stays normal until about n = ln(DBL_MIN/|gamma|)/ln(beta);
+        # past that it is subnormal and, for beta above 0.5, may stick there
+        # and never reach 0, so the orbit is formed no further before a
+        # depth whose theta_N is subnormal is refused
+        normal_end = math.log(DBL_MIN / -gamma) / math.log(beta)
         thetas = [gamma]
-        for _ in range(n_depth):
+        for _ in range(min(n_depth, max(0, int(normal_end) + 2))):
             thetas.append(thetas[-1] * beta)
+        if len(thetas) <= n_depth or -thetas[-1] < DBL_MIN:
+            raise ValidationError(_too_deep(thetas, beta, n_depth))
         theta_last = thetas[-1]
-        if theta_last >= 0:
-            deepest = sum(t < 0 for t in thetas) - 1  # gamma < 0, so thetas[0] counts
-            raise ValidationError(
-                f"depth {n_depth} is too deep for gamma={gamma}, beta={beta}: "
-                f"theta_n = gamma * beta^n underflows to {theta_last} by then; the "
-                f"largest depth whose theta_n is still below 0 is {deepest}")
 
         scale = dist.mean_positive / (1.0 - beta)
         p_neg = dist.p_negative

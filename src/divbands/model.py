@@ -40,7 +40,8 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-12
 TIE_RTOL = 1e-12  # relative tie tolerance of every solver's largest optimiser
-LOG_DBL_MIN = math.log(sys.float_info.min)  # about -708.4
+DBL_MIN = sys.float_info.min  # the smallest normal double, 2^-1022
+LOG_DBL_MIN = math.log(DBL_MIN)  # about -708.4
 
 
 class Utility(enum.Enum):

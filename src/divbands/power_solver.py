@@ -46,7 +46,14 @@ and only those are queried, at the levels s + beta^d a: rows
 rows x_max + 1..x_max + z+ - a above the cap in a second (a = 0 queries
 the gridpoints themselves, so its rows are read as stored).  Where the
 queries sit on the grid (``_Queries``) is found once per action and read
-by the lower and the upper rule of whichever sides this process owns.
+by the lower and the upper rule of whichever sides this process owns;
+cash at the gridpoints is formed once per solve.  On a grid the payout
+lattice was not merged into, the row queries of an action a > 0 are
+normally one shift of the knots, each k gridpoints up or past the last,
+and the rules then read their neighbors as slices of the next-step rows
+and of that cash.
+Queries that hit a gridpoint (dyadic beta, lattice merged), the 2-D
+overflow rows and ``value_bracket``'s single query gather by index.
 F_a then raises the running best of every x = a + u in place.  The policy records the
 largest action whose lo continuation lies within relative TIE_RTOL of the
 running best: best is updated before the comparison and actions ascend, so
@@ -143,18 +150,29 @@ def _payout_lattice(beta: float, depth: int, pay_max: int) -> np.ndarray | None:
 class _Queries:
     """Where the query points q sit on the s-grid, for both one-sided rules.
 
+    ``cash_pts`` is cash at every gridpoint, which a solve forms once and
+    passes to every action (priced here when not given), and ``cash_q``
+    the worth of q itself.  A row of queries as long as the grid
+    that is one shift of it, q[j] strictly between gridpoints j + k - 1 and
+    j + k for j < M - k and past the last gridpoint for the rest (k >= 1),
+    sets ``shift`` to k; the rules then read the neighbors and their cash
+    as slices, and no index is formed.  Otherwise ``shift`` is None,
     ``right`` is the first gridpoint at or above q (clamped to the last),
     ``left`` the one before it, ``exact`` the queries that hit ``right``
-    (None when none do), ``no_right`` NaN where q lies past the last
-    gridpoint and 0.0 elsewhere, and ``cash_q`` the worth of q itself.
+    (None when none do), and ``no_right`` NaN where q lies past the last
+    gridpoint and 0.0 elsewhere; the rules gather by these indices.
     """
 
-    __slots__ = ("pts", "q", "cash", "right", "left", "exact", "no_right", "cash_q")
+    __slots__ = ("q", "cash_pts", "cash_q", "shift", "right", "left", "exact", "no_right")
 
-    def __init__(self, pts: np.ndarray, q: np.ndarray, cash):
+    def __init__(self, pts: np.ndarray, q: np.ndarray, cash, cash_pts: np.ndarray | None = None):
         m = len(pts)
+        self.q, self.cash_q = q, cash(q)
+        self.cash_pts = cash(pts) if cash_pts is None else cash_pts
+        self.shift, self.exact = _grid_shift(pts, q), None
+        if self.shift is not None:
+            return
         idx = np.searchsorted(pts, q)
-        self.pts, self.q, self.cash = pts, q, cash
         self.right = np.minimum(idx, m - 1)
         exact = pts[self.right] == q
         # None when nothing hits, as almost everywhere at beta 0.9, spares the
@@ -165,26 +183,76 @@ class _Queries:
         self.left = np.maximum(idx - 1, 0)
         # subtracted, not added, so that -0.0 stays -0.0 where the neighbor exists
         self.no_right = np.where(idx < m, 0.0, np.nan)
-        self.cash_q = cash(q)
+
+
+def _grid_shift(pts: np.ndarray, q: np.ndarray) -> int | None:
+    """The k >= 1 with searchsorted(pts, q) = min(j + k, M) at every query j
+    and no query on a gridpoint, when q is one row as long as the grid;
+    else None.  Three slice comparisons check it without the search:
+    pts[j + k - 1] < q[j] < pts[j + k] below M - k, q[j] > pts[M - 1] from it.
+    """
+    m = len(pts)
+    if q.shape != pts.shape:
+        return None
+    k = int(np.searchsorted(pts, q[0]))
+    head = q[:m - k]
+    if (k >= 1 and (pts[k - 1:m - 1] < head).all() and (head < pts[k:]).all()
+            and (q[m - k:] > pts[m - 1]).all()):
+        return k
+    return None
 
 
 def _lower(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
     """Lower bracket of the rows at the queries: the best of the left
     neighbor, the right neighbor minus the concave increment
-    cash(s_right) - cash(q), and the pay-all lower envelope ``env``."""
+    cash(s_right) - cash(q), and the pay-all lower envelope ``env``, which
+    has the bracket's shape.
+
+    On a shift k the left neighbors are copied from ``rows[..., k - 1:]``,
+    with the last gridpoint repeated for the k queries past the grid, and
+    the right ones computed from ``rows[..., k:]``, NaN past the grid.
+    """
     with np.errstate(invalid="ignore"):
-        lo_r = rows[..., at.right] - at.no_right - (at.cash(at.pts[at.right]) - at.cash_q)
-        lo = np.fmax(np.fmax(rows[..., at.left], lo_r), env)
+        if at.shift is not None:
+            # full-width operands, laid out as the gathers lay them: fmax and
+            # fmin settle a tie of -0.0 and 0.0 by where it sits in the array
+            # (numpy's vector loop or its scalar remainder), so taking the best
+            # over the slices themselves could flip the sign of a tied zero
+            k, n = at.shift, rows.shape[-1] - at.shift
+            left, lo_r = np.empty(rows.shape), np.empty(rows.shape)
+            left[..., :n], left[..., n:] = rows[..., k - 1:-1], rows[..., -1:]
+            np.subtract(rows[..., k:], at.cash_pts[k:] - at.cash_q[:n], out=lo_r[..., :n])
+            lo_r[..., n:] = np.nan
+        else:
+            left = rows[..., at.left]
+            lo_r = rows[..., at.right] - at.no_right - (at.cash_pts[at.right] - at.cash_q)
+        # into the first operand, a fresh array on either path: two fewer
+        # temporaries per action made each side's seed-0 induction 5-10%
+        # faster on a 2-vCPU Xeon VM
+        lo = np.fmax(np.fmax(left, lo_r, out=left), env, out=left)
     return lo if at.exact is None else np.where(at.exact, rows[..., at.right], lo)
 
 
 def _upper(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
     """Upper bracket of the rows at the queries: the best of the right
     neighbor, the left neighbor plus cash(q) - cash(s_left), and the
-    pay-all upper envelope ``env``."""
+    pay-all upper envelope ``env``, which has the bracket's shape.
+
+    On a shift k the right neighbors are copied from ``rows[..., k:]``,
+    NaN past the grid, and the left ones computed from ``rows[..., k - 1:]``,
+    the last gridpoint's for the k queries past the grid.
+    """
     with np.errstate(invalid="ignore"):
-        hi_l = rows[..., at.left] + (at.cash_q - at.cash(at.pts[at.left]))
-        hi = np.fmin(np.fmin(rows[..., at.right] - at.no_right, hi_l), env)
+        if at.shift is not None:
+            k, n = at.shift, rows.shape[-1] - at.shift
+            right, hi_l = np.empty(rows.shape), np.empty(rows.shape)
+            right[..., :n], right[..., n:] = rows[..., k:], np.nan
+            np.add(rows[..., k - 1:-1], at.cash_q[:n] - at.cash_pts[k - 1:-1], out=hi_l[..., :n])
+            np.add(rows[..., -1:], at.cash_q[n:] - at.cash_pts[-1], out=hi_l[..., n:])
+        else:
+            right = rows[..., at.right] - at.no_right
+            hi_l = rows[..., at.left] + (at.cash_q - at.cash_pts[at.left])
+        hi = np.fmin(np.fmin(right, hi_l, out=right), env, out=right)  # as in _lower
     return hi if at.exact is None else np.where(at.exact, rows[..., at.right], hi)
 
 
@@ -261,6 +329,7 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
     worth = functools.partial(cash, config.utility, config.gamma)
     grid = SGrid.build(config)
     pts = grid.points
+    cash_pts = worth(pts)
     m = len(pts)
     n_depth, x_max, beta, dist = config.depth, config.x_max, config.beta, config.dist
     z_plus = dist.margins[1]
@@ -306,10 +375,11 @@ def _solve(config: ProblemConfig, workers: int = 1) -> tuple[PowerValueTable, Po
                 # rows pass through untouched; bracketing them anyway made the
                 # seed-0 power+log serial solves 5-8% slower on a 2-vCPU Xeon
                 # VM (lost 19 and 21 of two runs of 30 in-process rounds)
-                at_rows = _Queries(pts, q, worth) if a > 0 else None
+                at_rows = _Queries(pts, q, worth, cash_pts) if a > 0 else None
                 at_over = None
                 if a < z_plus:  # overflow o = 1..z_plus - a: pay o now at next-step rate
-                    at_over = _Queries(pts, q + bnext * overflow[:z_plus - a], worth)
+                    at_over = _Queries(pts, q + bnext * overflow[:z_plus - a], worth,
+                                       cash_pts)
                 ruin = worth(q) if at_rows is None else at_rows.cash_q
                 # every owned side's envelope is formed before either rule
                 # runs: one side at a time, glibc trimmed and re-faulted the

@@ -405,6 +405,7 @@ def test_exit_two_when_depth_underflows_theta(tmp_path, capsys):
     assert cli.main(["solve-exp", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "depth 1100" in err and "1074" in err
+    assert "the largest depth whose theta_n is a normal double is 1022" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -63,6 +63,23 @@ def test_schedule_is_geometric():
         assert th == pytest.approx(TINY.gamma * TINY.beta**n, rel=1e-14)
 
 
+def test_depth_with_subnormal_theta_is_refused_before_the_orbit():
+    # at beta 0.9 theta_n = -0.9^n sticks at a subnormal and never reaches
+    # 0: theta_6723 = -2.357e-308 is the last normal one, theta_6724 =
+    # -2.121e-308 is not, and a depth of 10**9 is refused without forming
+    # 10**9 levels
+    def probe(depth):
+        return SimpleNamespace(dist=validate_distribution({1: 0.6, -1: 0.4}), beta=0.9,
+                               gamma=-1.0, depth=depth, tail_eps=1e-8)
+
+    assert ThetaSchedule.build(probe(6723)).thetas[-1] == -2.3571703009247685e-308
+    for depth in (6724, 10**9):
+        with pytest.raises(ValidationError, match=(
+                f"depth {depth} is too deep .* subnormal .* largest depth whose "
+                "theta_n is a normal double is 6723$")):
+            ThetaSchedule.build(probe(depth))
+
+
 def test_h_lower_matches_direct_product():
     sched = ThetaSchedule.build(TINY)
     theta = sched.thetas[0]

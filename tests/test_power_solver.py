@@ -306,6 +306,95 @@ def test_bracket_rule_matches_masked_reference(utility, data):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@st.composite
+def shifted_queries(draw, utility):
+    """Arguments of the masked reference rule for one shift of a uniform grid.
+
+    q = pts + c with c strictly between k - 1 and k knot spacings, so that
+    the queries sit k knots up, k = 1..M (at k = M all lie past the grid).
+    Half the time one query is then moved, onto a knot or back into the
+    grid, which may spoil the shift; k is None then.
+    """
+    m = draw(st.integers(2, 40))
+    pts = np.arange(m) * draw(st.sampled_from([0.25, 0.3, 1.0]))
+    k = draw(st.integers(1, m))
+    q = pts + (k - draw(st.sampled_from([0.1, 0.5, 0.9]))) * (pts[1] - pts[0])
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        q[j] = draw(st.sampled_from([pts[min(j + k, m - 1)], pts[-1] / 2, 0.0]))
+        k = None
+    shape = (draw(st.integers(1, 3)), m) if draw(st.booleans()) else (m,)
+    value = st.sampled_from([-0.0, 0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+    rows = [draw(arrays(float, shape, elements=value)) for _ in range(2)]
+    if utility == "logarithmic" and draw(st.booleans()):
+        rows[0][..., 0] = rows[1][..., 0] = -np.inf
+    env_x = np.arange(shape[0])[:, None] if len(shape) == 2 else draw(st.integers(0, 3))
+    return (k, (pts, rows[0], rows[1], q, env_x + draw(st.integers(0, 3)),
+                draw(st.sampled_from([1.0, 0.5, 0.729])), draw(st.sampled_from([0.0, 1.5])),
+                functools.partial(cash, Utility.parse(utility), 0.5)))
+
+
+@pytest.mark.parametrize("utility", ["power", "logarithmic"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shift_reads_match_gathers(utility, data):
+    # the slices a shift reads give the same bytes as the gathers the same
+    # queries take with the shift withheld, and the masked reference's up
+    # to the sign of a zero: numpy's fmax and fmin settle a tie of -0.0 and
+    # 0.0 by where it sits in the array (vector loop or scalar remainder),
+    # np.maximum and np.minimum by argument order, so the rules and the
+    # reference may part there, as at pts [0, 1], q [0.5, 1.5], log rows of
+    # -0.0 and env_x [[0], [1]] at discount 0.5, where they read -0.0 and 0.0
+    k, args = data.draw(shifted_queries(utility))
+    pts, row_lo, row_hi, q, env_x, b_env, c_tail, worth = args
+    envs = worth(q + b_env * env_x), worth(q + b_env * (env_x + c_tail))
+    # a shift by its definition: searchsorted(pts, q) = min(j + k, M) for
+    # some k >= 1, and no query on a knot
+    m, idx = len(pts), np.searchsorted(pts, q)
+    shift = int(idx[0]) if (idx[0] >= 1 and not (pts[np.minimum(idx, m - 1)] == q).any()
+                            and np.array_equal(idx, np.minimum(np.arange(m) + idx[0], m))) else None
+    assert k is None or shift == k
+
+    def rules(at):
+        return (power_solver._lower(at, row_lo, envs[0]),
+                power_solver._upper(at, row_hi, envs[1]))
+
+    at = power_solver._Queries(pts, q, worth, worth(pts))
+    assert at.shift == shift
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(power_solver, "_grid_shift", lambda pts, q: None)
+        gathered = power_solver._Queries(pts, q, worth)
+    assert gathered.shift is None
+    for got, via_gathers, want in zip(rules(at), rules(gathered),
+                                      reference_eval_queries(*args)):
+        assert got.shape == via_gathers.shape == want.shape
+        assert got.tobytes() == via_gathers.tobytes()
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # -0.0 + 0.0 is 0.0
+
+
+@pytest.mark.parametrize("utility", ["power", "logarithmic"])
+def test_uniform_grid_row_queries_all_take_the_shift_path(monkeypatch, utility):
+    # beta 0.75 at depth 4: the 9^5-point payout lattice is too large to
+    # merge, so the 16 knots stay uniform and every a > 0 action's row
+    # queries are one shift of them (the overflow rows, 2-D, gather)
+    cfg = make_config(utility, {1: 0.6, -1: 0.4}, 0.75, 0.5, 8, 4, s_grid_points=16)
+    seen = []
+
+    class Recorded(power_solver._Queries):
+        __slots__ = ()
+
+        def __init__(self, pts, q, cash, cash_pts=None):
+            super().__init__(pts, q, cash, cash_pts)
+            seen.append((q.ndim, self.shift))
+
+    monkeypatch.setattr(power_solver, "_Queries", Recorded)
+    (solve_power if utility == "power" else solve_log)(cfg)
+    row_shifts = [shift for ndim, shift in seen if ndim == 1]
+    assert len(row_shifts) == cfg.depth * cfg.x_max
+    assert None not in row_shifts
+    assert {shift for ndim, shift in seen if ndim == 2} == {None}
+
+
 @pytest.mark.parametrize("utility", ["power", "logarithmic"])
 @pytest.mark.parametrize("mapping", [{0: 0.5, -1: 0.5}, {1: 0.4, -2: 0.6},
                                      {3: 0.3, 1: 0.2, -1: 0.5}])
