@@ -52,14 +52,14 @@ def _as_rule(config: ProblemConfig, f) -> np.ndarray:
     """Normalize a rule to an (N, x_max+1) int array and vet its actions.
 
     A callable is a policy, called once per depth on every surplus (s = 0,
-    which exponential rules ignore).  Actions must be integers: a float or
+    which exponential rules ignore); a result that does not broadcast to
+    the surplus array is refused.  Actions must be integers: a float or
     bool rule is refused, not truncated.
     """
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
     if callable(f):
-        rule = np.array([np.broadcast_to(f(n, xs, 0.0), xs.shape)
-                         for n in range(n_depth)])
+        rule = np.array([_depth_actions(f, n, xs) for n in range(n_depth)])
     else:
         rule = np.asarray(f)
     if not np.issubdtype(rule.dtype, np.integer):
@@ -72,6 +72,18 @@ def _as_rule(config: ProblemConfig, f) -> np.ndarray:
         n, x = np.argwhere((rule < 0) | (rule > xs))[0]
         raise IllegalAction(f"rule pays {rule[n, x]} at depth {n}, x={x}")
     return rule
+
+
+def _depth_actions(f, n: int, xs: np.ndarray) -> np.ndarray:
+    """The callable rule f's actions at depth n on every surplus xs."""
+    acts = np.asarray(f(n, xs, 0.0))
+    if acts.shape == xs.shape:
+        return acts
+    try:
+        return np.broadcast_to(acts, xs.shape)
+    except ValueError:
+        raise IllegalAction(f"rule returned actions of shape {acts.shape} "
+                            f"for surplus of shape {xs.shape} at depth {n}") from None
 
 
 def _check_admissible(schedule: ThetaSchedule, rule: np.ndarray,

@@ -6,25 +6,36 @@ jumping the seeded generator, so path i always sees the same randomness
 no matter how many paths run, in how many batches, or in how many
 processes.  Each step owns one word of the stream per path of the batch,
 ruined paths included, keeping the stream layout independent of the
-ruin pattern; a batch stops early once every path in it is ruined.
+ruin pattern; a batch draws nothing more once every path in it is ruined.
 Philox is counter-based, so a step reads only the 4-word blocks from its
-first live path to its last and ``advance``s over the rest: the dead
-words outside that span are skipped, not drawn.  Each live word maps to
-its income by integer thresholds (``_income_thresholds``), exactly as
-``Generator.random`` followed by an inverse-CDF search would map it.
-Only the live paths are stepped: each batch keeps their surplus and
-payout in compact arrays, in path order, and a path's outcome is written
-out the step it is ruined, when it leaves those arrays.
+batch's first live path to its last and ``advance``s over the rest: the
+dead words outside that span are skipped, not drawn.  Each live word
+maps to its income by integer thresholds (``_income_thresholds``),
+exactly as ``Generator.random`` followed by an inverse-CDF search would
+map it.
+
+The batches are cut into contiguous runs, one per process, and a run
+steps all of its batches together.  Only the live paths are stepped: the
+run keeps their surplus and payout in compact arrays, in path order, one
+``searchsorted`` of the batch starts finds each batch's segment of them
+for its draws, and a path's outcome is written out the step it is
+ruined, when it leaves those arrays.
 
 A policy is any callable policy(t, x, s) -> actions, vectorized over
 the surplus x and the discounted payout s of the live paths; it is
-called once per step, and a scalar result applies to every path.  The
-solver policies reuse their last depth's rule beyond the solved horizon
-(the surplus process does not care, and the pay-down property that makes
-ruin certain is preserved) and pay the overflow above the surplus cap on
-top of the cap rule.  Discounted payouts accumulate at the true beta^t
-scale throughout; after max_steps a surviving path is truncated and
-flagged, its unpaid tail bounded by beta^max_steps x_max/(1-beta).
+called once per step of a run, on every live path of the run in path
+order, and a scalar result applies to every path.  With one worker that
+is every live path of the simulation; with more, which paths share a
+call depends on the split, so a rule that reads across paths (x.min(),
+say) can act differently, while a rule whose action at a path depends
+only on that path's (t, x, s), as every solver policy's does, gives the
+same bytes at every worker count.  The solver policies reuse their last
+depth's rule beyond the solved horizon (the surplus process does not
+care, and the pay-down property that makes ruin certain is preserved)
+and pay the overflow above the surplus cap on top of the cap rule.
+Discounted payouts accumulate at the true beta^t scale throughout; after
+max_steps a surviving path is truncated and flagged, its unpaid tail
+bounded by beta^max_steps x_max/(1-beta).
 """
 
 from __future__ import annotations
@@ -86,39 +97,82 @@ class SimulationResult:
         }
 
 
-def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """One vectorized policy call on the live paths, checked against {0..x}."""
+def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One vectorized policy call on the live paths, checked against {0..x}.
+
+    Returns the actions a and the surplus x - a they leave standing, a
+    fresh array that the caller may update in place.
+    """
     acts = np.asarray(policy(t, x, s))
     if not np.issubdtype(acts.dtype, np.integer):
         raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
-    a = acts if acts.shape == x.shape else np.broadcast_to(acts, x.shape)
-    bad = (a < 0) | (a > x)
-    if bad.any():
-        j = np.nonzero(bad)[0][0]
+    a = acts
+    if a.shape != x.shape:
+        try:
+            a = np.broadcast_to(acts, x.shape)
+        except ValueError:
+            raise PolicyUndefined(f"policy returned actions of shape {acts.shape} "
+                                  f"for surplus of shape {x.shape} at step {t}") from None
+    left = x - a
+    if a.min() < 0 or left.min() < 0:
+        j = np.nonzero((a < 0) | (a > x))[0][0]
         raise PolicyUndefined(
             f"action {a[j]} outside {{0..{x[j]}}} at step {t}, x={x[j]}")
-    return a
+    return a, left
 
 
 def _income_thresholds(probs) -> np.ndarray:
-    """Integer thresholds T_j = ceil(cum_j 2^53), j < K-1, on the 53-bit words.
+    """Raw-word thresholds T_j << 11, T_j = ceil(cum_j 2^53), j < K-1.
 
     ``Generator.random`` turns a raw word w into m 2^-53 with m = w >> 11,
     and inverse-CDF sampling takes income min(searchsorted(cum, m 2^-53,
     'right'), K-1), the number of j < K-1 with cum_j <= m 2^-53.  Scaling
-    by 2^53 is exact, so that is the number of T_j <= m: the same income,
-    from the word, without forming the double.
+    by 2^53 is exact, so that is the number of T_j <= m, and, as the low
+    11 bits of w never carry, of T_j << 11 <= w: the same income, from the
+    word, without the shift or the double.  A T_j of 2^53 or more (cum_j
+    rounded to 1) is never reached by m < 2^53 and is dropped, since it
+    would not fit the word.
     """
-    return np.ceil(np.cumsum(np.array(probs))[:-1] * 2.0 ** 53).astype(np.uint64)
+    cum = np.ceil(np.cumsum(np.array(probs))[:-1] * 2.0 ** 53)
+    return cum[cum < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
 
 
 def _income_index(words: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Support index of each raw word: the count of thresholds T_j <= w >> 11."""
-    m = words >> 11
-    k = np.zeros(m.size, dtype=np.intp)
+    """Support index of each raw word: the count of thresholds <= w."""
+    k = np.zeros(words.size, dtype=np.min_scalar_type(thresholds.size))
     for t in thresholds:
-        k += m >= t
+        k += words >= t
     return k
+
+
+def _draw_words(streams: list, skips: list[int], run: range, edges: np.ndarray,
+                live: np.ndarray) -> np.ndarray:
+    """This step's raw word for each live path of a run, in path order.
+
+    ``edges`` holds the run's batch starts and then its end, so the live
+    paths of batch j (first path ``run[j]``) are live[cuts[j]:cuts[j + 1]]
+    with cuts = searchsorted(live, edges).  Each batch reads from
+    ``streams[j]`` only the blocks holding those paths' words of the
+    step's BATCH: it ``advance``s over ``skips[j]``, the blocks left after
+    its previous span, and the blocks before this one, then sets
+    ``skips[j]`` to the blocks after it.  Positions are Python ints, as
+    advance rejects numpy integers.
+    """
+    words = np.empty(live.size, dtype=np.uint64)
+    cuts = np.searchsorted(live, edges).tolist()
+    for j, b in enumerate(run):
+        lo, hi = cuts[j], cuts[j + 1]
+        if lo == hi:
+            continue
+        first, last = (int(live[lo]) - b) // 4, (int(live[hi - 1]) - b) // 4
+        streams[j].advance(skips[j] + first)
+        # the offsets lie in the span drawn; 'clip' only spares take the
+        # temporary copy of out that its default 'raise' makes
+        streams[j].random_raw(4 * (last + 1 - first)).take(
+            live[lo:hi] - (b + 4 * first), out=words[lo:hi], mode="clip")
+        skips[j] = BATCH // 4 - 1 - last
+    return words
 
 
 def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
@@ -133,12 +187,24 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
 
     ``workers`` > 1 splits the batches into contiguous runs, one per
     process (``parallel.split_runs`` clamps the count to the usable
-    cores and the batches); the result is the same bytes for every
-    value.  The default stays 1 because a run in a forked child keeps
-    none of the policy's side effects: a policy that counts or records
-    its calls sees only the calls made in the calling process.  An
-    exception raised in a child's run is raised again, with its serial
-    type and message, by running that run here.
+    cores and the batches).  Each run steps its batches together and
+    calls the policy once per step on every live path of the run, in
+    path order; with ``workers`` = 1 that is every live path.  For a
+    policy whose action at a path depends only on that path's (t, x, s),
+    as every solver policy's does, the result is the same bytes for
+    every value.  The default stays 1 because a run in a forked child
+    keeps none of the policy's side effects: a policy that counts or
+    records its calls sees only the calls made in the calling process.
+
+    A failing policy (an action outside {0..x}, non-integer actions, a
+    result that does not broadcast to x, or its own exception) surfaces
+    from the lowest-numbered run that fails, at that run's first failing
+    step, naming its first offending path in path order; an exception
+    raised in a child's run is raised again, with its serial type and
+    message, by running that run here.  A policy that fails in several
+    runs at different steps can therefore name a different step or
+    offender at different worker counts: serially, the earliest failing
+    step of the whole simulation.
     """
     if not callable(policy):
         raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
@@ -158,33 +224,35 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     runs = split_runs(workers, range(0, n_paths, BATCH))
 
     def part(i: int) -> None:
-        for b in runs[i]:
-            bits = base.jumped(b // BATCH)
-            skip = 0  # blocks between the last word read and this step's first
-            live = np.arange(b, min(b + BATCH, n_paths) if x0 >= 0 else b)
-            x = np.full(live.size, x0, dtype=np.int64)
-            s = np.zeros(live.size)
-            disc = 1.0
-            for t in range(max_steps):
-                if live.size == 0:
-                    break
-                a = _step_actions(policy, t, x, s)
-                s = s + disc * a
-                # the blocks holding words live[0] - b .. live[-1] - b of the
-                # step's BATCH; Python ints, as advance rejects numpy integers
-                first, last = int(live[0] - b) // 4, int(live[-1] - b) // 4
-                bits.advance(skip + first)
-                words = bits.random_raw(4 * (last + 1 - first))[live - (b + 4 * first)]
-                skip = BATCH // 4 - 1 - last
-                z = support[_income_index(words, thresholds)]
-                x = x - a + z
-                ruined = x < 0
-                if ruined.any():
-                    sums[live[ruined]] = s[ruined]
-                    times[live[ruined]] = t + 1
-                    live, x, s = live[~ruined], x[~ruined], s[~ruined]
-                disc *= beta
-            sums[live], times[live], trunc[live] = s, max_steps, True
+        run = runs[i]
+        end = min(run[-1] + BATCH, n_paths)
+        edges = np.array([*run, end])
+        streams = [base.jumped(b // BATCH) for b in run]
+        skips = [0] * len(run)
+        live = np.arange(run[0], end if x0 >= 0 else run[0])
+        x = np.full(live.size, x0, dtype=np.int64)
+        s = np.zeros(live.size)
+        disc = 1.0
+        for t in range(max_steps):
+            if live.size == 0:
+                break
+            # x and s are fresh arrays each step, as the policy may keep the
+            # ones it was handed; a goes once used, to keep the peak of
+            # whole-run arrays to the policy call's
+            a, x = _step_actions(policy, t, x, s)
+            s = s + disc * a
+            del a
+            x += support.take(_income_index(_draw_words(streams, skips, run, edges, live),
+                                            thresholds))
+            ruined = x < 0
+            if ruined.any():
+                out = np.flatnonzero(ruined)  # few: gathers beat two more masks
+                gone = live[out]
+                sums[gone], times[gone] = s[out], t + 1
+                keep = ~ruined
+                live, x, s = live[keep], x[keep], s[keep]
+            disc *= beta
+        sums[live], times[live], trunc[live] = s, max_steps, True
 
     fork_parts(len(runs), part)
     return SimulationResult(discounted_sums=sums, ruin_times=times, truncated=trunc,

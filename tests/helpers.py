@@ -459,55 +459,51 @@ def reference_simulate(config: ProblemConfig, policy, x0: int, n_paths: int,
                        max_steps: int, y0: float = 0.0):
     """All-paths loop the live-path simulator replaced.
 
-    Every step steps the whole batch, ruined paths included, and masks
-    them out.  Returns (discounted sums, ruin times, truncation flags,
-    utilities), or raises the PolicyUndefined of the first offender.
+    Every step steps every path of every batch, ruined paths included,
+    and masks them out.  Each batch of BATCH paths draws a whole BATCH of
+    doubles per step from its own Generator, and the policy is called once
+    per step on the live paths of all batches together, in path order, as
+    ``simulate_paths`` calls it with one worker.  Returns (discounted
+    sums, ruin times, truncation flags, utilities), or raises the
+    PolicyUndefined of the first offender.
     """
     beta = config.beta
     support = np.array(config.dist.support, dtype=np.int64)
     cum = np.cumsum(np.array(config.dist.probs))
-    sums = np.empty(n_paths)
-    times = np.empty(n_paths, dtype=np.int64)
-    trunc = np.empty(n_paths, dtype=bool)
     base = np.random.Philox(key=config.seed)
-    for b in range(0, n_paths, BATCH):
-        rng = np.random.Generator(base.jumped(b // BATCH))
-        width = min(BATCH, n_paths - b)
-        x = np.full(width, x0, dtype=np.int64)
-        s = np.zeros(width)
-        ruined = x < 0
-        rtime = np.full(width, max_steps, dtype=np.int64)
-        rtime[ruined] = 0
-        disc = 1.0
-        for t in range(max_steps):
-            if ruined.all():
-                break
-            alive = ~ruined
-            a = np.zeros_like(x)
-            idx = np.nonzero(alive)[0]
-            acts = np.asarray(policy(t, x[idx], s[idx]))
-            if not np.issubdtype(acts.dtype, np.integer):
-                raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
-            a[idx] = acts
-            bad = (a[idx] < 0) | (a[idx] > x[idx])
-            if np.any(bad):
-                j = idx[np.nonzero(bad)[0][0]]
-                raise PolicyUndefined(
-                    f"action {a[j]} outside {{0..{x[j]}}} at step {t}, x={x[j]}")
-            s[alive] += disc * a[alive]
-            draws = rng.random(BATCH)[:width]
-            z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
-                                   len(support) - 1)]
-            x_next = x - a + z
-            now_ruined = alive & (x_next < 0)
-            rtime[now_ruined] = t + 1
-            x = np.where(alive, x_next, x)
-            ruined |= now_ruined
-            disc *= beta
-        sums[b:b + width] = s
-        times[b:b + width] = rtime
-        trunc[b:b + width] = ~ruined
-    return sums, times, trunc, utility(config.utility, config.gamma, y0 + sums)
+    rngs = [np.random.Generator(base.jumped(b // BATCH)) for b in range(0, n_paths, BATCH)]
+    x = np.full(n_paths, x0, dtype=np.int64)
+    s = np.zeros(n_paths)
+    ruined = x < 0
+    rtime = np.full(n_paths, max_steps, dtype=np.int64)
+    rtime[ruined] = 0
+    disc = 1.0
+    for t in range(max_steps):
+        if ruined.all():
+            break
+        alive = ~ruined
+        a = np.zeros_like(x)
+        idx = np.nonzero(alive)[0]
+        acts = np.asarray(policy(t, x[idx], s[idx]))
+        if not np.issubdtype(acts.dtype, np.integer):
+            raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
+        a[idx] = acts
+        bad = (a[idx] < 0) | (a[idx] > x[idx])
+        if np.any(bad):
+            j = idx[np.nonzero(bad)[0][0]]
+            raise PolicyUndefined(
+                f"action {a[j]} outside {{0..{x[j]}}} at step {t}, x={x[j]}")
+        s[alive] += disc * a[alive]
+        draws = np.concatenate([rng.random(BATCH) for rng in rngs])[:n_paths]
+        z = support[np.minimum(np.searchsorted(cum, draws, side="right"),
+                               len(support) - 1)]
+        x_next = x - a + z
+        now_ruined = alive & (x_next < 0)
+        rtime[now_ruined] = t + 1
+        x = np.where(alive, x_next, x)
+        ruined |= now_ruined
+        disc *= beta
+    return s, rtime, ~ruined, utility(config.utility, config.gamma, y0 + s)
 
 
 def _reference_ld(x: Fraction) -> np.longdouble:

@@ -46,7 +46,7 @@ def assert_golden(case: str, outdir: Path) -> None:
 def test_cases_cover_every_table_writer():
     assert {c.split(".")[0] for c in CASES} >= {
         "solve-exp", "howard", "solve-power", "solve-log", "solve-neutral", "bands",
-        "oracle-check"}
+        "oracle-check", "simulate"}
 
 
 @pytest.mark.parametrize("case", CASES)

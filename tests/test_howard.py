@@ -1,6 +1,7 @@
 """Policy iteration: convergence to the value-iteration rule, gates, brackets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ def test_non_integer_rule_is_refused(rule):
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
     with pytest.raises(IllegalAction, match="must be integers, got dtype float64"):
         policy_value_exp(cfg, rule)
+
+
+def test_callable_rule_that_does_not_broadcast_is_refused():
+    cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
+    with pytest.raises(IllegalAction, match=re.escape(
+            "rule returned actions of shape (3,) for surplus of shape (4,) at depth 0")):
+        policy_value_exp(cfg, lambda n, x, s: np.zeros(3, dtype=np.int64))
 
 
 def test_rule_shape_checked():

@@ -397,27 +397,50 @@ def test_ragged_block_in_a_child_raises_the_serial_error(tmp_path, monkeypatch):
     assert errors == ["ragged block in t.csv: column sizes [1, 2]"] * 3
 
 
-def out_of_range_late(t, x, s):
-    # only the last, 7-path batch ever has so few live paths at step 3
-    return x + 1 if t == 3 and x.size <= 7 else np.zeros_like(x)
+LATE_STEPS = 60
 
 
-def broken_late(t, x, s):
-    if t == 3 and x.size <= 7:
-        raise InvariantViolation(f"forced at step {t} on {x.size} paths")
-    return np.zeros_like(x)
+def pay_all(t, x, s):
+    return x
 
 
-@pytest.mark.parametrize("policy, code", [(out_of_range_late, 2), (broken_late, 3)])
+def batch_zero_gone() -> int:
+    """The first step at which batch 0 of the simulate job below has no live
+    path under ``pay_all``, read from a passing serial run; batch 1 still
+    has live paths then, so only a later batch's run calls the policy."""
+    body = exp_body()
+    config = make_config(body["utility"], body["distribution"], body["beta"],
+                         body["gamma"], body["x_max"], body["depth"])
+    ends = simulate_paths(config, pay_all, config.x_max, SIM_PATHS,
+                          max_steps=LATE_STEPS).ruin_times
+    step = int(ends[:BATCH].max())
+    assert step < int(ends[BATCH:2 * BATCH].max()) < LATE_STEPS
+    return step
+
+
+def out_of_range_late(step):
+    return lambda t, x, s: x + 1 if t == step else x
+
+
+def broken_late(step):
+    def policy(t, x, s):
+        if t == step:
+            raise InvariantViolation(f"forced at step {t}")
+        return x
+    return policy
+
+
+@pytest.mark.parametrize("late, code", [(out_of_range_late, 2), (broken_late, 3)])
 def test_policy_failing_in_a_late_batch_exits_as_serially(tmp_path, monkeypatch, capsys,
-                                                          policy, code):
+                                                          late, code):
+    step = batch_zero_gone()
     split_everything(monkeypatch)
-    monkeypatch.setattr(cli, "_solve", lambda config: (None, policy))
+    monkeypatch.setattr(cli, "_solve", lambda config: (None, late(step)))
     errors = []
     for threads in (1, 2, 4):
         path = write_config(tmp_path, exp_body(), f"sim{threads}")
         assert cli.main(["simulate", str(path), "--paths", str(SIM_PATHS), "--max-steps",
-                         "20", "--threads", str(threads)]) == code
+                         str(LATE_STEPS), "--threads", str(threads)]) == code
         errors.append(capsys.readouterr().err)
         assert_no_child_left()
-    assert len(set(errors)) == 1 and "at step 3" in errors[0]
+    assert len(set(errors)) == 1 and f"at step {step}" in errors[0]

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,9 @@ def test_ruin_certainty_violation_raises(monkeypatch):
 # cumsum 0.15, 0.44999..., 0.9, 1 - 2^-53: rounded thresholds, and a last
 # one below 1, so the top word needs the reference's clamp to K - 1
 FOUR = {2: 0.1, 1: 0.45, -1: 0.3, -3: 0.15}
+# cumsum 0.5, 1.0, 1.0: the second threshold rounds to 2^53, which no word
+# reaches, so income 2 is never drawn
+ROUNDED = {-1: 0.5, 1: 0.5, 2: 1e-17}
 
 
 @functools.cache
@@ -196,6 +200,7 @@ def stepping_cases():
     three = sized_exp_config({1: 0.5, 0: 0.2, -1: 0.3}, 0.5, -1.0)
     four = sized_exp_config(FOUR, 0.5, -1.0)
     five = sized_exp_config({3: 0.1, 1: 0.4, 0: 0.2, -1: 0.2, -2: 0.1}, 0.5, -1.0)
+    rounded = sized_exp_config(ROUNDED, 0.5, -1.0)
     return {
         "exp": (TINY, solve_exp(TINY)[1]),
         "power": (power, solve_power(power)[1]),  # depends on s
@@ -204,6 +209,7 @@ def stepping_cases():
         "three": (three, solve_exp(three)[1]),
         "four": (four, solve_exp(four)[1]),
         "five": (five, lambda t, x, s: int(x.min())),
+        "rounded": (rounded, solve_exp(rounded)[1]),
     }
 
 
@@ -214,7 +220,12 @@ def stepping_cases():
 @example(case="scalar", x0=3, n_paths=300, max_steps=4, seed=2)
 @example(case="three", x0=1, n_paths=2, max_steps=200, seed=0)
 @example(case="five", x0=5, n_paths=3, max_steps=200, seed=1)
-@given(case=st.sampled_from(["exp", "power", "scalar", "three", "four", "five"]),
+@example(case="rounded", x0=2, n_paths=50, max_steps=200, seed=2)
+# three batches that empty at different steps: the s-reading power rule
+# and the four-point support see one call per step across batches
+@example(case="power", x0=4, n_paths=2 * BATCH + 5, max_steps=200, seed=2)
+@example(case="four", x0=2, n_paths=2 * BATCH + 5, max_steps=200, seed=1)
+@given(case=st.sampled_from(["exp", "power", "scalar", "three", "four", "five", "rounded"]),
        x0=st.integers(0, 5), n_paths=st.sampled_from([1, 2, 3, 50, BATCH + 1]),
        max_steps=st.sampled_from([1, 4, 200]), seed=st.integers(0, 3))
 def test_live_paths_match_all_paths_reference(case, x0, n_paths, max_steps, seed):
@@ -243,6 +254,42 @@ def test_out_of_range_action_names_the_first_offender():
     assert str(got.value) == str(want.value)
 
 
+def test_one_policy_call_per_step_holds_every_live_path():
+    # three batches that empty at different steps: at workers=1 each step is
+    # one call on the live paths of every batch, in path order, exactly as
+    # the all-paths reference calls it
+    cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.8, -3.0, 10, 6)
+    keep_one = lambda t, x, s: np.maximum(x - 1, 0)
+    n_paths = 2 * BATCH + 7
+
+    def recording(calls):
+        def policy(t, x, s):
+            calls.append((t, x.tobytes(), s.tobytes()))
+            return keep_one(t, x, s)
+        return policy
+
+    got, want = [], []
+    result = simulate_paths(cfg, recording(got), 10, n_paths, max_steps=200)
+    reference_simulate(cfg, recording(want), 10, n_paths, 200)
+    ends = [int(result.ruin_times[b:b + BATCH].max()) for b in range(0, n_paths, BATCH)]
+    assert len(set(ends)) == 3 and max(ends) < 200
+    assert [t for t, _, _ in got] == list(range(max(ends)))
+    live = [int(np.sum(result.ruin_times > t)) for t in range(max(ends))]
+    assert [len(x) // 8 for _, x, _ in got] == live
+    assert got == want
+
+
+def test_actions_that_do_not_broadcast_are_refused():
+    with pytest.raises(PolicyUndefined, match=re.escape(
+            "policy returned actions of shape (3,) for surplus of shape (10,) at step 0")):
+        simulate_paths(TINY, lambda t, x, s: np.zeros(3, dtype=np.int64), 2, 10)
+    # a scalar, or a single action, still applies to every path
+    hold = simulate_paths(TINY, lambda t, x, s: np.zeros_like(x), 2, 10, max_steps=3)
+    for ok in (lambda t, x, s: np.int64(0), lambda t, x, s: np.zeros(1, dtype=np.int64)):
+        got = simulate_paths(TINY, ok, 2, 10, max_steps=3)
+        assert got.ruin_times.tobytes() == hold.ruin_times.tobytes()
+
+
 def test_numpy_philox_facts_the_draw_path_rests_on():
     # the simulator reads only the live blocks of a step and maps raw
     # words to incomes itself; both rest on these two properties of numpy
@@ -266,7 +313,7 @@ def incomes_and_words(draw):
     words whose 53-bit part sits at T_j - 1, T_j, T_j + 1, 0 and 2^53 - 1."""
     weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=6))
     probs = tuple(w / math.fsum(weights) for w in weights)
-    edges = [m for t in _income_thresholds(probs).tolist() for m in (t - 1, t, t + 1)]
+    edges = [(t >> 11) + d for t in _income_thresholds(probs).tolist() for d in (-1, 0, 1)]
     tops = [m for m in edges + [0, 2 ** 53 - 1] if 0 <= m < 2 ** 53]
     low = draw(st.integers(0, 2 ** 11 - 1))
     words = [m << 11 | low for m in tops]
@@ -278,6 +325,9 @@ def incomes_and_words(draw):
 @example(probs_words=((0.15, 0.3, 0.45, 0.1),
                       np.array([0, 2 ** 64 - 1], dtype=np.uint64)))
 @example(probs_words=((0.1,) * 10, np.array([2 ** 64 - 1], dtype=np.uint64)))
+# T_1 rounds to 2^53, which no word reaches; kept, T_1 << 11 would wrap to 0
+@example(probs_words=((0.5, 0.5, 1e-17),
+                      np.array([0, 2 ** 63, 2 ** 64 - 1, (2 ** 52 - 1) << 11], dtype=np.uint64)))
 @given(probs_words=incomes_and_words())
 def test_threshold_count_matches_float_search(probs_words):
     probs, words = probs_words
