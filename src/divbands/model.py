@@ -204,9 +204,14 @@ class ProblemConfig:
             raise ValidationError(f"exponential utility needs gamma < 0, got {self.gamma}")
         if self.utility is Utility.POWER and not 0.0 < self.gamma < 1.0:
             raise ValidationError(f"power utility needs gamma in (0,1), got {self.gamma}")
-        if not isinstance(self.x_max, int) or self.x_max < 0:
+        # bool is an int subclass: refused, as the CLI refuses it
+        for key in ("x_max", "depth", "s_grid_points", "seed"):
+            raw = getattr(self, key)
+            if isinstance(raw, bool) or not isinstance(raw, int):
+                raise ValidationError(f"{key} must be an integer, got {raw!r}")
+        if self.x_max < 0:
             raise ValidationError(f"x_max must be a nonnegative integer, got {self.x_max}")
-        if not isinstance(self.depth, int) or self.depth < 1:
+        if self.depth < 1:
             raise ValidationError(f"depth must be a positive integer, got {self.depth}")
         if not self.tail_eps > 0:
             raise ValidationError(f"tail_eps must be positive, got {self.tail_eps}")

@@ -9,13 +9,15 @@ A history reaches the objective only through the extended state (depth,
 surplus x, dividends s), the wealth-augmented state of Bauerle & Rieder,
 so the walk enumerates the reachable states one depth at a time and values
 each once, by backward induction from the horizon, and its optimum is still
-the optimum over every history-dependent plan.
+the optimum over every history-dependent plan.  A leaf (ruined, or at the
+horizon) is a terminal state x = -1 of its depth, keyed by s alone.
 ``Fraction(beta)`` is dyadic, p / 2^k, so a horizon-H tree carries s as
 the integer s * scale, scale = max(2^(k(H-1)), denominator of y0), a power
-of two as ``Fraction(y0)`` is dyadic too.  Leaves are valued a block of
-payouts at a time: (y0 + s) * scale becomes a long double by exact
-power-of-two scaling of two doubles while scale <= 2^1022 and the integer
-fits a double, and by integer division otherwise, the same bits either way.
+of two as ``Fraction(y0)`` is dyadic too.  Each leaf payout is valued once,
+after the states are listed, a block of payouts at a time: (y0 + s) * scale
+becomes a long double by exact power-of-two scaling of two doubles while
+scale <= 2^1022 and the integer fits a double, and by integer division
+otherwise, the same bits either way.
 
 Conventions shared with the solvers:
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from operator import sub
 
 import numpy as np
@@ -44,7 +46,7 @@ from .model import IncomeDistribution, ProblemConfig, Utility, cash, check_y0
 
 NODE_GUARD = 10_000_000  # most node visits of one walk, read at call time
 MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
-_BLOCK = 1 << 14  # most Python ints the oracle walk lists at once
+_BLOCK = 1 << 14  # most payout numbers the payout index lists as Python ints at once
 _LEAF_BLOCK = 1 << 11  # most leaf payouts valued in one array
 
 _LD = np.longdouble
@@ -165,138 +167,104 @@ def _tally(visits: int) -> int:
     return visits
 
 
-def _blocks(n: int, size: int = _BLOCK):
+def _blocks(n: int, size: int):
     """Slices that cover range(n) ``size`` at a time, so that a loop lists
     a bounded number of Python ints at once."""
     return (slice(at, at + size) for at in range(0, n, size))
 
 
 class _Payouts:
-    """Every payout paid = s * scale a walk meets, numbered in one index,
-    and beside it the leaf worth cash(y0 + s) of each payout some leaf holds,
-    evaluated once whatever the leaf's depth, ``_LEAF_BLOCK`` payouts to one
-    ``cash`` call."""
+    """Every payout paid = s * scale a walk meets, numbered in one index."""
 
-    def __init__(self, utility: Utility, gamma: float, base: int, scale: int):
+    def __init__(self):
         self.index = {0: 0}  # paid -> payout number
         self.paid = [0]  # payout number -> paid
-        self.worth = np.zeros(1, _LD)
-        self.valued = np.zeros(1, dtype=bool)
-        self.utility, self.gamma, self.base, self.scale = utility, gamma, base, scale
 
     def add(self, nums: np.ndarray, acts: np.ndarray, pays: list[int]) -> np.ndarray:
-        """The number of paid[p] + pays[a] for each p in ``nums``, a in ``acts``."""
+        """The number of paid[p] + pays[a] for each p in ``nums``, a in ``acts``;
+        a payout not met before takes the next number."""
         index, paid = self.index, self.paid
-        out = []
-        for cut in _blocks(len(nums)):
-            for p, a in zip(nums[cut].tolist(), acts[cut].tolist()):
-                total = paid[p] + pays[a]
-                num = index.setdefault(total, len(paid))
-                if num == len(paid):
-                    paid.append(total)
-                out.append(num)
-        return np.array(out, dtype=np.int32)
-
-    def value(self, nums: np.ndarray) -> None:
-        """Evaluate the leaf worth of each payout in ``nums`` not valued yet,
-        converted by ``_ld_many`` and valued by one ``cash`` call per block."""
-        grow = len(self.paid) - len(self.worth)
-        self.worth = np.concatenate((self.worth, np.zeros(grow, _LD)))
-        self.valued = np.concatenate((self.valued, np.zeros(grow, dtype=bool)))
-        fresh = np.zeros(len(self.paid), dtype=bool)
-        fresh[nums] = True
-        fresh &= ~self.valued
-        self.valued |= fresh
-        fresh = np.flatnonzero(fresh)
-        for cut in _blocks(len(fresh), _LEAF_BLOCK):
-            ns = list(map(self.base.__add__, map(self.paid.__getitem__, fresh[cut].tolist())))
-            self.worth[fresh[cut]] = cash(self.utility, self.gamma, _ld_many(ns, self.scale))
+        out = np.empty(len(nums), dtype=np.int32)
+        for cut in _blocks(len(nums), _BLOCK):
+            out[cut] = [index.setdefault(paid[p] + pays[a], len(index))
+                        for p, a in zip(nums[cut].tolist(), acts[cut].tolist())]
+        paid += reversed([*islice(reversed(index), len(index) - len(paid))])  # the new ones
+        return out
 
 
 def _children(xs: np.ndarray, ps: np.ndarray, owner: np.ndarray, acts: np.ndarray,
               step: int, zs: list[int], book: _Payouts, last: bool):
-    """One depth's children: (child, target, next xs, next ps).
+    """One depth's children: (child, next xs, next ps).
 
-    States (xs, ps) come ordered by payout number, then surplus, and pair
-    j takes action acts[j] at state owner[j].  Each (payout, action) some
-    pair takes gets a slot, and ``target[slot]`` numbers its children's
-    payout; the worth of each payout a leaf of this depth holds is valued.
-    ``child[k]`` is where pair j's child under the k-th income finds its
-    value: its place among the next depth's states, or past them, at
-    len(next states) + slot, the leaf worth of its slot's payout.
+    Pair j takes action acts[j] at the solvent state owner[j] of (xs, ps).
+    Each distinct (payout, action) some pair takes numbers its children's
+    payout in ``book`` once.  The children are the next depth's states,
+    ordered by payout number, then surplus: a ruined child is the terminal
+    state (-1, payout), and at the last depth every child is the terminal
+    state of its payout.  ``child[k, j]`` is the place, among them, of pair
+    j's child under the k-th income.
     """
-    first = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])  # each payout's first state
-    width = np.maximum.reduceat(acts, np.searchsorted(owner, first)) + 1
-    offset = np.cumsum(width) - width
-    slot = np.repeat(offset, np.diff(np.r_[first, len(xs)]))[owner] + acts
-    taken = np.zeros(int(offset[-1] + width[-1]), dtype=bool)
-    taken[slot] = True
-    slot = (np.cumsum(taken, dtype=np.int32) - 1)[slot]
-    live = np.flatnonzero(taken)
-    del taken  # each depth's temporaries go before the payout index grows
-    group = np.searchsorted(offset, live, side="right") - 1
-    live -= offset[group]  # each slot's action
-    target = book.add(ps[first[group]], live, [step * a for a in range(int(width.max()))])
-    del live, group
-    post = xs[owner] - acts  # surplus after the dividend
-    book.value(target if last else target[slot[post + zs[0] < 0]])
-    if last:
-        return np.broadcast_to(slot, (len(zs), len(slot))), target, xs[:0], ps[:0]
-    span = int(xs.max()) + max(zs[-1], 0) + 1
-    key = target[slot].astype(np.int64) * span + post
-    solvent = [post + z >= 0 for z in zs]
-    states, found = np.unique(np.concatenate([key[ok] + z for z, ok in zip(zs, solvent)]),
+    width = int(acts.max()) + 1
+    pairs, slot = np.unique(ps[owner].astype(np.int64) * width + acts, return_inverse=True)
+    target = book.add(pairs // width, pairs % width, [step * a for a in range(width)])[slot]
+    del pairs, slot  # each depth's temporaries go before the next depth's arrays
+    if last:  # one terminal state per payout reached, numbered without a sort
+        reached = np.zeros(len(book.paid), dtype=bool)
+        reached[target] = True
+        child = (np.cumsum(reached, dtype=np.int32) - 1)[target]
+        next_ps = np.flatnonzero(reached).astype(np.int32)
+        return np.broadcast_to(child, (len(zs), len(child))), np.full(len(next_ps), -1), next_ps
+    span = int(xs.max()) + max(zs[-1], 0) + 2
+    base = target.astype(np.int64) * span  # the key of the payout's terminal state
+    key = base + (xs[owner] - acts + 1)  # + the surplus after the dividend, + 1
+    states, child = np.unique(np.concatenate([np.maximum(key + z, base) for z in zs]),
                               return_inverse=True)
-    child = np.empty((len(zs), len(slot)), dtype=np.int32)
-    at = 0
-    for row, ok in zip(child, solvent):
-        row[:] = slot + len(states)
-        row[ok] = found[at:at + np.count_nonzero(ok)]
-        at += np.count_nonzero(ok)
-    return child, target, states % span, (states // span).astype(np.int32)
+    return (child.reshape(len(zs), -1).astype(np.int32), states % span - 1,
+            (states // span).astype(np.int32))
 
 
 def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy) -> OracleTree:
     """Backward induction over the outcome tree, one depth at a time.
 
-    The forward pass lists each depth's reachable states (x, paid), paid =
-    s * scale, and their (state, action) pairs.  With ``policy`` None a
+    Every node of the walk is a state (x, paid) of its depth, paid = s *
+    scale.  A state with x < 0 is terminal, keyed by its payout alone: a
+    ruined child, every child at the horizon, and a root with x0 < 0 or
+    horizon 0.  The forward pass lists each depth's reachable states and
+    the (state, action) pairs of its solvent ones.  With ``policy`` None a
     solvent state tries every dividend 0..x; else it takes policy(depth,
     x, s), s the exact Fraction, asked once per state.  A child's payout
     takes one integer add per distinct (payout, action) and is numbered in
-    one payout index; a leaf's worth depends on its payout alone, so it is
-    evaluated once per payout and kept beside the index.  The backward
-    pass forms every pair's expectation in long double, income terms added
-    to 0 in ascending z, and keeps each state's best (minimized for
-    exponential objectives, maximized otherwise), ties going to the larger
-    action: the operations of a recursive walk that caches every state, so
-    its values bit for bit.  Each depth's arrays are freed as the backward
-    pass consumes them.  Raises TooLarge past ``NODE_GUARD`` node visits,
-    1 + the sum over states of |actions| * |Z|, checked before a depth's
-    pairs are formed.
+    one payout index.  A terminal state is worth cash(y0 + s), which
+    depends on its payout alone, so after the forward pass each payout some
+    terminal state holds is valued once, ``_LEAF_BLOCK`` payouts to one
+    ``cash`` call.  The backward pass forms every pair's expectation in
+    long double, income terms added to 0 in ascending z, and keeps each
+    solvent state's best (minimized for exponential objectives, maximized
+    otherwise), ties going to the larger action: the operations of a
+    recursive walk that caches every state, so its values bit for bit.
+    Each depth's arrays are freed as the backward pass consumes them.
+    Raises TooLarge past ``NODE_GUARD`` node visits, 1 + the sum over
+    solvent states of |actions| * |Z|, checked before a depth's pairs are
+    formed.
     """
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
     y0 = check_y0(config.utility, y0)
-    utility, gamma = config.utility, config.gamma
     probs = exact_probabilities(config.dist)
     terms = [(z, _ld(q.numerator, q.denominator)) for z, q in sorted(probs.items())]
     zs = [z for z, _ in terms]
     beta, y0_frac = Fraction(config.beta), Fraction(y0)
     scale = max(beta.denominator ** max(horizon - 1, 0), y0_frac.denominator)
-    base = int(y0_frac * scale)
     tree = OracleTree(config=config, y0=y0_frac, x0=x0, horizon=horizon, scale=scale,
                       decisions={})
     visits = _tally(1)  # the root
-    if x0 < 0 or horizon == 0:
-        tree.value = float(cash(utility, gamma, _ld(base, scale)))
-        return tree
 
-    book = _Payouts(utility, gamma, base, scale)
+    book = _Payouts()
     levels = []
-    xs, ps = np.array([x0]), np.zeros(1, dtype=np.int32)
-    for depth in range(horizon):
-        counts = xs + 1 if policy is None else np.ones_like(xs)
+    xs, ps = np.array([max(x0, -1) if horizon else -1]), np.zeros(1, dtype=np.int32)
+    while xs.max() >= 0:
+        depth, live = len(levels), xs >= 0
+        counts = xs + 1 if policy is None else live.astype(np.int64)  # 0 at x = -1
         visits = _tally(visits + int(counts.sum()) * len(zs))
         starts = np.cumsum(counts) - counts
         owner = np.repeat(np.arange(len(xs), dtype=np.int32), counts)
@@ -304,32 +272,44 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
             acts = (np.arange(len(owner)) - starts[owner]).astype(np.int32)
         else:
             acts = np.array([_action(policy, depth, x, Fraction(book.paid[p], scale))
-                             for x, p in zip(xs.tolist(), ps.tolist())], dtype=np.int32)
+                             for x, p in zip(xs[live].tolist(), ps[live].tolist())],
+                            dtype=np.int32)
         step = beta.numerator ** depth * scale // beta.denominator ** depth
-        child, target, next_xs, next_ps = _children(xs, ps, owner, acts, step, zs, book,
-                                                    depth + 1 == horizon)
-        paid = [book.paid[p] for cut in _blocks(len(ps)) for p in ps[cut].tolist()]
-        levels.append((xs.tolist(), paid, starts, owner, acts, child, target))
+        child, next_xs, next_ps = _children(xs, ps, owner, acts, step, zs, book,
+                                            depth + 1 == horizon)
+        levels.append((xs, ps, starts[live], owner, acts, child))
         xs, ps = next_xs, next_ps
-        if not len(xs):
-            break
-    worth = book.worth
-    del book  # the states' payouts stay, in their levels
+    paid = book.paid
+    del book  # the payout index; the payouts stay
 
-    best_of = np.minimum if utility is Utility.EXPONENTIAL else np.maximum
-    val = np.zeros(0, _LD)
+    leaf = np.zeros(len(paid), dtype=bool)
+    leaf[ps] = True  # the last depth's states, all terminal
+    for level_xs, level_ps, *_ in levels:
+        leaf[level_ps[level_xs < 0]] = True
+    leaf = np.flatnonzero(leaf)
+    worth = np.zeros(len(paid), _LD)
+    base = int(y0_frac * scale)
+    for cut in _blocks(len(leaf), _LEAF_BLOCK):
+        ns = [base + paid[p] for p in leaf[cut].tolist()]
+        worth[leaf[cut]] = cash(config.utility, config.gamma, _ld_many(ns, scale))
+    del leaf
+
+    best_of = np.minimum if config.utility is Utility.EXPONENTIAL else np.maximum
+    val = worth[ps]
     while levels:
-        xs, paid, starts, owner, acts, child, target = levels.pop()
-        known = np.concatenate((val, worth[target]))
+        xs, ps, starts, owner, acts, child = levels.pop()
         acc, term = np.zeros(len(acts), _LD), np.empty(len(acts), _LD)
         for (_, q), row in zip(terms, child):
-            np.take(known, row, out=term)
+            np.take(val, row, out=term)
             term *= q
             acc += term
-        val = best_of.reduceat(acc, starts)
+        val, live = worth[ps], xs >= 0  # a terminal state's worth, or its best below
+        val[live] = best_of.reduceat(acc, starts)
         best = np.maximum.reduceat(np.where(acc == np.take(val, owner, out=term), acts, -1),
                                    starts)
-        tree.decisions.update(zip(zip(repeat(len(levels)), xs, paid), best.tolist()))
+        keys = zip(repeat(len(levels)), xs[live].tolist(),
+                   map(paid.__getitem__, ps[live].tolist()))
+        tree.decisions.update(zip(keys, best.tolist()))
     tree.value = float(val[0])
     return tree
 

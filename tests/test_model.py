@@ -76,6 +76,14 @@ def test_distribution_moments():
     (dict(s_grid_points=1), "s_grid_points"),
     (dict(tail_eps=math.inf), "tail_eps must be finite"),
     (dict(gamma=-math.inf), "gamma must be finite"),
+    (dict(s_grid_points=8.5), "s_grid_points must be an integer"),
+    (dict(s_grid_points=64.0), "s_grid_points must be an integer"),
+    (dict(s_grid_points=True), "s_grid_points must be an integer"),
+    (dict(seed=1.5), "seed must be an integer"),
+    (dict(seed=3.0), "seed must be an integer"),
+    (dict(seed=False), "seed must be an integer"),
+    (dict(x_max=True), "x_max must be an integer"),
+    (dict(depth=True), "depth must be an integer"),
 ])
 def test_config_field_validation(kw, msg):
     base = dict(beta=0.5, gamma=-1.0, x_max=4, depth=3)

@@ -344,6 +344,22 @@ def test_walk_frees_its_memo():
     assert held < 64 * 1024
 
 
+def test_payout_numbers_are_listed_a_block_at_a_time(monkeypatch):
+    # numbering 300,000 (payout, action) slots holds their int32 numbers and
+    # at most _BLOCK of them as Python ints, not one 300,000-entry list
+    monkeypatch.setattr(oracle, "_BLOCK", 1024)
+    book = oracle._Payouts()
+    nums, acts = np.zeros(300_000, dtype=np.int32), np.ones(300_000, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        out = book.add(nums, acts, [0, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.int32 and np.all(out == 1) and book.paid == [0, 5]
+    assert peak < out.nbytes + 128 * 1024
+
+
 def test_each_leaf_payout_is_valued_once(monkeypatch):
     # a leaf is worth cash(y0 + s) whatever its depth and surplus: on the
     # README instance at x0 4, horizon 7, 24,116 leaf visits share 13,260
