@@ -9,8 +9,13 @@ deterministic.  CSVs are built from blocks of rows (a depth, or one
 (d, x) row over the s-grid), streamed in chunks of whole blocks of at
 least ``CHUNK_ROWS`` rows, and each chunk is formatted a column at a
 time: array cells read as repr writes floats (shortest round-trip form)
-and str writes integers, while labels and per-block constants are
-formatted once per block; the bytes equal a per-cell rendering.  A
+and str writes integers, and labels are formatted once.  A column that
+is a scalar in every block of a chunk (solve-exp's n, theta, xi and
+band_cuts; solve-power's d and x) is formatted once per block and glued
+to the separators on both sides, so a file's row is a fixed run of glue
+and cell slots; a chunk of a file is one flat list, filled a slot at a
+time by strided slice assignment, and one join.  The bytes equal a
+per-cell rendering.  A
 ``policy.csv`` whose columns are all in its ``values.csv`` (solve-exp,
 solve-power, solve-log) is a projection written in the same pass, from
 the same cells.  An array column must be
@@ -47,6 +52,8 @@ import shutil
 import sys
 import tempfile
 from contextlib import ExitStack
+from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +72,15 @@ from .simulate import simulate_paths
 # Fewest cells, rows x columns summed over the files of one ``_write_csv``
 # call, whose emission is split over processes.  A two-way split costs
 # about 5 ms on a 2-vCPU Xeon VM (a fork and reap, the temp files and the
-# appends), while chunked formatting costs about 55-90 ns per cell (a
-# projected file's cells are only joined) and 115 ns on howard's
-# values.csv.  Split in two (medians of 41 alternating runs on bandy's
-# solve-exp tables and the seed-0 power tables, cut to their first
-# blocks), values.csv with its policy.csv broke even at about 280,000
-# cells for solve-exp and 300,000-340,000 for solve-power, and howard's
-# 126,075-cell values.csv lost 1.6 ms.  Below the gate, files are cheaper
-# to write here alone.
+# appends), while the glued chunk writer costs about 55-70 ns per cell
+# written to files (37-38 ns of it formatting and joining) and 120 ns on
+# howard's values.csv.  Split in two (medians of 31-41 alternating runs
+# on bandy's solve-exp tables and the seed-0 power tables, cut to their
+# first blocks), values.csv with its policy.csv lost at 300,000 cells and
+# won from 600,000-800,000 on, for this writer and the per-row writer
+# before it alike: the crossing, between 450,000 and 600,000 on that VM
+# (280,000-340,000 when first measured), did not move with the writer, so
+# the gate stays.  howard's 126,075-cell values.csv lost 2-4 ms split.
 SPLIT_CELLS = 300_000
 
 # Fewest rows formatted together: consecutive blocks are gathered into
@@ -142,13 +150,14 @@ def load_config(path: str | Path) -> tuple[ProblemConfig, Path]:
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}")
     try:
-        raw = yaml.safe_load(text)
+        # libyaml's parser where PyYAML has it, with the same safe constructor
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigParse(f"invalid YAML in {path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigParse(f"config {path} must be a YAML mapping")
 
-    unknown = sorted(set(raw) - CONFIG_KEYS)
+    unknown = sorted(map(str, set(raw) - CONFIG_KEYS))  # keys may be ints, bools, ...
     if unknown:
         raise ConfigParse(f"unknown config keys: {', '.join(unknown)}")
     missing = sorted(REQUIRED_KEYS - set(raw))
@@ -216,10 +225,14 @@ def _cells(column):
     return repr(float(column)) if isinstance(column, float) else str(column)
 
 
+def _sized(entry) -> bool:
+    """Whether a block's entry holds one cell per row (a list or an array)."""
+    return isinstance(entry, list) or isinstance(entry, np.ndarray) and entry.ndim > 0
+
+
 def _block_rows(name: str, block) -> int:
     """Rows of a block: its list and array columns' common length, else 1."""
-    sizes = {len(c) for c in block
-             if isinstance(c, list) or isinstance(c, np.ndarray) and c.ndim} or {1}
+    sizes = {len(c) for c in block if _sized(c)} or {1}
     if len(sizes) > 1:
         raise ValueError(f"ragged block in {name}: column sizes {sorted(sizes)}")
     return sizes.pop()
@@ -252,16 +265,56 @@ def _column(entries, rows) -> list[str]:
     return cells
 
 
+def _row_slots(cols, glued, keep, nblocks: int) -> list[tuple[bool, list[str]]]:
+    """One file's row as (is_glue, strings) slots in order: cell columns,
+    and between them glue, one string a block, that merges the glued
+    (scalar) columns with the separators on both sides; the last glue ends
+    the row."""
+    slots, glue = [], [""] * nblocks
+    for i, j in enumerate(keep):
+        if i:
+            glue = [g + "," for g in glue]
+        if glued[j]:
+            glue = [g + c for g, c in zip(glue, cols[j])]
+            continue
+        if i:
+            slots.append((True, glue))
+        slots.append((False, cols[j]))
+        glue = [""] * nblocks
+    slots.append((True, [g + "\n" for g in glue]))
+    return slots
+
+
 def _write_blocks(outs, columns, items) -> None:
     """Format (block, rows) items a chunk at a time and write each chunk's
-    rows to every file, ``outs[k]`` getting the columns ``columns[k]``."""
+    rows to every file, ``outs[k]`` getting the columns ``columns[k]``.
+
+    A column that is a scalar in every block of the chunk is formatted
+    once a block and glued to its separators (``_row_slots``); each file's
+    rows are one flat list, filled a slot at a time by strided slice
+    assignment, a glue string repeated down its block, and joined once.
+    """
     for chunk in _chunks(items):
         blocks, rows = zip(*chunk)
-        if not sum(rows):
+        total = sum(rows)
+        if not total:
             continue
-        cols = [_column(entries, rows) for entries in zip(*blocks)]
+        cols, glued = [], []
+        for entries in zip(*blocks):
+            glued.append(not any(map(_sized, entries)))
+            cols.append(list(map(_cells, entries)) if glued[-1] else _column(entries, rows))
         for out, keep in zip(outs, columns):
-            out.write("\n".join(map(",".join, zip(*[cols[j] for j in keep]))) + "\n")
+            slots = _row_slots(cols, glued, keep, len(blocks))
+            width = len(slots)
+            flat = [""] * (width * total)
+            for k, (is_glue, strings) in enumerate(slots):
+                if not is_glue:
+                    flat[k::width] = strings
+                elif strings.count(strings[0]) == len(strings):  # the same in every block
+                    flat[k::width] = [strings[0]] * total
+                else:
+                    flat[k::width] = list(chain.from_iterable(map(repeat, strings, rows)))
+            out.write("".join(flat))
 
 
 def _write_csv(path: Path, header: list[str], blocks, threads: int,
@@ -334,8 +387,8 @@ def _write_summary(outdir: Path, config: ProblemConfig, fields: dict) -> None:
             "utility": config.utility.value,
             "distribution": {str(k): p for k, p in config.dist.items()}}
     with open(outdir / "summary.json", "w", newline="") as fh:
-        json.dump({"config": echo, **fields}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # one write: json.dump writes token by token
+        fh.write(json.dumps({"config": echo, **fields}, indent=2, sort_keys=True) + "\n")
 
 
 def _solve(config: ProblemConfig, **kw):
@@ -556,6 +609,7 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 
+@cache  # built once per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divbands",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -195,6 +196,11 @@ class ProblemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bool is an int subclass: refused, as the CLI refuses it
+        for key in ("beta", "gamma", "tail_eps"):
+            raw = getattr(self, key)
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                raise ValidationError(f"{key} must be a real number, got {raw!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValidationError(f"beta must be in (0,1), got {self.beta}")
         for key in ("gamma", "tail_eps"):
@@ -204,7 +210,6 @@ class ProblemConfig:
             raise ValidationError(f"exponential utility needs gamma < 0, got {self.gamma}")
         if self.utility is Utility.POWER and not 0.0 < self.gamma < 1.0:
             raise ValidationError(f"power utility needs gamma in (0,1), got {self.gamma}")
-        # bool is an int subclass: refused, as the CLI refuses it
         for key in ("x_max", "depth", "s_grid_points", "seed"):
             raw = getattr(self, key)
             if isinstance(raw, bool) or not isinstance(raw, int):

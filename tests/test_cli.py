@@ -28,6 +28,8 @@ from divbands.model import ProblemConfig, Utility, validate_distribution
 from divbands.power_solver import xi_star_bound
 from helpers import split_everything
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def write_config(tmp_path, body, name="cfg.yaml"):
     path = tmp_path / name
@@ -142,6 +144,7 @@ def test_load_config_preset_expansion(tmp_path):
     lambda b: b.update(distribution={"a": 0.5, -1: 0.5}),      # str offset
     lambda b: b.update(distribution=[1, -1]),                  # not a mapping
     lambda b: b.update(s_grid_points=2.5),
+    lambda b: b.update({1: 2, "foo": 3}),                      # unknown keys of two types
 ])
 def test_load_config_rejects(tmp_path, mutate):
     body = exp_body(tmp_path)
@@ -163,6 +166,50 @@ def test_load_config_rejects_bad_presets(tmp_path, preset):
     body["distribution_preset"] = preset
     with pytest.raises(ConfigParse):
         cli.load_config(write_config(tmp_path, body))
+
+
+def test_unknown_keys_of_two_types_exit_two(tmp_path, capsys):
+    path = write_config(tmp_path, exp_body(tmp_path, **{"foo": 3, "2": 0}) | {1: 2})
+    assert cli.main(["solve-exp", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: 1, 2, foo\n"
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()))
+def test_config_loader_reads_as_the_safe_loader(monkeypatch, case):
+    # the CLI may load with libyaml's parser; it must build the same dict
+    path = GOLDEN / case / "config.yaml"
+    loaded, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: loaded.append(
+        (Loader, load(text, Loader=Loader))) or loaded[-1][1])
+    cli.load_config(path)
+    assert loaded == [(getattr(yaml, "CSafeLoader", yaml.SafeLoader),
+                       load(path.read_text(), Loader=yaml.SafeLoader))]
+
+
+@pytest.mark.parametrize("text", [
+    "a: [unclosed\n",
+    "a: 1\n\tb: 2\n",                   # a tab where indentation is due
+    "a: *nowhere\n",                     # undefined alias
+    "a: !!python/object/apply:os.getcwd []\n",  # no Python objects in a safe load
+    "a: 1\n- 2\n",
+])
+def test_broken_yaml_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli.main(["solve-exp", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid YAML in {path}: ")
+
+
+def test_parser_is_built_once_and_keeps_no_flags(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    path = write_config(tmp_path, exp_body(tmp_path))
+    assert cli.main(["oracle-check", str(path), "--x0", "3", "--horizon", "5"]) == 0
+    first = read_summary(tmp_path)
+    assert (first["horizon"], [c["x0"] for c in first["checks"]]) == (5, [3])
+    # the second call sees the defaults, not the first call's flags
+    assert cli.main(["oracle-check", str(path)]) == 0
+    second = read_summary(tmp_path)
+    assert (second["horizon"], [c["x0"] for c in second["checks"]]) == (3, [0, 1, 2, 3])
 
 
 def test_load_config_rejects_broken_files(tmp_path):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import divbands.cli as cli
@@ -262,6 +262,73 @@ def test_ragged_block_past_a_chunk_is_rejected(tmp_path, monkeypatch, threads):
     with pytest.raises(ValueError, match=re.escape("ragged block in t.csv: column sizes [2, 3]")):
         cli._write_csv(tmp_path / "t.csv", ["k", "lab", "i", "f", "c"], blocks, threads,
                        also=((tmp_path / "p.csv", ["k"]),))
+
+
+# -- glued rows: per-block scalars merged with their separators ----------------
+
+CELL_TEXT = st.text("abz;_-.09", max_size=3)
+CELL_FLOATS = st.floats() | st.sampled_from(
+    [1e-5, -2.5e-7, 1e16, -1e300, 5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf])
+GLUE_SCALARS = st.one_of(
+    st.integers(-10**20, 10**20), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    CELL_TEXT, CELL_FLOATS, CELL_FLOATS.map(np.float64))
+
+
+def _sized_entry(n: int):
+    """A list of labels, or an int or float array, of ``n`` cells."""
+    return st.one_of(
+        st.lists(CELL_TEXT, min_size=n, max_size=n),
+        st.sampled_from([np.int64, np.int32, np.uint8]).flatmap(lambda t: st.lists(
+            st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)), min_size=n, max_size=n)
+            .map(lambda v: np.array(v, dtype=t))),
+        st.lists(CELL_FLOATS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)))
+
+
+@st.composite
+def glue_tables(draw):
+    """(width, blocks, chunk rows, projections): each column is a scalar in every
+    block or drawn per block, so chunks see a column all-scalar in one and
+    sized in the next; blocks of 0 to 4 rows, or scalars only."""
+    width = draw(st.integers(1, 5))
+    always = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 4))
+        blocks.append(tuple(draw(GLUE_SCALARS if always[j] or draw(st.booleans())
+                                 else _sized_entry(n)) for j in range(width)))
+    projections = draw(st.lists(st.permutations(range(width)).flatmap(
+        lambda order: st.integers(1, width).map(lambda k: order[:k])), max_size=3))
+    return width, blocks, draw(st.integers(1, 6)), projections
+
+
+# chunks of 2 rows: the middle column is all-scalar in the first chunk, an
+# array in the second; the projections are all scalars, or begin or end with one
+GLUE_EXAMPLE = (3, [(0, "a", np.array([1.5])), (1, 2.5e-7, np.array([-0.0])),
+                 (2, np.array([3, 4]), np.array([math.nan, 1e16])), (3, "z", "only"),
+                 (4, [], np.zeros(0))],
+                2, [[0], [0, 2], [2, 0], [2, 1], [1, 0, 2]])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(glue_tables())
+@example(GLUE_EXAMPLE)
+def test_glued_rows_equal_per_cell_rendering(monkeypatch, threads, table):
+    split_everything(monkeypatch)
+    width, blocks, chunk_rows, projections = table
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    header = [f"c{j}" for j in range(width)]
+    rows = reference_rows(blocks)
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work)
+        also = tuple((out / f"p{i}.csv", [header[j] for j in keep])
+                     for i, keep in enumerate(projections))
+        cli._write_csv(out / "t.csv", header, blocks, threads, also=also)
+        for path, head in ((out / "t.csv", header), *also):
+            keep = [header.index(h) for h in head]
+            lines = [",".join(head)] + [",".join(r[j] for j in keep) for r in rows]
+            assert path.read_bytes().decode() == "\n".join(lines) + "\n", (path.name, blocks)
 
 
 if __name__ == "__main__":

@@ -84,6 +84,14 @@ def test_distribution_moments():
     (dict(seed=False), "seed must be an integer"),
     (dict(x_max=True), "x_max must be an integer"),
     (dict(depth=True), "depth must be an integer"),
+    (dict(beta="0.9"), "beta must be a real number"),
+    (dict(beta=True), "beta must be a real number"),
+    (dict(beta=None), "beta must be a real number"),
+    (dict(gamma="-1"), "gamma must be a real number"),
+    (dict(gamma=False), "gamma must be a real number"),
+    (dict(gamma=-1 + 0j), "gamma must be a real number"),
+    (dict(tail_eps="1e-8"), "tail_eps must be a real number"),
+    (dict(tail_eps=True), "tail_eps must be a real number"),
 ])
 def test_config_field_validation(kw, msg):
     base = dict(beta=0.5, gamma=-1.0, x_max=4, depth=3)
