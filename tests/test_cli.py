@@ -179,8 +179,12 @@ def test_config_loader_reads_as_the_safe_loader(monkeypatch, case):
     # the CLI may load with libyaml's parser; it must build the same dict
     path = GOLDEN / case / "config.yaml"
     loaded, load = [], yaml.load
-    monkeypatch.setattr(yaml, "load", lambda text, Loader: loaded.append(
-        (Loader, load(text, Loader=Loader))) or loaded[-1][1])
+
+    def spy(text, Loader):
+        loaded.append((Loader, load(text, Loader=Loader)))
+        return loaded[-1][1]
+
+    monkeypatch.setattr(yaml, "load", spy)
     cli.load_config(path)
     assert loaded == [(getattr(yaml, "CSafeLoader", yaml.SafeLoader),
                        load(path.read_text(), Loader=yaml.SafeLoader))]
