@@ -22,7 +22,14 @@ the same cells.  An array column must be
 1-D float64 or integer, and is written in one orjson call, which gives
 those same bytes except for floats repr puts in exponent form (nonzero
 |v| < 1e-4, or |v| >= 1e16) and nan/inf; those few go through repr.
-Any other array is refused with TypeError.  JSON keys are sorted,
+Any other array is refused with TypeError.  summary.json is
+``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte, but its
+lists of flat records (the per-x ``values`` of solve-exp, solve-power,
+solve-log and solve-neutral, the ``bands`` of bands, the ``checks`` of
+oracle-check) come as columns and are written a column at a time like a
+CSV chunk: numeric columns through the same cells (with json's NaN and
+Infinity), every other cell through ``json.dumps``, the keys and their
+indentation as glue between them, and one join.  JSON keys are sorted,
 newlines are always "\\n", and the solvers are fixed-order numpy code,
 so re-running a command reproduces its files byte for byte.
 
@@ -70,18 +77,18 @@ from .power_solver import barrier_diagnostics, solve_log, solve_power
 from .simulate import simulate_paths
 
 # Fewest cells, rows x columns summed over the files of one ``_write_csv``
-# call, whose emission is split over processes.  A two-way split costs
-# about 5 ms on a 2-vCPU Xeon VM (a fork and reap, the temp files and the
-# appends), while the glued chunk writer costs about 55-70 ns per cell
-# written to files (37-38 ns of it formatting and joining) and 120 ns on
-# howard's values.csv.  Split in two (medians of 31-41 alternating runs
-# on bandy's solve-exp tables and the seed-0 power tables, cut to their
-# first blocks), values.csv with its policy.csv lost at 300,000 cells and
-# won from 600,000-800,000 on, for this writer and the per-row writer
-# before it alike: the crossing, between 450,000 and 600,000 on that VM
-# (280,000-340,000 when first measured), did not move with the writer, so
-# the gate stays.  howard's 126,075-cell values.csv lost 2-4 ms split.
-SPLIT_CELLS = 300_000
+# call, whose emission is split over processes: the serial/split crossing.
+# A two-way split costs about 5 ms on a 2-vCPU Xeon VM (a fork and reap,
+# the temp files and the appends), while the glued chunk writer costs about
+# 55-70 ns per cell written to files (37-38 ns of it formatting and
+# joining) and 120 ns on howard's values.csv.  Split in two (three rounds
+# of medians of 41-61 alternating runs on that VM, bandy's solve-exp tables
+# and the seed-0 power tables, values.csv with its policy.csv, cut to their
+# first blocks), the split lost 0.9-4.1 ms at 300,000 cells in 5 of 6
+# medians, was mixed at 450,000 and 500,000, and won at 600,000 in 5 of 6
+# and at 800,000 in 4 of 4.  No benchmark job writes between 240,000 and
+# 920,000 cells.
+SPLIT_CELLS = 500_000
 
 # Fewest rows formatted together: consecutive blocks are gathered into
 # chunks of at least this many rows, so a column's fixed cost (about 7 us
@@ -381,14 +388,64 @@ def _write_neutral_band(outdir: Path, sol) -> BandFunction:
     return band
 
 
-def _write_summary(outdir: Path, config: ProblemConfig, fields: dict) -> None:
-    """Write summary.json: a command's fields beside the echo of its config."""
+# json's spelling of the floats repr writes as nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(column) -> list[str]:
+    """Each entry of a record column as ``json.dumps`` writes it: a 1-D
+    float64 or integer array through ``_cells`` (repr-exact, with json's
+    spelling of nan and +-inf), any other sequence entry by entry."""
+    if not isinstance(column, np.ndarray):
+        return list(map(json.dumps, column))
+    cells = _cells(column)
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[i] = _JSON_NONFINITE[cells[i]]
+    return cells
+
+
+def _json_records(columns: dict) -> str:
+    """A top-level field's list of flat records, given as equal-length
+    columns keyed by field (at least one), as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes it inside the top-level object.
+
+    Like a CSV chunk, the records are one flat list of glue (the keys with
+    their indentation and separators, the same in every record) and cells,
+    filled a column at a time by strided slice assignment, and one join.
+    """
+    keys = sorted(columns)
+    cells = [_json_cells(columns[key]) for key in keys]
+    rows, width = len(cells[0]), 2 * len(keys)
+    if not rows:
+        return "[]"
+    flat = [""] * (width * rows)
+    for i, (key, col) in enumerate(zip(keys, cells)):
+        lead = ",\n      " if i else "\n    },\n    {\n      "
+        flat[2 * i::width] = [f"{lead}{json.dumps(key)}: "] * rows
+        flat[2 * i + 1::width] = col
+    flat[0] = flat[0].removeprefix("\n    },")  # the first record opens the list
+    return "[" + "".join(flat) + "\n    }\n  ]"
+
+
+def _write_summary(outdir: Path, config: ProblemConfig, fields: dict,
+                   records: dict | None = None) -> None:
+    """Write summary.json: a command's fields beside the echo of its config.
+
+    ``records`` maps a field to its list of flat records, given as columns
+    (``_json_records``).  The file is ``json.dumps(doc, indent=2,
+    sort_keys=True)`` of the whole document; each other top-level field is
+    dumped on its own and re-indented.
+    """
     echo = {**{key: getattr(config, key) for key in _NUMERIC_KEYS},
             "utility": config.utility.value,
             "distribution": {str(k): p for k, p in config.dist.items()}}
+    parts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+             for key, value in {"config": echo, **fields}.items()}
+    parts.update((key, _json_records(columns)) for key, columns in (records or {}).items())
+    body = ",\n".join(f"  {json.dumps(key)}: {parts[key]}" for key in sorted(parts))
     with open(outdir / "summary.json", "w", newline="") as fh:
-        # one write: json.dump writes token by token
-        fh.write(json.dumps({"config": echo, **fields}, indent=2, sort_keys=True) + "\n")
+        fh.write("{\n" + body + "\n}\n")
 
 
 def _solve(config: ProblemConfig, **kw):
@@ -417,25 +474,21 @@ def _cmd_solve_exp(config: ProblemConfig, outdir: Path, args) -> int:
                 for n in range(config.depth)), args.threads,
                also=((outdir / "policy.csv", ["n", "x", "action"]),))
 
-    gamma = config.gamma
-    values = []
-    for x in range(config.x_max + 1):
-        lo, hi = table.value_bracket(0, x)
-        values.append({
-            "x": x,
-            "j_lo": lo,
-            "j_hi": hi,
-            "expected_utility_lo": hi / gamma,
-            "expected_utility_hi": lo / gamma,
-            "certainty_equivalent": certainty_equivalent(config.utility, gamma,
-                                                         hi / gamma),
-        })
+    gamma, lo, hi = config.gamma, table.lo[0], table.hi[0]
+    utility_lo = hi / gamma
     _write_summary(outdir, config, {
         "s_star": sched.s_star,
         "required_cap": sched.cap,
-        "max_depth0_width": float(np.max(table.hi[0] - table.lo[0])),
-        "values": values,
-    })
+        "max_depth0_width": float(np.max(hi - lo)),
+    }, records={"values": {
+        "x": np.arange(config.x_max + 1),
+        "j_lo": lo,
+        "j_hi": hi,
+        "expected_utility_lo": utility_lo,
+        "expected_utility_hi": lo / gamma,
+        "certainty_equivalent": np.array([certainty_equivalent(config.utility, gamma, u)
+                                          for u in utility_lo.tolist()]),
+    }})
     return 0
 
 
@@ -474,18 +527,15 @@ def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
     _write_csv(outdir / "bands.csv", ["d", "s", "xi_of_s"],
                ((d, ss, xi[d]) for d in range(config.depth)), args.threads)
 
-    gamma = config.gamma
-    values = []
-    for x in range(config.x_max + 1):
-        lo, hi = table.value_bracket(0, x, s0)
-        values.append({"x": x, "j_hat_lo": lo, "j_hat_hi": hi,
-                       "certainty_equivalent": certainty_equivalent(
-                           config.utility, gamma, lo)})
+    lo, hi = np.array([table.value_bracket(0, x, s0) for x in range(config.x_max + 1)]).T
     _write_summary(outdir, config, {
         "barrier_bound": report.bound,
         "initial_payout_level": s0,
-        "values": values,
-    })
+    }, records={"values": {
+        "x": np.arange(config.x_max + 1), "j_hat_lo": lo, "j_hat_hi": hi,
+        "certainty_equivalent": np.array([certainty_equivalent(config.utility, config.gamma, v)
+                                          for v in lo.tolist()]),
+    }})
     return 0
 
 
@@ -498,11 +548,11 @@ def _cmd_solve_neutral(config: ProblemConfig, outdir: Path, args) -> int:
     _write_summary(outdir, config, {
         "iterations": sol.iterations,
         "band_cuts": band.cut_string(),
-        "values": [{"x": x, "value": float(sol.values[x]),
-                    "certainty_equivalent": certainty_equivalent(
-                        config.utility, config.gamma, float(sol.values[x]))}
-                   for x in range(config.x_max + 1)],
-    })
+    }, records={"values": {
+        "x": np.arange(config.x_max + 1), "value": sol.values,
+        "certainty_equivalent": np.array([certainty_equivalent(config.utility, config.gamma, v)
+                                          for v in sol.values.tolist()]),
+    }})
     return 0
 
 
@@ -514,12 +564,11 @@ def _cmd_bands(config: ProblemConfig, outdir: Path, args) -> int:
     _, policy = _solve(config)
     if config.utility is Utility.EXPONENTIAL:
         cuts = _write_bands(outdir, policy)
-        bands = [{"n": n, "xi": int(policy.xi[n]), "band_cuts": cuts[n]}
-                 for n in range(config.depth)]
+        bands = {"n": np.arange(config.depth), "xi": policy.xi, "band_cuts": cuts}
     else:
         band = _write_neutral_band(outdir, policy)
-        bands = [{"xi": band.c[0], "band_cuts": band.cut_string()}]
-    _write_summary(outdir, config, {"bands": bands})
+        bands = {"xi": [band.c[0]], "band_cuts": [band.cut_string()]}
+    _write_summary(outdir, config, {}, records={"bands": bands})
     return 0
 
 
@@ -558,22 +607,21 @@ def _cmd_oracle_check(config: ProblemConfig, outdir: Path, args) -> int:
         run = dataclasses.replace(config, depth=horizon - 1)
         bracket = lambda table, x0: table.value_bracket(0, x0, y0)
     table, _ = _solve(run, **kw)
-    checks = []
+    checks = {key: [] for key in ("x0", "oracle", "solver_lo", "solver_hi", "gap", "pass")}
     for x0 in x0s:
         val, _ = exact_optimal(run, x0, horizon, y0=y0)
         lo, hi = bracket(table, x0)
         gap = max(lo - val if two_sided else 0.0, val - hi, 0.0)
-        checks.append({"x0": x0, "oracle": val, "solver_lo": lo,
-                       "solver_hi": hi, "gap": gap, "pass": bool(gap <= tol)})
+        for key, value in zip(checks, (x0, val, lo, hi, gap, bool(gap <= tol))):
+            checks[key].append(value)
 
-    ok = all(c["pass"] for c in checks)
+    ok = all(checks["pass"])
     _write_summary(outdir, config, {
         "horizon": horizon,
-        "checks": checks,
         "pass": ok,
-    })
+    }, records={"checks": checks})
     if not ok:
-        worst = max(c["gap"] for c in checks)
+        worst = max(checks["gap"])
         raise InvariantViolation(
             f"oracle disagrees with solver, worst gap {worst:.3e} "
             f"(see {outdir / 'summary.json'})")

@@ -19,6 +19,9 @@ entry is a certified enclosure of the true value.  The optimal
 expected utility is (1/gamma) * J(x, gamma), and the depth-n decision rule
 is the largest minimiser of the lo-evaluation within relative TIE_RTOL =
 1e-12, found for a whole depth by one prefix-minimum scan (``exp_backup``).
+The induction takes the depths in blocks of ``EXP_BLOCK``: one np.exp per
+block forms the factors e^{-theta_n v} and e^{theta_n v} of all its depths,
+and each depth's scan runs in place in its row of the table.
 
 A state above the surplus cap is priced by paying the overflow at once:
 J(x', theta) = e^{theta (x' - x_max)} J(x_max, theta).  This is exact, not
@@ -44,6 +47,14 @@ from .model import (DBL_MIN, LOG_DBL_MIN, TIE_RTOL, IncomeDistribution, ProblemC
                     expect_income, policy_lookup, sum_income, tail_income)
 
 NEUTRAL_MAX_ITERATIONS = 1_000_000  # value-iteration cap of solve_neutral
+
+# Depths whose exponential factors one np.exp forms together.  A block's
+# factor tables are laid out like the value table's rows, so the two of an
+# optimising solve hold as much as 2 * EXP_BLOCK of its N + 1 rows (3 *
+# EXP_BLOCK evaluating a rule), 1 MB per 1,000 surplus states, whatever N,
+# and its pay-down factors EXP_BLOCK * max(support_max, 0) doubles; factors
+# for the whole orbit at once raised the benchmark's peak memory by 2 MB.
+EXP_BLOCK = 32
 
 __all__ = [
     "ThetaSchedule",
@@ -231,23 +242,45 @@ def suggest_depth(config_like) -> int:
 # backward induction
 
 
-def exp_backup(theta: float, g: np.ndarray, out: np.ndarray | None = None
+def exp_backup(down: np.ndarray, up: np.ndarray, g: np.ndarray,
+               out: np.ndarray | None = None, action: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Min over a in {0..x} of e^{theta a} G(x-a) for every x, both channels.
 
     ``g`` holds G's lo and hi rows as its two columns, indexed by surplus
-    v = x - a; returns (best, action), best shaped like g and written to
-    ``out`` when one is given.  The value is
-    e^{theta x} PM(x), PM the prefix minimum of H(v) = e^{-theta v} G(v),
-    one scan for both columns.  The action is the largest lo-minimiser
-    x - v*, v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL) in
-    column 0 alone; PM does not increase, so one searchsorted finds every v*.
+    v = x - a, and ``down`` and ``up`` hold e^{-theta v} and e^{theta v},
+    laid out like g (``_both``) or as columns that broadcast against it;
+    returns (best, action), best shaped like g, each written to ``out``
+    and ``action`` when they are given.  The value is e^{theta x} PM(x),
+    PM the prefix minimum of H(v) = e^{-theta v} G(v), one scan for both
+    columns, run in ``out`` and scaled there.  The action is the largest
+    lo-minimiser x - v*, v* the smallest v with PM(v) <= PM(x) * (1 + TIE_RTOL)
+    in column 0 alone; PM does not increase, so one searchsorted finds
+    every v*.
     """
-    v = np.arange(len(g))
-    pm = np.minimum.accumulate(np.exp(-theta * v)[:, None] * g, axis=0)
+    pm = np.multiply(down, g, out=out)
+    np.minimum.accumulate(pm, axis=0, out=pm)
     rise = -pm[:, 0]
     v_star = rise.searchsorted(rise * (1.0 + TIE_RTOL))
-    return np.multiply(np.exp(theta * v)[:, None], pm, out=out), v - v_star
+    np.multiply(up, pm, out=pm)
+    return pm, np.subtract(_surplus(len(g)), v_star, out=action)
+
+
+def _both(a: np.ndarray) -> np.ndarray:
+    """``a`` with each entry twice along a new last axis, as the lo and hi columns.
+
+    A factor laid out like the table multiplies it in one contiguous pass,
+    where a broadcast column would take one inner loop of two per row.
+    """
+    return np.repeat(a, 2).reshape(*a.shape, 2)
+
+
+@functools.lru_cache(maxsize=1)
+def _surplus(size: int) -> np.ndarray:
+    """0..size-1, read-only, shared by every depth of the solves of that size."""
+    xs = np.arange(size)
+    xs.flags.writeable = False
+    return xs
 
 
 def neutral_backup(bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,22 +355,26 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
     a state o above the cap is worth e^{theta_{n+1} o} J_{n+1}(x_max),
     except that the unit terminal row is 1 everywhere, so it extends flat.
     G(v) = E J_{n+1}(v + Z) for both columns accumulates in one reused
-    buffer, and ``exp_backup`` writes its backup straight into j[n], with
-    the largest minimiser against the table being built.  Without a rule
-    the table keeps that backup (optimise); with an (N, x_max+1) rule it
-    stores e^{theta_n a} G(x - a) for the rule's a (evaluate), and the
-    tail's hi is 1, since the pay-all upper envelope only bounds the
-    optimal rule.
+    buffer.  The depths are taken in blocks of ``EXP_BLOCK``, and each
+    block's factors e^{-theta_n v} and e^{theta_n v} (and, evaluating a
+    rule, e^{theta_n a_n}) are formed by one np.exp apiece, so no depth
+    calls np.exp.  ``exp_backup`` runs each depth's scan in place in j[n]
+    and writes its action, the largest minimiser against the table being
+    built, straight into the policy's row.  Without a rule the table keeps
+    that backup (optimise); with an (N, x_max+1) rule it stores
+    e^{theta_n a} G(x - a) for the rule's a (evaluate), and the tail's hi
+    is 1, since the pay-all upper envelope only bounds the optimal rule.
     """
     schedule = config.schedule  # validated at construction: x_max >= its cap
     dist, n_depth, x_max = config.dist, config.depth, config.x_max
-    thetas = schedule.thetas
+    thetas = np.array(schedule.thetas)
     ruin, above = dist.margins
     # numpy refuses a support too large to tabulate before any buffer is
-    # sized by it; the factors stay math.exp, which np.exp does not match bit
-    # for bit (9,259 of 200,000 sampled arguments differ on an AVX-512 host)
+    # sized by it; the pay-down factors stay math.exp, which np.exp does not
+    # match bit for bit (9,259 of 200,000 sampled arguments differ on an
+    # AVX-512 host)
     overflow = np.arange(1, above + 1).tolist()
-    xs = np.arange(x_max + 1)
+    xs = _surplus(x_max + 1)
     j = np.ones((n_depth + 1, x_max + 1, 2))
     if terminal == "tail":
         decay = np.exp(thetas[n_depth] * xs)
@@ -350,15 +387,28 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
     top = ruin + x_max + 1
     nxt, g = np.ones((top + above, 2)), np.empty((x_max + 1, 2))
 
-    for n in range(n_depth - 1, -1, -1):
-        theta_next = 0.0 if terminal == "unit" and n + 1 == n_depth else thetas[n + 1]
-        nxt[ruin:top] = j[n + 1]
-        np.multiply.outer([math.exp(theta_next * o) for o in overflow], j[n + 1, x_max],
-                          out=nxt[top:])
-        g.fill(0.0)
-        action[n] = exp_backup(thetas[n], sum_income(dist, nxt, g), out=j[n])[1]
+    pairs = _both(xs)
+    for stop in range(n_depth, 0, -EXP_BLOCK):
+        start = max(0, stop - EXP_BLOCK)
+        block = thetas[start:stop]
+        down = np.exp(np.multiply.outer(-block, pairs))
+        up = np.exp(np.multiply.outer(block, pairs))
         if rule is not None:
-            np.multiply(np.exp(thetas[n] * rule[n])[:, None], g[xs - rule[n]], out=j[n])
+            pays = np.exp(_both(block[:, None] * rule[start:stop]))
+            taken = xs - rule[start:stop]
+        nexts = list(schedule.thetas[start + 1:stop + 1])
+        if terminal == "unit" and stop == n_depth:
+            nexts[-1] = 0.0
+        over = np.fromiter((math.exp(t * o) for t in nexts for o in overflow), float,
+                           len(nexts) * above).reshape(len(nexts), above)
+        for n in range(stop - 1, start - 1, -1):
+            i = n - start
+            nxt[ruin:top] = j[n + 1]
+            np.multiply.outer(over[i], j[n + 1, x_max], out=nxt[top:])
+            g.fill(0.0)
+            exp_backup(down[i], up[i], sum_income(dist, nxt, g), out=j[n], action=action[n])
+            if rule is not None:
+                np.multiply(pays[i], g.take(taken[i], axis=0, out=j[n]), out=j[n])
     return (ExpValueTable(config=config, lo=j[..., 0], hi=j[..., 1]),
             ExpPolicy(config=config, action=action))
 

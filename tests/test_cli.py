@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -783,3 +784,70 @@ def test_every_run_exits_cleanly(run):
 
 def _reject_constant(token):
     raise ValueError(f"summary.json holds the non-JSON token {token}")
+
+
+# -- summary records: lists of flat records written a column at a time --------
+
+JSON_TEXT = st.text(st.sampled_from('az"\\/\n\t\x00é€😀'), max_size=4)
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [1e-5, -2.5e-7, 1e16, -1e300, 5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf])
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                        JSON_FLOATS, JSON_TEXT)
+
+
+def _record_column(n: int):
+    """(column, the same entries as Python values) of ``n`` records: a float
+    or int array, or a list of Python floats, ints, bools, None or strings."""
+    ints = st.sampled_from([np.int64, np.int32, np.uint8]).flatmap(lambda t: st.lists(
+        st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=t)))
+    floats = st.lists(JSON_FLOATS, min_size=n, max_size=n).map(np.array)
+    arrays = (ints | floats).map(lambda a: (a, a.tolist()))
+    lists = st.lists(JSON_LEAVES, min_size=n, max_size=n).map(lambda v: (v, v))
+    return arrays | lists
+
+
+@st.composite
+def summary_docs(draw):
+    """(fields, records, expected records): top-level fields of any JSON
+    value around zero to three record lists of zero, one or many records."""
+    names = draw(st.lists(JSON_TEXT.filter(lambda k: k != "config"), unique=True,
+                          max_size=6))
+    cut = draw(st.integers(0, min(3, len(names))))
+    fields = {name: draw(st.recursive(
+        JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(JSON_TEXT, inner, max_size=3), max_leaves=6))
+              for name in names[cut:]}
+    records, expected = {}, {}
+    for name in names[:cut]:
+        n = draw(st.sampled_from([0, 1, 2, 7]))
+        keys = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
+        columns = {key: draw(_record_column(n)) for key in keys}
+        records[name] = {key: column for key, (column, _) in columns.items()}
+        expected[name] = [dict(zip(columns, row))
+                          for row in zip(*(values for _, values in columns.values()))]
+    return fields, records, expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(summary_docs())
+@example(({"horizon": 7, "pass": True},
+          {"checks": {"x0": np.arange(3), "oracle": np.array([-0.0, 1e-5, math.nan]),
+                      "gap": np.array([math.inf, -math.inf, 1e16]),
+                      "pass": [True, False, None], 'a"\\é': ["x", "\"", "€"]},
+           "empty": {"value": np.zeros(0)}},
+          {"checks": [{"x0": 0, "oracle": -0.0, "gap": math.inf, "pass": True, 'a"\\é': "x"},
+                      {"x0": 1, "oracle": 1e-5, "gap": -math.inf, "pass": False,
+                       'a"\\é': "\""},
+                      {"x0": 2, "oracle": math.nan, "gap": 1e16, "pass": None,
+                       'a"\\é': "€"}],
+           "empty": []}))
+def test_summary_records_equal_json_dumps(doc):
+    fields, records, expected = doc
+    config = ProblemConfig(beta=0.5, gamma=-1.0, utility=Utility.EXPONENTIAL,
+                           dist=validate_distribution({1: 0.7, -1: 0.3}), x_max=3, depth=3)
+    with tempfile.TemporaryDirectory() as work:
+        cli._write_summary(Path(work), config, fields, records=records)
+        text = (Path(work) / "summary.json").read_text()
+    whole = {"config": json.loads(text)["config"], **fields, **expected}
+    assert text == json.dumps(whole, indent=2, sort_keys=True) + "\n"

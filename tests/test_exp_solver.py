@@ -196,17 +196,32 @@ def _table_bytes(table, policy):
     return table.lo.tobytes(), table.hi.tobytes(), policy.action.tobytes()
 
 
+BLOCK = exp_solver.EXP_BLOCK
+
+
+def _block_example(depth, rule, support=(-1, 1)):
+    """An explicit draw at ``depth``, which places the block edges."""
+    return example(support=list(support), weights=[0.4, 0.6, 0.3, 0.2], beta=0.9,
+                   gamma=-0.5, depth=depth, extra=2, rule=rule)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(support=st.lists(st.integers(-3, 4), min_size=2, max_size=4, unique=True)
        .filter(lambda ks: min(ks) < 0),
        weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
        beta=st.floats(0.3, 0.9), gamma=st.floats(-3.0, -1e-3),
-       depth=st.integers(1, 40), extra=st.integers(0, 12),
+       depth=st.integers(1, 2 * BLOCK + 2), extra=st.integers(0, 12),
        rule=st.sampled_from(["pay-all", "optimal", "greedy"]))
+@_block_example(1, "greedy")
+@_block_example(BLOCK - 1, "pay-all", support=(-2, 1, 3))
+@_block_example(BLOCK, "greedy", support=(-3, 2, 4))
+@_block_example(BLOCK + 1, "optimal")
+@_block_example(2 * BLOCK + 1, "greedy", support=(-1, 2))
 def test_one_array_induction_matches_two_tables(support, weights, beta, gamma, depth,
                                                 extra, rule):
     # lo and hi in one array see the same elementwise operations as in two
-    # tables, so every table and rule is the same to the bit
+    # tables, and a depth's factors the same from its block of depths, so
+    # every table and rule is the same to the bit, across block edges too
     total = sum(weights[:len(support)])
     dist = validate_distribution({k: w / total for k, w in zip(support, weights)})
     probe = SimpleNamespace(dist=dist, beta=beta, gamma=gamma, depth=depth,

@@ -44,12 +44,21 @@ def exp_rows(draw):
 @EXAMPLES
 def test_exp_backup_matches_reference(row):
     theta, g_lo, g_hi = row
-    best, action = exp_backup(theta, np.stack([g_lo, g_hi], axis=1))
+    g = np.stack([g_lo, g_hi], axis=1)
+    v = np.arange(len(g))
+    down, up = np.exp(-theta * v)[:, None], np.exp(theta * v)[:, None]
+    best, action = exp_backup(down, up, g)
     lo, hi = best.T
     ref_lo, ref_hi, ref_action = reference_exp_backup(theta, g_lo, g_hi)
     np.testing.assert_allclose(lo, ref_lo, rtol=1e-13, atol=0)
     np.testing.assert_allclose(hi, ref_hi, rtol=1e-13, atol=0)
     np.testing.assert_array_equal(action, ref_action)
+    # factors laid out like g, and the scan run in given buffers, change no bit
+    out, acts = np.empty_like(g), np.empty(len(g), dtype=np.int64)
+    pairs = np.repeat(down, 2, axis=1), np.repeat(up, 2, axis=1)
+    written = exp_backup(*pairs, g, out=out, action=acts)
+    assert written[0] is out and written[1] is acts
+    assert out.tobytes() == best.tobytes() and acts.tobytes() == action.tobytes()
 
 
 @st.composite
