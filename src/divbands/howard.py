@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (IllegalAction, InadmissiblePolicy, InvariantViolation, MaxIterations,
                      ValidationError)
 from .exp_solver import ExpPolicy, ExpValueTable, ThetaSchedule, _induct
-from .model import ProblemConfig, Utility
+from .model import ProblemConfig, Utility, policy_actions
 
 MAX_ITERATIONS = 1000  # most evaluate/improve rounds of howard_solve, read at call time
 
@@ -52,16 +52,17 @@ def _as_rule(config: ProblemConfig, f) -> np.ndarray:
     """Normalize a rule to an (N, x_max+1) int array and vet its actions.
 
     A callable is a policy, called once per depth on every surplus (s = 0,
-    which exponential rules ignore); a result that does not broadcast to
-    the surplus array is refused.  Actions must be integers: a float or
-    bool rule is refused, not truncated.
+    which exponential rules ignore), each answer checked by
+    ``model.policy_actions`` and refused with IllegalAction.  An array is
+    a table, checked whole: its actions must be integers (a float or bool
+    table is refused, not truncated) in {0..x}.
     """
     n_depth, x_max = config.depth, config.x_max
     xs = np.arange(x_max + 1)
     if callable(f):
-        rule = np.array([_depth_actions(f, n, xs) for n in range(n_depth)])
-    else:
-        rule = np.asarray(f)
+        return np.array([policy_actions(f, n, xs, 0.0, "depth", IllegalAction)[0]
+                         for n in range(n_depth)])
+    rule = np.asarray(f)
     if not np.issubdtype(rule.dtype, np.integer):
         raise IllegalAction(f"rule actions must be integers, got dtype {rule.dtype}")
     rule = rule.astype(np.int64, copy=False)
@@ -72,18 +73,6 @@ def _as_rule(config: ProblemConfig, f) -> np.ndarray:
         n, x = np.argwhere((rule < 0) | (rule > xs))[0]
         raise IllegalAction(f"rule pays {rule[n, x]} at depth {n}, x={x}")
     return rule
-
-
-def _depth_actions(f, n: int, xs: np.ndarray) -> np.ndarray:
-    """The callable rule f's actions at depth n on every surplus xs."""
-    acts = np.asarray(f(n, xs, 0.0))
-    if acts.shape == xs.shape:
-        return acts
-    try:
-        return np.broadcast_to(acts, xs.shape)
-    except ValueError:
-        raise IllegalAction(f"rule returned actions of shape {acts.shape} "
-                            f"for surplus of shape {xs.shape} at depth {n}") from None
 
 
 def _check_admissible(schedule: ThetaSchedule, rule: np.ndarray,
@@ -103,7 +92,9 @@ def policy_value_exp(config: ProblemConfig, f) -> tuple[ExpValueTable, ExpPolicy
     """Bracketed value of a fixed rule, and the greedy rule against it.
 
     ``f`` may be an (N, x_max+1) array or a policy (depth, x, s) ->
-    actions such as an ExpPolicy.  Above the cap the rule is extended by
+    actions such as an ExpPolicy, called once per depth on every surplus
+    and its answers checked by ``model.policy_actions``; a refused answer
+    or table raises IllegalAction.  Above the cap the rule is extended by
     paying the overflow, which makes the table's extension identity exact
     for any rule, not only the optimal one.  The returned policy is the
     largest minimiser of a -> e^{theta_n a} G_f(x-a) on the lo channel

@@ -275,6 +275,37 @@ def policy_lookup(action: np.ndarray, t: int, x, cap: int):
     return action[min(t, len(action) - 1)], extra, x - extra
 
 
+def policy_actions(policy, t: int, x, s, where: str, error: type[Exception]):
+    """One call policy(t, x, s), its answer checked as an action at each x.
+
+    The one rule for what a policy may answer, wherever it is priced: the
+    answer must have an integer dtype (bool and float answers are refused,
+    whole-valued floats too); an answer of one element (a scalar, a 0-d or
+    a 1-element array) stands for every element of x, any other must have
+    x's shape; and every action must lie in {0..x}.  Returns the actions,
+    int64 in x's shape, and the surplus x - a they leave standing, a fresh
+    array (or scalar) the caller may update in place.  A failure raises
+    ``error``, naming ``where`` t (the step or depth) and, for an action
+    outside {0..x}, the first offender in x's order.
+    """
+    acts = np.asarray(policy(t, x, s))
+    if not np.issubdtype(acts.dtype, np.integer):
+        raise error(f"policy returned non-integer actions at {where} {t}")
+    a, shape = acts.astype(np.int64, copy=False), np.shape(x)
+    if a.shape != shape:
+        if a.size != 1:
+            raise error(f"policy returned actions of shape {acts.shape} "
+                        f"for surplus of shape {shape} at {where} {t}")
+        a = np.broadcast_to(a.reshape(()), shape)
+    left = x - a
+    if a.min() < 0 or left.min() < 0:
+        flat_a, flat_x = np.ravel(a), np.ravel(x)
+        j = np.flatnonzero((flat_a < 0) | (flat_a > flat_x))[0]
+        raise error(f"action {flat_a[j]} outside {{0..{flat_x[j]}}} "
+                    f"at {where} {t}, x={flat_x[j]}")
+    return a, left
+
+
 def cash(u: Utility, gamma: float, w):
     """What a sure wealth w is worth, elementwise, with no domain check.
 

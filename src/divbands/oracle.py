@@ -42,7 +42,8 @@ from operator import sub
 import numpy as np
 
 from .errors import TooLarge, UndefinedAction, ValidationError
-from .model import IncomeDistribution, ProblemConfig, Utility, cash, check_y0
+from .model import (IncomeDistribution, ProblemConfig, Utility, cash, check_y0,
+                    policy_actions)
 
 NODE_GUARD = 10_000_000  # most node visits of one walk, read at call time
 MARKOV_RULE_GUARD = 500_000  # most rules markov_optimum enumerates
@@ -147,19 +148,6 @@ class OracleTree:
         return {"value": self.value, "root": walk(0, self.x0, 0)}
 
 
-def _action(policy, depth: int, x: int, s: Fraction) -> int:
-    """policy(depth, x, s), refused unless it is an integer in {0..x}."""
-    a = policy(depth, x, s)
-    # bool is an int subclass; x > 0 must not price as "pay 1"
-    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-        raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
-                              "is not an integer")
-    if a < 0 or a > x:
-        raise UndefinedAction(f"action {a!r} at depth={depth}, x={x} "
-                              f"is outside {{0..{x}}}")
-    return int(a)
-
-
 def _tally(visits: int) -> int:
     """``visits``, or TooLarge when it passes ``NODE_GUARD``."""
     if visits > NODE_GUARD:
@@ -232,7 +220,8 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
     horizon 0.  The forward pass lists each depth's reachable states and
     the (state, action) pairs of its solvent ones.  With ``policy`` None a
     solvent state tries every dividend 0..x; else it takes policy(depth,
-    x, s), s the exact Fraction, asked once per state.  A child's payout
+    x, s), s the exact Fraction, asked once per state and checked by
+    ``model.policy_actions``.  A child's payout
     takes one integer add per distinct (payout, action) and is numbered in
     one payout index.  A terminal state is worth cash(y0 + s), which
     depends on its payout alone, so after the forward pass each payout some
@@ -271,7 +260,8 @@ def _walk(config: ProblemConfig, x0: int, horizon: int, y0: float | None, policy
         if policy is None:
             acts = (np.arange(len(owner)) - starts[owner]).astype(np.int32)
         else:
-            acts = np.array([_action(policy, depth, x, Fraction(book.paid[p], scale))
+            acts = np.array([policy_actions(policy, depth, x, Fraction(book.paid[p], scale),
+                                            "depth", UndefinedAction)[0]
                              for x, p in zip(xs[live].tolist(), ps[live].tolist())],
                             dtype=np.int32)
         step = beta.numerator ** depth * scale // beta.denominator ** depth
@@ -333,9 +323,11 @@ def exact_policy_value(config: ProblemConfig, policy, x0: int, horizon: int,
 
     ``policy`` is called as policy(depth, x, s) with scalar surplus
     x >= 0 and the exact accumulated payout s as a Fraction: a solver
-    policy, an OracleTree or any callable returning an integer.
-    Raises UndefinedAction when a reachable state has no action, or its
-    action is not an integer (a bool included) or leaves {0..x}.
+    policy, an OracleTree or any callable returning an integer action.
+    Each answer is checked by ``model.policy_actions``, which raises
+    UndefinedAction for an answer that is not of an integer dtype (bool
+    and float included), has more than one element, or leaves {0..x}; an
+    OracleTree raises it too, at a state it holds no decision for.
     """
     if not callable(policy):
         raise UndefinedAction(f"cannot interpret {type(policy).__name__} as a policy")

@@ -158,9 +158,10 @@ class _Queries:
     sets ``shift`` to k; the rules then read the neighbors and their cash
     as slices, and no index is formed.  Otherwise ``shift`` is None,
     ``right`` is the first gridpoint at or above q (clamped to the last),
-    ``left`` the one before it, ``exact`` the queries that hit ``right``
-    (None when none do), and ``no_right`` NaN where q lies past the last
-    gridpoint and 0.0 elsewhere; the rules gather by these indices.
+    ``left`` the one before it, ``exact`` the queries that hit ``right``,
+    and ``no_right`` NaN where q lies past the last gridpoint and 0.0
+    elsewhere; the rules gather by these indices and take ``right``'s row
+    where a query is exact.
     """
 
     __slots__ = ("q", "cash_pts", "cash_q", "shift", "right", "left", "exact", "no_right")
@@ -169,17 +170,12 @@ class _Queries:
         m = len(pts)
         self.q, self.cash_q = q, cash(q)
         self.cash_pts = cash(pts) if cash_pts is None else cash_pts
-        self.shift, self.exact = _grid_shift(pts, q), None
+        self.shift = _grid_shift(pts, q)
         if self.shift is not None:
             return
         idx = np.searchsorted(pts, q)
         self.right = np.minimum(idx, m - 1)
-        exact = pts[self.right] == q
-        # None when nothing hits, as almost everywhere at beta 0.9, spares the
-        # rules an np.where: forming it always made the seed-0 power+log serial
-        # solves 9-12% slower on a 2-vCPU Xeon VM (lost 26 of 30 alternating
-        # in-process rounds and 18 of 20 fresh-process pairs)
-        self.exact = exact if exact.any() else None
+        self.exact = pts[self.right] == q
         self.left = np.maximum(idx - 1, 0)
         # subtracted, not added, so that -0.0 stays -0.0 where the neighbor exists
         self.no_right = np.where(idx < m, 0.0, np.nan)
@@ -230,7 +226,7 @@ def _lower(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
         # temporaries per action made each side's seed-0 induction 5-10%
         # faster on a 2-vCPU Xeon VM
         lo = np.fmax(np.fmax(left, lo_r, out=left), env, out=left)
-    return lo if at.exact is None else np.where(at.exact, rows[..., at.right], lo)
+    return lo if at.shift is not None else np.where(at.exact, rows[..., at.right], lo)
 
 
 def _upper(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
@@ -253,7 +249,7 @@ def _upper(at: _Queries, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
             right = rows[..., at.right] - at.no_right
             hi_l = rows[..., at.left] + (at.cash_q - at.cash_pts[at.left])
         hi = np.fmin(np.fmin(right, hi_l, out=right), env, out=right)  # as in _lower
-    return hi if at.exact is None else np.where(at.exact, rows[..., at.right], hi)
+    return hi if at.shift is not None else np.where(at.exact, rows[..., at.right], hi)
 
 
 def _closure(config: ProblemConfig, x):

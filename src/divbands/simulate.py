@@ -15,21 +15,25 @@ exactly as ``Generator.random`` followed by an inverse-CDF search would
 map it.
 
 The batches are cut into contiguous runs, one per process, and a run
-steps all of its batches together.  Only the live paths are stepped: the
-run keeps their surplus and payout in compact arrays, in path order, one
-``searchsorted`` of the batch starts finds each batch's segment of them
-for its draws, and a path's outcome is written out the step it is
-ruined, when it leaves those arrays.
+steps its batches in groups of at most ``GROUP``: a group's batches are
+stepped together, to the end, before the next group starts, so the
+working arrays never hold more than ``GROUP`` batches of paths.  Only the
+live paths are stepped: the group keeps their surplus and payout in
+compact arrays, in path order, one ``searchsorted`` of the batch starts
+finds each batch's segment of them for its draws, and a path's outcome
+is written out the step it is ruined, when it leaves those arrays.
 
 A policy is any callable policy(t, x, s) -> actions, vectorized over
 the surplus x and the discounted payout s of the live paths; it is
-called once per step of a run, on every live path of the run in path
-order, and a scalar result applies to every path.  With one worker that
-is every live path of the simulation; with more, which paths share a
-call depends on the split, so a rule that reads across paths (x.min(),
-say) can act differently, while a rule whose action at a path depends
-only on that path's (t, x, s), as every solver policy's does, gives the
-same bytes at every worker count.  The solver policies reuse their last
+called once per step of a group, on every live path of the group in
+path order, and its answer is checked by ``model.policy_actions`` (an
+answer of one element applies to every path).  With one worker and at
+most ``GROUP`` batches that is every live path of the simulation; with
+more, which paths share a call depends on the split and the grouping, so
+a rule that reads across paths (x.min(), say) can act differently, while
+a rule whose action at a path depends only on that path's (t, x, s), as
+every solver policy's does, gives the same bytes at every worker count
+and every ``GROUP``.  The solver policies reuse their last
 depth's rule beyond the solved horizon (the surplus process does not
 care, and the pay-down property that makes ruin certain is preserved)
 and pay the overflow above the surplus cap on top of the cap rule.
@@ -46,10 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolicyUndefined, InvariantViolation, ValidationError
-from .model import ProblemConfig, check_y0, utility
+from .model import ProblemConfig, check_y0, policy_actions, utility
 from .parallel import fork_parts, shared_arrays, split_runs
 
 BATCH = 1 << 14  # paths per Philox substream
+# Most batches stepped together, read at call time: it bounds the working
+# arrays, about 56 bytes per live path, at GROUP * BATCH paths (about 7 MB)
+# whatever n_paths is, and keeps a 100,000-path run (7 batches) one group.
+GROUP = 8
 
 __all__ = ["SimulationResult", "simulate_paths", "ruin_certainty_check"]
 
@@ -95,31 +103,6 @@ class SimulationResult:
             "mean_ruin_time": mean_ruin,
             "truncated_fraction": float(np.sum(self.truncated) / self.n_paths),
         }
-
-
-def _step_actions(policy, t: int, x: np.ndarray, s: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One vectorized policy call on the live paths, checked against {0..x}.
-
-    Returns the actions a and the surplus x - a they leave standing, a
-    fresh array that the caller may update in place.
-    """
-    acts = np.asarray(policy(t, x, s))
-    if not np.issubdtype(acts.dtype, np.integer):
-        raise PolicyUndefined(f"policy returned non-integer actions at step {t}")
-    a = acts
-    if a.shape != x.shape:
-        try:
-            a = np.broadcast_to(acts, x.shape)
-        except ValueError:
-            raise PolicyUndefined(f"policy returned actions of shape {acts.shape} "
-                                  f"for surplus of shape {x.shape} at step {t}") from None
-    left = x - a
-    if a.min() < 0 or left.min() < 0:
-        j = np.nonzero((a < 0) | (a > x))[0][0]
-        raise PolicyUndefined(
-            f"action {a[j]} outside {{0..{x[j]}}} at step {t}, x={x[j]}")
-    return a, left
 
 
 def _income_thresholds(probs) -> np.ndarray:
@@ -187,24 +170,25 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
 
     ``workers`` > 1 splits the batches into contiguous runs, one per
     process (``parallel.split_runs`` clamps the count to the usable
-    cores and the batches).  Each run steps its batches together and
-    calls the policy once per step on every live path of the run, in
-    path order; with ``workers`` = 1 that is every live path.  For a
+    cores and the batches).  Each run steps its batches in groups of at
+    most ``GROUP`` and calls the policy once per step of a group on every
+    live path of the group, in path order; with ``workers`` = 1 and at
+    most ``GROUP`` batches that is every live path.  For a
     policy whose action at a path depends only on that path's (t, x, s),
     as every solver policy's does, the result is the same bytes for
     every value.  The default stays 1 because a run in a forked child
     keeps none of the policy's side effects: a policy that counts or
     records its calls sees only the calls made in the calling process.
 
-    A failing policy (an action outside {0..x}, non-integer actions, a
-    result that does not broadcast to x, or its own exception) surfaces
-    from the lowest-numbered run that fails, at that run's first failing
-    step, naming its first offending path in path order; an exception
-    raised in a child's run is raised again, with its serial type and
-    message, by running that run here.  A policy that fails in several
-    runs at different steps can therefore name a different step or
-    offender at different worker counts: serially, the earliest failing
-    step of the whole simulation.
+    A failing policy (an answer ``model.policy_actions`` refuses, raised
+    as PolicyUndefined, or its own exception) surfaces from the
+    lowest-numbered run that fails, at the first failing step of its
+    first failing group, naming its first offending path in path order;
+    an exception raised in a child's run is raised again, with its serial
+    type and message, by running that run here.  A policy that fails in
+    several groups at different steps can therefore name a different step
+    or offender at different worker counts: serially, the earliest
+    failing step of the first group that fails.
     """
     if not callable(policy):
         raise PolicyUndefined(f"cannot simulate a {type(policy).__name__}")
@@ -224,35 +208,36 @@ def simulate_paths(config: ProblemConfig, policy, x0: int, n_paths: int,
     runs = split_runs(workers, range(0, n_paths, BATCH))
 
     def part(i: int) -> None:
-        run = runs[i]
-        end = min(run[-1] + BATCH, n_paths)
-        edges = np.array([*run, end])
-        streams = [base.jumped(b // BATCH) for b in run]
-        skips = [0] * len(run)
-        live = np.arange(run[0], end if x0 >= 0 else run[0])
-        x = np.full(live.size, x0, dtype=np.int64)
-        s = np.zeros(live.size)
-        disc = 1.0
-        for t in range(max_steps):
-            if live.size == 0:
-                break
-            # x and s are fresh arrays each step, as the policy may keep the
-            # ones it was handed; a goes once used, to keep the peak of
-            # whole-run arrays to the policy call's
-            a, x = _step_actions(policy, t, x, s)
-            s = s + disc * a
-            del a
-            x += support.take(_income_index(_draw_words(streams, skips, run, edges, live),
-                                            thresholds))
-            ruined = x < 0
-            if ruined.any():
-                out = np.flatnonzero(ruined)  # few: gathers beat two more masks
-                gone = live[out]
-                sums[gone], times[gone] = s[out], t + 1
-                keep = ~ruined
-                live, x, s = live[keep], x[keep], s[keep]
-            disc *= beta
-        sums[live], times[live], trunc[live] = s, max_steps, True
+        for at in range(0, len(runs[i]), GROUP):
+            group = runs[i][at:at + GROUP]
+            end = min(group[-1] + BATCH, n_paths)
+            edges = np.array([*group, end])
+            streams = [base.jumped(b // BATCH) for b in group]
+            skips = [0] * len(group)
+            live = np.arange(group[0], end if x0 >= 0 else group[0])
+            x = np.full(live.size, x0, dtype=np.int64)
+            s = np.zeros(live.size)
+            disc = 1.0
+            for t in range(max_steps):
+                if live.size == 0:
+                    break
+                # x and s are fresh arrays each step, as the policy may keep
+                # the ones it was handed; a goes once used, to keep the peak
+                # of whole-group arrays to the policy call's
+                a, x = policy_actions(policy, t, x, s, "step", PolicyUndefined)
+                s = s + disc * a
+                del a
+                x += support.take(_income_index(
+                    _draw_words(streams, skips, group, edges, live), thresholds))
+                ruined = x < 0
+                if ruined.any():
+                    out = np.flatnonzero(ruined)  # few: gathers beat two more masks
+                    gone = live[out]
+                    sums[gone], times[gone] = s[out], t + 1
+                    keep = ~ruined
+                    live, x, s = live[keep], x[keep], s[keep]
+                disc *= beta
+            sums[live], times[live], trunc[live] = s, max_steps, True
 
     fork_parts(len(runs), part)
     return SimulationResult(discounted_sums=sums, ruin_times=times, truncated=trunc,

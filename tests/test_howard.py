@@ -156,15 +156,18 @@ def test_overpaying_rule_is_rejected():
     lambda n, x, s: x / 2,
 ])
 def test_non_integer_rule_is_refused(rule):
+    # a table is checked whole, a policy's answer depth by depth
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
-    with pytest.raises(IllegalAction, match="must be integers, got dtype float64"):
+    want = ("policy returned non-integer actions at depth 0" if callable(rule)
+            else "rule actions must be integers, got dtype float64")
+    with pytest.raises(IllegalAction, match=f"^{re.escape(want)}$"):
         policy_value_exp(cfg, rule)
 
 
 def test_callable_rule_that_does_not_broadcast_is_refused():
     cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 3)
     with pytest.raises(IllegalAction, match=re.escape(
-            "rule returned actions of shape (3,) for surplus of shape (4,) at depth 0")):
+            "policy returned actions of shape (3,) for surplus of shape (4,) at depth 0")):
         policy_value_exp(cfg, lambda n, x, s: np.zeros(3, dtype=np.int64))
 
 

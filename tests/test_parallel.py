@@ -14,6 +14,7 @@ import yaml
 import divbands.cli as cli
 import divbands.parallel as parallel
 import divbands.power_solver as power_solver
+import divbands.simulate as simulate
 from divbands.errors import InvariantViolation
 from divbands.exp_solver import solve_exp
 from divbands.model import Utility
@@ -257,6 +258,20 @@ def test_simulate_paths_workers_give_the_same_arrays(monkeypatch):
     _, policy = solve_exp(SIM_CONFIG)
     runs = [simulate_paths(SIM_CONFIG, policy, 10, SIM_PATHS, max_steps=30, workers=w)
             for w in (1, 2, 4)]
+    for field in ("discounted_sums", "ruin_times", "truncated", "utilities"):
+        assert len({getattr(r, field).tobytes() for r in runs}) == 1, field
+    assert_no_child_left()
+
+
+def test_simulate_paths_groups_give_the_same_arrays(monkeypatch):
+    # groups of 1, 2 and the default 8 batches, each at workers 1 and 2
+    split_everything(monkeypatch)
+    _, policy = solve_exp(SIM_CONFIG)
+    runs = []
+    for group in (1, 2, simulate.GROUP):
+        monkeypatch.setattr(simulate, "GROUP", group)
+        runs += [simulate_paths(SIM_CONFIG, policy, 10, SIM_PATHS, max_steps=30, workers=w)
+                 for w in (1, 2)]
     for field in ("discounted_sums", "ruin_times", "truncated", "utilities"):
         assert len({getattr(r, field).tobytes() for r in runs}) == 1, field
     assert_no_child_left()

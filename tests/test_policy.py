@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divbands.errors import DomainError, PolicyUndefined
+from divbands.errors import DomainError, IllegalAction, PolicyUndefined, UndefinedAction
 from divbands.exp_solver import solve_exp, solve_neutral
 from divbands.howard import policy_value_exp
 from divbands.oracle import exact_policy_value
@@ -124,3 +124,59 @@ def test_exp_policy_is_priced_alike_by_oracle_and_howard():
         # the hi channel closes the tail with 1: the truncated expectation
         val = exact_policy_value(cfg, policy, x0, cfg.depth)
         assert abs(val - table.hi[0, x0]) <= 1e-12
+
+
+# x_max 1 lies below s_tilde_star (1.39), so howard admits a rule that pays
+# nothing; the oracle and the simulation start at x = 1
+ONE = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 1, 3)
+
+# every caller that prices a policy, with the class it refuses an answer with
+CALLERS = {
+    "simulate": (lambda policy: simulate_paths(ONE, policy, 1, 10, max_steps=4),
+                 PolicyUndefined),
+    "howard": (lambda policy: policy_value_exp(ONE, policy), IllegalAction),
+    "oracle": (lambda policy: exact_policy_value(ONE, policy, 1, 3), UndefinedAction),
+}
+
+# (answer to policy(t, x, s), accepted); x is an array or a Python int
+ANSWERS = {
+    "int": (lambda x: 0, True),
+    "np.int64": (lambda x: np.int64(0), True),
+    "np.where": (lambda x: np.where(x > 2, x - 2, 0), True),  # 0-d at a scalar x
+    "0-d": (lambda x: np.array(0), True),
+    "uint8": (lambda x: (np.asarray(x) // 2).astype(np.uint8), True),
+    "uint64": (lambda x: (np.asarray(x) // 2).astype(np.uint64), True),
+    "one-element": (lambda x: np.zeros(1, dtype=np.int64), True),
+    "wrong-shape": (lambda x: np.zeros(3, dtype=np.int64), False),
+    "float": (lambda x: np.asarray(x) / 2, False),
+    "whole-float": (lambda x: 0.0, False),
+    "True": (lambda x: True, False),
+    "np.bool_": (lambda x: np.bool_(True), False),
+    "negative": (lambda x: -1, False),
+    "above-x": (lambda x: np.asarray(x) + 1, False),
+}
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+@pytest.mark.parametrize("answer", ANSWERS)
+def test_every_caller_checks_an_answer_alike(caller, answer):
+    price, refusal = CALLERS[caller]
+    act, accepted = ANSWERS[answer]
+    policy = lambda t, x, s: act(x)
+    if accepted:
+        price(policy)
+    else:
+        with pytest.raises(refusal) as got:
+            price(policy)
+        assert type(got.value) is refusal  # PolicyUndefined is an UndefinedAction too
+
+
+def test_simulated_surplus_stays_int64_after_unsigned_answers():
+    seen = []
+
+    def policy(t, x, s):
+        seen.append(x.dtype)
+        return (x // 2).astype(np.uint64)
+
+    simulate_paths(ONE, policy, 6, 100, max_steps=5)
+    assert len(seen) > 1 and set(seen) == {np.dtype(np.int64)}

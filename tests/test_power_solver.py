@@ -510,6 +510,20 @@ def test_certain_loss_closed_forms():
     assert int(report.xi.max()) == 0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: _lower's right-neighbor term, rows[right] - (cash(s_right) - "
+    "cash(q)), rounds to nearest, so where cash(q) is below an ulp of cash(s_right) "
+    "the lower end can land above the value"))
+def test_certain_loss_bracket_holds_below_an_ulp_of_the_grid_top():
+    # found by the CLI fuzz: at depth 104 pay-all from x = 3 is worth
+    # (3 beta^104)^0.5 = 3.85e-16, which hi holds, while lo reads 2^-51 =
+    # 4.44e-16, one ulp of cash(6) = 2.449, the grid top
+    cfg = make_config("power", {-1: 1.0}, 0.5, 0.5, 3, 105, s_grid_points=2)
+    table, _ = solve_power(cfg)
+    assert table.hi[104, 3, 0] == math.sqrt(3 * 0.5 ** 104)
+    assert np.all(table.lo <= table.hi)
+
+
 def test_log_certain_loss_closed_form():
     # 257 points put integer wealth levels exactly on the grid
     cfg = make_config("logarithmic", DOWN_ONE, 0.5, 0.0, 4, 3,

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -336,3 +337,31 @@ def test_threshold_count_matches_float_search(probs_words):
                       len(probs) - 1)
     got = _income_index(words, _income_thresholds(probs))
     assert np.array_equal(got, want)
+
+
+def test_working_memory_is_flat_in_n_paths_beyond_a_group(monkeypatch):
+    # one batch a group: 2 and 8 batches of paths that all live through the
+    # run step the same working arrays.  The peak is read as the stepping
+    # ends: the outputs are an untraced mmap, and the utilities come after.
+    monkeypatch.setattr(divbands.simulate, "GROUP", 1)
+    cfg = make_config("exponential", {1: 0.7, -1: 0.3}, 0.5, -1.0, 3, 4)
+    fork_parts, peaks = divbands.simulate.fork_parts, []
+
+    def measured(k, part):
+        fork_parts(k, part)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    monkeypatch.setattr(divbands.simulate, "fork_parts", measured)
+    tracemalloc.start()
+    try:
+        for batches in (1, 2, 8):  # the first warms up what numpy caches
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = simulate_paths(cfg, lambda t, x, s: 0, 20, batches * BATCH, max_steps=4)
+            assert result.truncated.all()
+            del result
+    finally:
+        tracemalloc.stop()
+    # about 56 bytes per live path of a group: over 0.6 MB for one batch
+    assert peaks[1] > 40 * BATCH
+    assert peaks[2] < 1.05 * peaks[1]
