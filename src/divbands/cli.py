@@ -527,7 +527,7 @@ def _cmd_solve_power(config: ProblemConfig, outdir: Path, args) -> int:
     _write_csv(outdir / "bands.csv", ["d", "s", "xi_of_s"],
                ((d, ss, xi[d]) for d in range(config.depth)), args.threads)
 
-    lo, hi = np.array([table.value_bracket(0, x, s0) for x in range(config.x_max + 1)]).T
+    lo, hi = table.surplus_brackets(0, s0)
     _write_summary(outdir, config, {
         "barrier_bound": report.bound,
         "initial_payout_level": s0,

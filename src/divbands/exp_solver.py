@@ -302,21 +302,26 @@ class ExpValueTable:
 
     Arrays have shape (N+1, x_max+1), indexed by surplus x; ``_induct``
     fills them as views of its one lo/hi array.  A ruined state is worth
-    exactly 1 and is not stored.
+    exactly 1 and is not stored.  ``terminal`` is the depth-N closure the
+    table was solved with (see ``solve_exp``).
     """
 
     config: ProblemConfig
     lo: np.ndarray
     hi: np.ndarray
+    terminal: str = "tail"
 
     def value_bracket(self, n: int, x: int) -> tuple[float, float]:
-        """(lo, hi) bracket of J(x, theta_n), extending beyond the cap exactly."""
+        """(lo, hi) bracket of J(x, theta_n), extending beyond the cap exactly:
+        by e^{theta_n (x - x_max)}, except that the unit terminal row is 1
+        at every surplus, so it extends flat."""
         if x < 0:
             return 1.0, 1.0
         cap = self.config.x_max
         if x <= cap:
             return float(self.lo[n, x]), float(self.hi[n, x])
-        fac = math.exp(self.config.schedule.thetas[n] * (x - cap))
+        flat = self.terminal == "unit" and n == self.config.depth
+        fac = 1.0 if flat else math.exp(self.config.schedule.thetas[n] * (x - cap))
         return float(self.lo[n, cap]) * fac, float(self.hi[n, cap]) * fac
 
 
@@ -409,7 +414,7 @@ def _induct(config: ProblemConfig, rule: np.ndarray | None = None,
             exp_backup(down[i], up[i], sum_income(dist, nxt, g), out=j[n], action=action[n])
             if rule is not None:
                 np.multiply(pays[i], g.take(taken[i], axis=0, out=j[n]), out=j[n])
-    return (ExpValueTable(config=config, lo=j[..., 0], hi=j[..., 1]),
+    return (ExpValueTable(config=config, lo=j[..., 0], hi=j[..., 1], terminal=terminal),
             ExpPolicy(config=config, action=action))
 
 

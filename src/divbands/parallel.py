@@ -12,18 +12,8 @@ again.  A part whose child failed is re-run in the caller, so an
 exception surfaces there with its serial type and message.
 Only the calling thread is copied into a child, so a part must use only
 what that thread owns: the parts here format floats or step numpy
-arrays, and need no lock held by another thread.
-
-Where the kernel does not balance load across this process's CPUs (its
-cgroup-v1 cpuset and every ancestor have ``sched_load_balance`` 0, as on
-some VMs), a forked child stays on its parent's CPU and the two share it:
-on such a 2-vCPU VM an unpinned split of two equal pure-Python loops took
-as long as running them one after the other.  There, and only there,
-part i is pinned to the i-th usable CPU while the split runs, which made
-the split take half as long; the caller's own CPU mask is put back
-afterwards.  Elsewhere placement is left to the kernel.  Splits in
-several processes at once all pin to the same first CPUs; that case is
-unmeasured.
+arrays, and need no lock held by another thread.  The kernel places
+every process of a split.
 """
 
 from __future__ import annotations
@@ -32,55 +22,9 @@ import errno
 import math
 import mmap
 import os
-from contextlib import suppress
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-
-
-def _cpus() -> list[int]:
-    """The CPUs this process may run on; empty where the OS does not say."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity calls on this platform
-        return []
-
-
-def _balance_off(proc: str = "/proc/self") -> bool:
-    """Whether the kernel leaves this process's CPUs out of load balancing.
-
-    True when the process's cgroup-v1 cpuset and each of its ancestors
-    have ``sched_load_balance`` 0; false otherwise, and wherever that
-    cannot be read (cgroup v2 only, no cpuset, not Linux).
-    """
-    try:
-        with open(f"{proc}/cgroup") as fh:
-            path = next(line.rstrip("\n").split(":", 2)[2] for line in fh
-                        if "cpuset" in line.split(":", 2)[1].split(","))
-        with open(f"{proc}/mountinfo") as fh:
-            root, mount = next(f[3:5] for f in map(str.split, fh)
-                               if f[f.index("-") + 1] == "cgroup"
-                               and "cpuset" in f[-1].split(","))
-        rel = os.path.relpath(path, root)
-        if rel.startswith(".."):
-            return False
-        top = Path(mount)
-        for d in (top / rel, *(top / rel).parents):
-            if (d / "cpuset.sched_load_balance").read_text().strip() != "0":
-                return False
-            if d == top:
-                return True
-    except (OSError, StopIteration, IndexError, ValueError):
-        pass
-    return False
-
-
-def _set_cpus(cpus: list[int]) -> None:
-    """Run this process on ``cpus`` only; no change when the list is empty."""
-    if cpus:
-        with suppress(OSError):  # a CPU gone offline: leave placement to the kernel
-            os.sched_setaffinity(0, cpus)
 
 
 def shared_arrays(specs: Sequence[tuple[tuple[int, ...], type]], what: str
@@ -117,8 +61,12 @@ def split_runs(threads: int, items: Sequence) -> list[Sequence]:
     ``threads`` starts no more processes than there are CPUs, and
     ``threads=1`` keeps everything in the caller.
     """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity calls on this platform
+        cpus = 0
     n = len(items)
-    k = max(1, min(threads, len(_cpus()) or os.cpu_count() or 1, n))
+    k = max(1, min(threads, cpus or os.cpu_count() or 1, n))
     return [items[n * i // k:n * (i + 1) // k] for i in range(k)]
 
 
@@ -127,12 +75,10 @@ def fork_parts(k: int, part: Callable[[int], None]) -> None:
 
     A child's part that failed (it raised, the child died, or the OS
     refused the fork) is re-run here, in ascending order, once every
-    child is reaped and this process's CPU mask is put back, so its error
-    surfaces with its serial type and message.  If part(0) raises, the
-    exception propagates once every child is reaped and nothing is
-    re-run; no child is left running either way.
+    child is reaped, so its error surfaces with its serial type and
+    message.  If part(0) raises, the exception propagates once every child
+    is reaped and nothing is re-run; no child is left running either way.
     """
-    cpus = _cpus() if k > 1 and _balance_off() else []  # [] leaves placement alone
     children: dict[int, int] = {}
     failed: list[int] = []
     try:
@@ -145,19 +91,16 @@ def fork_parts(k: int, part: Callable[[int], None]) -> None:
             if pid == 0:
                 code = 1
                 try:
-                    _set_cpus(cpus[i:i + 1])
                     part(i)
                     code = 0
                 finally:
                     os._exit(code)
             children[pid] = i
-        _set_cpus(cpus[:1])
         part(0)
     finally:
         for pid, i in children.items():
             _, status = os.waitpid(pid, 0)
             if os.waitstatus_to_exitcode(status) != 0:
                 failed.append(i)
-        _set_cpus(cpus)
     for i in sorted(failed):
         part(i)

@@ -16,7 +16,7 @@ envelope
 where cash is ``model.cash``, the bare utility t^gamma or log t, and
 C = beta EZ+/(1-beta).  ``_closure`` is the one place that credits a
 surplus with x (below) and x + C (above): the depth-N rows, the pay-all
-envelopes of every backup and ``value_bracket`` all read it.
+envelopes of every backup and ``surplus_brackets`` all read it.
 Ruined states are worth exactly cash(s) at any depth.
 
 Off-grid evaluations never assume smoothness that is not proven: a query
@@ -53,7 +53,7 @@ normally one shift of the knots, each k gridpoints up or past the last,
 and the rules then read their neighbors as slices of the next-step rows
 and of that cash.
 Queries that hit a gridpoint (dyadic beta, lattice merged), the 2-D
-overflow rows and ``value_bracket``'s single query gather by index.
+overflow rows and ``surplus_brackets``' single query gather by index.
 F_a then raises the running best of every x = a + u in place.  The policy records the
 largest action whose lo continuation lies within relative TIE_RTOL of the
 running best: best is updated before the comparison and actions ascend, so
@@ -272,26 +272,40 @@ class PowerValueTable:
     hi: np.ndarray
 
     def value_bracket(self, d: int, x: int, s: float) -> tuple[float, float]:
-        """Certified bracket of W_d(x, s) at any payout level s >= 0.
+        """Certified bracket of W_d(x, s) at any surplus x and payout level s >= 0.
+
+        Above the cap the overflow is paid now, priced at this depth; a
+        ruined x is worth cash(s).
+        """
+        if not s >= 0:
+            raise DomainError(f"accumulated payout must be >= 0, got {s}")
+        cap = self.config.x_max
+        if x > cap:
+            s = s + self.config.beta ** d * (x - cap)
+            x = cap
+        if x < 0:
+            v = float(cash(self.config.utility, self.config.gamma, np.array([float(s)]))[0])
+            return v, v
+        lo, hi = self.surplus_brackets(d, s)
+        return float(lo[x]), float(hi[x])
+
+    def surplus_brackets(self, d: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Certified brackets (lo, hi) of W_d(x, s) at every surplus x in
+        0..x_max, for one payout level s >= 0.
 
         An off-grid s is bracketed by the solve's own one-sided rules and
-        pay-all closure (``_lower``, ``_upper``, ``_closure``).
+        pay-all closure (``_lower``, ``_upper``, ``_closure``), with one
+        query of s for every x.
         """
         if not s >= 0:
             raise DomainError(f"accumulated payout must be >= 0, got {s}")
         worth = functools.partial(cash, self.config.utility, self.config.gamma)
-        beta, cap = self.config.beta, self.config.x_max
-        if x > cap:  # pay the overflow now, priced at this depth
-            s = s + beta ** d * (x - cap)
-            x = cap
         at = _Queries(self.grid.points, np.array([float(s)]), worth)
-        if x < 0:
-            v = float(at.cash_q[0])
-            return v, v
-        below, above = _closure(self.config, x)
-        lo = _lower(at, self.lo[d, x], worth(at.q + beta ** d * below))
-        hi = _upper(at, self.hi[d, x], worth(at.q + beta ** d * above))
-        return float(lo[0]), float(hi[0])
+        below, above = _closure(self.config, np.arange(self.config.x_max + 1)[:, None])
+        scale = self.config.beta ** d
+        lo = _lower(at, self.lo[d], worth(at.q + scale * below))
+        hi = _upper(at, self.hi[d], worth(at.q + scale * above))
+        return lo[:, 0], hi[:, 0]
 
 
 @dataclass(frozen=True)

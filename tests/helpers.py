@@ -11,7 +11,6 @@ import numpy as np
 
 import divbands.cli as cli
 import divbands.model as model
-import divbands.parallel as parallel
 import divbands.power_solver as power_solver
 from divbands.errors import (BarrierViolation, NotABand, PolicyUndefined, ValidationError,
                              ValueUnderflow)
@@ -36,14 +35,12 @@ def split_everything(monkeypatch) -> None:
 
     The emission and power/log solve size gates drop to 0 and the
     process reports ``SPLIT_CPUS`` usable CPUs, so ``--threads`` 2 and 4
-    split into 2 and 4 runs on any host.  Pinning is switched off, so the test process
-    keeps its real CPU mask.
+    split into 2 and 4 runs on any host.
     """
     monkeypatch.setattr(cli, "SPLIT_CELLS", 0)
     monkeypatch.setattr(power_solver, "SPLIT_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(SPLIT_CPUS)),
                         raising=False)
-    monkeypatch.setattr(parallel, "_set_cpus", lambda cpus: None)
 
 
 def refuse_forks(monkeypatch) -> list:

@@ -323,6 +323,20 @@ def test_cap_extension_is_exact():
     assert over == 5 + policy.action[0, TINY.x_max]
 
 
+def test_unit_terminal_row_extends_flat_above_the_cap():
+    # payouts stop at depth N, so the unit terminal is 1 at every surplus;
+    # the rows below it and the tail terminal still extend by e^{theta_n (x - x_max)}
+    config = make_config("exponential", {1: 0.6, -1: 0.4}, 0.9, -1.0, 44, 5)
+    cap, n_depth, thetas = config.x_max, config.depth, config.schedule.thetas
+    unit, _ = solve_exp(config, terminal="unit")
+    tail, _ = solve_exp(config)
+    assert unit.value_bracket(n_depth, cap + 2) == (1.0, 1.0)
+    for table, n in ((unit, n_depth - 1), (tail, n_depth)):
+        fac = math.exp(2 * thetas[n])
+        assert table.value_bracket(n, cap + 2) == (table.lo[n, cap] * fac,
+                                                   table.hi[n, cap] * fac)
+
+
 def test_ruin_row_is_one():
     table, _ = solve_exp(TINY)
     assert table.value_bracket(2, -4) == (1.0, 1.0)

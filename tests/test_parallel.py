@@ -12,7 +12,6 @@ import pytest
 import yaml
 
 import divbands.cli as cli
-import divbands.parallel as parallel
 import divbands.power_solver as power_solver
 import divbands.simulate as simulate
 from divbands.errors import InvariantViolation
@@ -120,11 +119,9 @@ def test_split_runs_are_contiguous_and_clamped(monkeypatch):
     assert split_runs(4, []) == [[]]
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
-def test_fork_parts_reruns_failed_parts_here_after_reaping(tmp_path, monkeypatch):
-    monkeypatch.setattr(parallel, "_balance_off", lambda: True)  # part 0 runs pinned
-    me, mask = os.getpid(), os.sched_getaffinity(0)
-    here = []  # (part, CPU mask) of every part run in this process, in order
+def test_fork_parts_reruns_failed_parts_here_after_reaping(tmp_path):
+    me = os.getpid()
+    here = []  # every part run in this process, in order
 
     def part(i):
         (tmp_path / str(i)).touch()
@@ -134,11 +131,11 @@ def test_fork_parts_reruns_failed_parts_here_after_reaping(tmp_path, monkeypatch
             return
         if i:  # a re-run: every child is reaped already
             assert_no_child_left()
-        here.append((i, os.sched_getaffinity(0)))
+        here.append(i)
 
     assert fork_parts(4, part) is None
     assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3"]
-    assert here == [(0, {min(mask)}), (1, mask), (3, mask)]
+    assert here == [0, 1, 3]
     assert_no_child_left()
 
     def fails_everywhere(i):
@@ -174,45 +171,19 @@ def test_shared_arrays_are_aligned_zeroed_views_of_one_mapping():
     assert [p - start[0] for p in start] == [0, 8, 40]
 
 
-def fake_proc(tmp_path, flags, cpuset_line="3:cpuset:/jobs"):
-    """A /proc/self stand-in whose cpuset hierarchy is mounted under tmp_path."""
-    mount = tmp_path / "cpuset"
-    for rel, flag in flags.items():
-        (mount / rel).mkdir(parents=True, exist_ok=True)
-        (mount / rel / "cpuset.sched_load_balance").write_text(f"{flag}\n")
-    proc = tmp_path / "proc"
-    proc.mkdir()
-    (proc / "cgroup").write_text(f"4:memory:/m\n{cpuset_line}\n0::/\n")
-    (proc / "mountinfo").write_text(
-        "24 1 0:20 / /sys rw - sysfs sysfs rw\n"
-        f"35 32 0:31 / {mount} rw,relatime - cgroup cgroup rw,cpuset\n")
-    return str(proc)
-
-
-@pytest.mark.parametrize("flags, cpuset_line, off", [
-    ({".": 0, "jobs": 0}, "3:cpuset:/jobs", True),
-    ({".": 1, "jobs": 0}, "3:cpuset:/jobs", False),
-    ({".": 0, "jobs": 1}, "3:cpuset:/jobs", False),
-    ({".": 0}, "3:cpuset:/", True),
-    ({".": 0}, "3:cpu:/", False),  # no cpuset controller
-    ({".": 0}, "3:cpuset:/gone", False),  # unreadable flag
-])
-def test_balance_off_reads_the_cpuset_chain(tmp_path, flags, cpuset_line, off):
-    assert parallel._balance_off(fake_proc(tmp_path, flags, cpuset_line)) is off
-
-
-def test_balance_off_is_false_without_proc(tmp_path):
-    assert parallel._balance_off(str(tmp_path / "none")) is False
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
-@pytest.mark.parametrize("off", [True, False])
-def test_pinning_only_where_balance_is_off_and_mask_restored(tmp_path, monkeypatch, off):
-    monkeypatch.setattr(parallel, "_balance_off", lambda: off)
-    before = os.sched_getaffinity(0)
-    seen = []
-    fork_parts(2, lambda i: seen.append(os.sched_getaffinity(0)) if i == 0 else None)
-    assert seen == [{min(before)} if off else before]
+def test_fork_parts_leaves_the_callers_cpu_mask_alone():
+    me, before = os.getpid(), os.sched_getaffinity(0)
+    seen = []  # the mask of part 0 and of every re-run, all in this process
+
+    def part(i):
+        if os.getpid() == me:
+            seen.append(os.sched_getaffinity(0))
+        elif i in (1, 3):
+            raise ValueError(i)
+
+    fork_parts(4, part)
+    assert seen == [before] * 3
     assert os.sched_getaffinity(0) == before
     assert_no_child_left()
 
@@ -312,9 +283,8 @@ def test_power_solve_is_byte_identical_across_workers(monkeypatch, fork_log, nam
 
 
 def two_cpus(monkeypatch) -> None:
-    """Report two usable CPUs with pinning off, leaving the size gates as they are."""
+    """Report two usable CPUs, leaving the size gates as they are."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(parallel, "_set_cpus", lambda cpus: None)
 
 
 @pytest.mark.parametrize("name, forks", [("dyadic-log", 0), ("certain-loss", 0),
